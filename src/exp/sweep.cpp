@@ -202,19 +202,23 @@ SweepResult run_sweep(const SweepGrid& grid, std::size_t threads) {
   // read-only by every grid point that simulates that fabric
   // (Engine::run is const and thread-safe). No per-point topology work
   // remains: a point only touches its own RNG streams and payload pools.
-  // Radix 2 builds through the binary path (byte-identical to the
-  // pre-radix-axis sweep); radices > 2 flatten the k-ary constructions.
+  // Kinds with a closed-form construction (omega, flip, baseline) build
+  // through it at every radix, radix 2 included: the attached schedule
+  // skips recovery, so set-up stays linear at any stage count (and the
+  // radix-2 wiring and schedule equal the binary path's). The other
+  // kinds exist only at radix 2 and recover their schedule from the
+  // binary tables, under the Engine's cell budget.
   const std::size_t radix_count = grid.radices.size();
   std::vector<std::unique_ptr<sim::Engine>> engines;
   engines.reserve(grid.networks.size() * radix_count);
   for (const min::NetworkKind kind : grid.networks) {
     for (const int radix : grid.radices) {
-      if (radix == 2) {
-        engines.push_back(std::make_unique<sim::Engine>(
-            min::build_network(kind, grid.stages)));
-      } else {
+      if (min::kary_network_supported(kind)) {
         engines.push_back(std::make_unique<sim::Engine>(
             min::build_kary_network(kind, grid.stages, radix)));
+      } else {
+        engines.push_back(std::make_unique<sim::Engine>(
+            min::build_network(kind, grid.stages)));
       }
     }
   }

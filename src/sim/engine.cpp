@@ -198,7 +198,96 @@ void SimConfig::validate() const {
   workload.validate();
 }
 
-void Engine::finish_unipath_geometry() {
+namespace {
+
+/// Schedule recovery is O(cells^2 * stages * radix) — "intended for n up
+/// to ~10" (routing.hpp). Past this many cells per stage that stops being
+/// seconds and becomes an apparent hang, so construction rejects the
+/// geometry with advice instead of stalling (radix 2 wants stages <= 13,
+/// radix 8 stages <= 5, radix 16 stages <= 4).
+constexpr std::uint32_t kMaxRecoveryCells = 4096;
+
+/// Structural sanity of a digit schedule: the arity must match the
+/// fabric and every per-stage map must be a bijection of the ports.
+/// Deliberately O(stages * radix) — the whole point of attaching a
+/// closed-form schedule is skipping the O(cells^2 * stages * radix)
+/// recovery, so routing correctness is the construction's contract
+/// (pinned against min::verify_digit_schedule at small sizes in the
+/// tests), not re-proved per Engine.
+void check_schedule(const min::DigitSchedule& schedule, int stages,
+                    int radix) {
+  const auto hops = static_cast<std::size_t>(stages - 1);
+  const auto r = static_cast<std::size_t>(radix);
+  if (schedule.radix != radix || schedule.digit.size() != hops ||
+      schedule.port_of_value.size() != hops) {
+    throw std::invalid_argument(
+        "Engine: digit schedule does not match the fabric arity");
+  }
+  for (std::size_t s = 0; s < hops; ++s) {
+    if (schedule.digit[s] < 0 || schedule.digit[s] + 1 >= stages) {
+      throw std::invalid_argument(
+          "Engine: digit schedule reads an out-of-range digit");
+    }
+    const std::vector<unsigned>& map = schedule.port_of_value[s];
+    if (map.size() != r) {
+      throw std::invalid_argument(
+          "Engine: digit schedule has a non-radix value map");
+    }
+    std::vector<bool> seen(r, false);
+    for (const unsigned port : map) {
+      if (port >= r || seen[port]) {
+        throw std::invalid_argument(
+            "Engine: digit schedule map is not a port bijection");
+      }
+      seen[port] = true;
+    }
+  }
+}
+
+/// The one recovery path for wirings without an attached schedule
+/// (binary MI-digraphs and bare KaryMIDigraphs alike).
+min::DigitSchedule recover_schedule(const min::FlatWiring& wiring) {
+  if (wiring.cells_per_stage() > kMaxRecoveryCells) {
+    throw std::invalid_argument(
+        "Engine: radix-" + std::to_string(wiring.radix()) + " fabric with " +
+        std::to_string(wiring.cells_per_stage()) +
+        " cells per stage exceeds the digit-schedule recovery budget (" +
+        std::to_string(kMaxRecoveryCells) +
+        " cells); reduce stages or radix, or build the fabric through "
+        "the closed-form min::build_kary_network constructors, which "
+        "attach their digit schedules and skip recovery entirely");
+  }
+  auto schedule = min::find_digit_schedule(wiring);
+  if (!schedule.has_value()) {
+    throw std::invalid_argument(
+        "Engine: network has no destination-digit schedule");
+  }
+  return std::move(*schedule);
+}
+
+/// radix^digit[s] per stage: the divisor that extracts the scheduled
+/// digit of a cell label written in base \p radix.
+std::vector<std::uint32_t> digit_scales(const min::DigitSchedule& schedule,
+                                        int radix) {
+  std::vector<std::uint32_t> scales;
+  scales.reserve(schedule.digit.size());
+  for (const int digit : schedule.digit) {
+    std::uint32_t scale = 1;
+    for (int i = 0; i < digit; ++i) scale *= static_cast<std::uint32_t>(radix);
+    scales.push_back(scale);
+  }
+  return scales;
+}
+
+}  // namespace
+
+void Engine::init_unipath(const std::optional<min::DigitSchedule>& attached) {
+  // A closed-form schedule attached by the construction (the built-in
+  // omega/flip/baseline kinds at any radix) needs no recovery and no
+  // size cap — the budget only gates truly unknown wirings.
+  schedule_ = attached.has_value() ? *attached : recover_schedule(wiring_);
+  check_schedule(schedule_, wiring_.stages(), wiring_.radix());
+  digit_scale_ = digit_scales(schedule_, wiring_.radix());
   terminals_ = static_cast<std::uint64_t>(wiring_.radix()) *
                wiring_.cells_per_stage();
   address_digits_ = wiring_.stages();
@@ -206,160 +295,26 @@ void Engine::finish_unipath_geometry() {
   logical_cells_ = wiring_.cells_per_stage();
 }
 
-Engine::Engine(min::MIDigraph network, min::BitSchedule schedule)
-    : network_(std::move(network)), schedule_(std::move(schedule)) {
-  if (!network_->is_valid()) {
+Engine::Engine(const min::MIDigraph& network) {
+  if (!network.is_valid()) {
     throw std::invalid_argument("Engine: network has invalid degrees");
   }
-  if (!min::verify_bit_schedule(*network_, schedule_)) {
-    throw std::invalid_argument("Engine: schedule does not route network");
-  }
-  wiring_ = min::FlatWiring::from_digraph(*network_);
-  finish_unipath_geometry();
+  wiring_ = min::FlatWiring::from_digraph(network);
+  init_unipath(std::nullopt);
 }
-
-namespace {
-
-min::BitSchedule derive_schedule(const min::MIDigraph& network) {
-  auto schedule = min::find_bit_schedule(network);
-  if (!schedule.has_value()) {
-    throw std::invalid_argument(
-        "Engine: network has no destination-bit schedule");
-  }
-  return *schedule;
-}
-
-/// Structural sanity of a construction-attached digit schedule: the
-/// arity must match the fabric and every per-stage map must be a
-/// bijection of the ports. Deliberately O(stages * radix) — the whole
-/// point of attaching a closed-form schedule is skipping the
-/// O(cells^2 * stages * radix) recovery, so routing correctness is the
-/// construction's contract (pinned against min::verify_digit_schedule at
-/// small sizes in the tests), not re-proved per Engine.
-void check_attached_schedule(const min::DigitSchedule& schedule, int stages,
-                             int radix) {
-  const auto hops = static_cast<std::size_t>(stages - 1);
-  const auto r = static_cast<std::size_t>(radix);
-  if (schedule.radix != radix || schedule.digit.size() != hops ||
-      schedule.port_of_value.size() != hops) {
-    throw std::invalid_argument(
-        "Engine: attached digit schedule does not match the fabric arity");
-  }
-  for (std::size_t s = 0; s < hops; ++s) {
-    if (schedule.digit[s] < 0 || schedule.digit[s] + 1 >= stages) {
-      throw std::invalid_argument(
-          "Engine: attached digit schedule reads an out-of-range digit");
-    }
-    const std::vector<unsigned>& map = schedule.port_of_value[s];
-    if (map.size() != r) {
-      throw std::invalid_argument(
-          "Engine: attached digit schedule has a non-radix value map");
-    }
-    std::vector<bool> seen(r, false);
-    for (const unsigned port : map) {
-      if (port >= r || seen[port]) {
-        throw std::invalid_argument(
-            "Engine: attached digit schedule map is not a port bijection");
-      }
-      seen[port] = true;
-    }
-  }
-}
-
-/// The radix-2 special case of a digit schedule as a BitSchedule:
-/// bit[s] is the scheduled digit and invert[s] falls out of where the
-/// value map sends 0 (identity -> 0, swap -> 1).
-min::BitSchedule bit_schedule_from_digits(const min::DigitSchedule& digits) {
-  min::BitSchedule schedule;
-  schedule.bit.assign(digits.digit.begin(), digits.digit.end());
-  schedule.invert.reserve(digits.port_of_value.size());
-  for (const std::vector<unsigned>& map : digits.port_of_value) {
-    schedule.invert.push_back(map[0]);
-  }
-  return schedule;
-}
-
-}  // namespace
-
-Engine::Engine(min::MIDigraph network)
-    : Engine(network, derive_schedule(network)) {}
 
 Engine::Engine(const min::KaryMIDigraph& network) {
   if (!network.is_valid()) {
     throw std::invalid_argument("Engine: network has invalid degrees");
   }
-  if (network.radix() == 2) {
-    // The binary path: convert the tables so radix-2 KaryMIDigraph runs
-    // are byte-identical to the MIDigraph constructor's.
-    std::vector<min::Connection> connections;
-    connections.reserve(static_cast<std::size_t>(network.stages() - 1));
-    for (int s = 0; s + 1 < network.stages(); ++s) {
-      connections.emplace_back(network.connection(s).table(0),
-                               network.connection(s).table(1),
-                               network.stages() - 1);
-    }
-    network_.emplace(network.stages(), std::move(connections));
-    if (network.schedule().has_value()) {
-      // The construction attached its closed-form schedule: adopt it
-      // (as the binary special case) instead of spending the
-      // O(cells^2 * stages) recovery, so built-in fabrics construct in
-      // linear time at any size.
-      check_attached_schedule(*network.schedule(), network.stages(), 2);
-      schedule_ = bit_schedule_from_digits(*network.schedule());
-    } else {
-      schedule_ = derive_schedule(*network_);
-    }
-    wiring_ = min::FlatWiring::from_digraph(*network_);
-    finish_unipath_geometry();
-    return;
-  }
   wiring_ = min::FlatWiring::from_kary(network);
-  if (network.schedule().has_value()) {
-    // Closed-form schedule attached by the construction (the built-in
-    // omega/flip/baseline kinds): no recovery needed, no size cap — the
-    // cap below only gates truly unknown wirings.
-    check_attached_schedule(*network.schedule(), network.stages(),
-                            network.radix());
-    digit_schedule_ = *network.schedule();
-  } else {
-    // Digit-schedule recovery is O(cells^2 * stages * radix) — the same
-    // all-pairs budget the binary find_bit_schedule has always spent
-    // ("intended for n up to ~10", routing.hpp). Past ~4096 cells that
-    // stops being seconds and becomes an apparent hang, so reject the
-    // geometry with advice instead of stalling (radix 8 wants stages <=
-    // 5, radix 16 stages <= 4).
-    constexpr std::uint32_t kMaxDigitScheduleCells = 4096;
-    if (wiring_.cells_per_stage() > kMaxDigitScheduleCells) {
-      throw std::invalid_argument(
-          "Engine: radix-" + std::to_string(network.radix()) +
-          " fabric with " + std::to_string(wiring_.cells_per_stage()) +
-          " cells per stage exceeds the digit-schedule recovery budget (" +
-          std::to_string(kMaxDigitScheduleCells) +
-          " cells); reduce stages or radix, or build the fabric through "
-          "the closed-form min::build_kary_network constructors, which "
-          "attach their digit schedules and skip recovery entirely");
-    }
-    auto schedule = min::find_digit_schedule(wiring_);
-    if (!schedule.has_value()) {
-      throw std::invalid_argument(
-          "Engine: network has no destination-digit schedule");
-    }
-    digit_schedule_ = std::move(*schedule);
-  }
-  digit_scale_.reserve(digit_schedule_.digit.size());
-  for (const int digit : digit_schedule_.digit) {
-    std::uint32_t scale = 1;
-    for (int i = 0; i < digit; ++i) {
-      scale *= static_cast<std::uint32_t>(wiring_.radix());
-    }
-    digit_scale_.push_back(scale);
-  }
-  finish_unipath_geometry();
+  init_unipath(network.schedule());
 }
 
 Engine::Engine(min::MultiPathWiring fabric)
-    : wiring_(fabric.wiring()), fabric_(std::move(fabric)) {
-  digit_schedule_ = fabric_->schedule();
+    : schedule_(fabric.schedule()),
+      wiring_(fabric.wiring()),
+      fabric_(std::move(fabric)) {
   free_stage_ = fabric_->free_stage();
   terminals_ = fabric_->logical_terminals();
   address_digits_ = fabric_->logical_stages();
@@ -370,14 +325,7 @@ Engine::Engine(min::MultiPathWiring fabric)
   // Digit scales in the *logical* radix (identity placeholders at free
   // connections scale by digit 0, harmlessly — route_group checks the
   // free flag first).
-  digit_scale_.reserve(digit_schedule_.digit.size());
-  for (const int digit : digit_schedule_.digit) {
-    std::uint32_t scale = 1;
-    for (int i = 0; i < digit; ++i) {
-      scale *= static_cast<std::uint32_t>(logical_radix_);
-    }
-    digit_scale_.push_back(scale);
-  }
+  digit_scale_ = digit_scales(schedule_, logical_radix_);
 }
 
 const min::MultiPathWiring& Engine::fabric() const {
@@ -386,15 +334,6 @@ const min::MultiPathWiring& Engine::fabric() const {
         "Engine::fabric: this engine was not built from a MultiPathWiring");
   }
   return *fabric_;
-}
-
-const min::MIDigraph& Engine::network() const {
-  if (!network_.has_value()) {
-    throw std::logic_error(
-        "Engine::network: a radix > 2 engine has no MIDigraph "
-        "representation (use wiring())");
-  }
-  return *network_;
 }
 
 unsigned Engine::route_port_general(int stage,
@@ -408,8 +347,7 @@ unsigned Engine::route_port_general(int stage,
   const std::uint32_t dest_cell = dest_terminal / radix;
   const unsigned value =
       (dest_cell / digit_scale_[static_cast<std::size_t>(stage)]) % radix;
-  return digit_schedule_
-      .port_of_value[static_cast<std::size_t>(stage)][value];
+  return schedule_.port_of_value[static_cast<std::size_t>(stage)][value];
 }
 
 namespace {
@@ -715,17 +653,15 @@ class StoreAndForwardPolicy {
     unsigned bit_invert = 0;
     std::uint32_t digit_scale = 1;
     const std::uint32_t* port_of_value = nullptr;
+    const std::vector<unsigned>& stage_map =
+        core_.engine().schedule().port_of_value[static_cast<std::size_t>(s)];
     if constexpr (kBinary) {
       bit_shift = static_cast<unsigned>(
-          core_.engine().schedule().bit[static_cast<std::size_t>(s)]);
-      bit_invert =
-          core_.engine().schedule().invert[static_cast<std::size_t>(s)];
+          core_.engine().schedule().digit[static_cast<std::size_t>(s)]);
+      bit_invert = stage_map[0];
     } else {
       digit_scale = core_.engine().route_digit_scale(s);
-      port_of_value = core_.engine()
-                          .digit_schedule()
-                          .port_of_value[static_cast<std::size_t>(s)]
-                          .data();
+      port_of_value = stage_map.data();
     }
     // Faulted: arc bit index = stage base + the record's array offset
     // (FaultMask::arc_index's layout), computed with the policy's folded
@@ -1342,7 +1278,7 @@ class StoreAndForwardPolicy {
     if (!free) {
       digit_scale = core_.engine().route_digit_scale(s);
       port_of_value = core_.engine()
-                          .digit_schedule()
+                          .schedule()
                           .port_of_value[static_cast<std::size_t>(s)]
                           .data();
     }

@@ -5,12 +5,12 @@
 /// The paper's networks are communication fabrics for parallel machines;
 /// this engine exercises the constructed topologies end-to-end. Model:
 /// input-buffered r x r switches, one flit per link per cycle,
-/// destination-digit routing (bit schedules for r = 2 via
-/// min/routing.hpp, base-r digit schedules via min::find_digit_schedule
-/// otherwise), round-robin arbitration on output-port conflicts,
-/// Bernoulli injection per terminal (optionally modulated by the
-/// two-state bursty on/off process). Everything is deterministic given
-/// the seed.
+/// destination-tag routing by one min::DigitSchedule at every radix (the
+/// closed-form schedule a construction attached, else the one
+/// min::find_digit_schedule recovers from the flattened wiring),
+/// round-robin arbitration on output-port conflicts, Bernoulli injection
+/// per terminal (optionally modulated by the two-state bursty on/off
+/// process). Everything is deterministic given the seed.
 ///
 /// Both switching disciplines are policies over one shared substrate
 /// (FabricCore, fabric.hpp): the stage-packed min::FlatWiring IR, the
@@ -23,10 +23,12 @@
 ///    pipeline across stages through multi-lane (virtual-channel) input
 ///    buffers (wormhole.cpp, flit.hpp).
 ///
-/// Each policy is additionally instantiated per "is the radix 2" so the
-/// historic binary hot loops keep their shift/mask code generation (and
-/// stay byte- and speed-identical to the pre-k-ary engine) while the
-/// general instantiation divides by the runtime radix.
+/// Each policy is additionally instantiated per "is the radix 2": the
+/// binary instantiation folds the radix to the literal 2 and reads a
+/// stage's scheduled digit and port_of_value[s][0] as a shift and an
+/// invert, so the historic binary hot loops keep their shift/mask code
+/// generation, while the general instantiation divides by the runtime
+/// radix.
 
 #pragma once
 
@@ -418,21 +420,24 @@ struct SimResult {
 /// thread-safe on a const Engine.
 class Engine {
  public:
-  /// \p schedule must be a valid destination-bit schedule for \p network
-  /// (see min::find_bit_schedule); the pair is verified on construction.
-  Engine(min::MIDigraph network, min::BitSchedule schedule);
-
-  /// Convenience: derive the schedule from the network.
-  /// \throws std::invalid_argument if the network has no bit schedule.
-  explicit Engine(min::MIDigraph network);
+  /// A radix-2 engine over a binary MI-digraph: flattens through
+  /// min::FlatWiring::from_digraph and recovers the destination-digit
+  /// schedule (the digit form of the historic destination-bit schedule).
+  /// Recovery is O(cells^2 * stages) and budgeted at 4096 cells per stage
+  /// (stages <= 13); larger omega/flip/baseline fabrics build through
+  /// min::build_kary_network, whose attached schedules skip recovery.
+  /// \throws std::invalid_argument if the network is invalid, has no
+  /// digit schedule, or exceeds the recovery budget.
+  explicit Engine(const min::MIDigraph& network);
 
   /// A radix-r engine over a KaryMIDigraph: flattens through
-  /// min::FlatWiring::from_kary and routes by the recovered
-  /// destination-digit schedule. A radix-2 KaryMIDigraph takes the
-  /// binary path (tables converted, bit schedule derived) so its runs
-  /// are byte-identical to the MIDigraph constructor's.
-  /// \throws std::invalid_argument if the network is invalid or has no
-  /// digit schedule.
+  /// min::FlatWiring::from_kary and adopts the schedule the construction
+  /// attached (after a structural check), else recovers one exactly as
+  /// the MIDigraph constructor does, under the same cell budget. A
+  /// radix-2 KaryMIDigraph runs byte-identically to the MIDigraph engine
+  /// over the same tables.
+  /// \throws std::invalid_argument if the network is invalid, its
+  /// attached schedule is malformed, or recovery fails or is over budget.
   explicit Engine(const min::KaryMIDigraph& network);
 
   /// An engine over a multipath fabric: packets carry *logical* terminal
@@ -460,23 +465,13 @@ class Engine {
                               const fault::FaultMask* mask = nullptr,
                               SimWorkspace* workspace = nullptr) const;
 
-  /// The binary MI-digraph this engine was built from. Only present on
-  /// radix-2 engines; a radix > 2 engine has no table representation.
-  /// \throws std::logic_error on a radix > 2 engine.
-  [[nodiscard]] const min::MIDigraph& network() const;
-
-  /// The binary destination-bit schedule (radix-2 engines; empty on
-  /// radix > 2 engines, which route by digit_schedule()).
-  [[nodiscard]] const min::BitSchedule& schedule() const noexcept {
+  /// The destination-digit routing schedule, filled at every radix (the
+  /// logical per-path-group schedule on multipath engines).
+  [[nodiscard]] const min::DigitSchedule& schedule() const noexcept {
     return schedule_;
   }
-  /// The destination-digit schedule (radix > 2 engines; empty otherwise).
-  [[nodiscard]] const min::DigitSchedule& digit_schedule() const noexcept {
-    return digit_schedule_;
-  }
-  /// radix^digit_schedule().digit[stage] — the divisor that extracts the
-  /// scheduled digit (radix > 2 engines; the policies hoist it per
-  /// stage).
+  /// radix^schedule().digit[stage] — the divisor that extracts the
+  /// scheduled digit (the policies hoist it per stage).
   [[nodiscard]] std::uint32_t route_digit_scale(int stage) const {
     return digit_scale_[static_cast<std::size_t>(stage)];
   }
@@ -543,29 +538,25 @@ class Engine {
     const std::uint32_t value =
         (dest_cell / digit_scale_[static_cast<std::size_t>(stage)]) % lr;
     const unsigned dil = static_cast<unsigned>(dilation_);
-    return {digit_schedule_
-                    .port_of_value[static_cast<std::size_t>(stage)][value] *
+    return {schedule_.port_of_value[static_cast<std::size_t>(stage)][value] *
                 dil,
             dil};
   }
 
   /// The out-port a packet for \p dest_terminal takes at \p stage: the
-  /// scheduled destination bit/digit at inner stages, the terminal's low
-  /// digit at the last (ejection) stage. The radix-2 path is inline —
-  /// it sits in both policies' per-probe hot loops; digit routing and
-  /// the out-of-range throw live out of line (route_port_general).
+  /// scheduled destination digit at inner stages, the terminal's low
+  /// digit at the last (ejection) stage. The radix-2 path is inline — a
+  /// shift and an invert; digit routing and the out-of-range throw live
+  /// out of line (route_port_general).
   /// \throws std::invalid_argument on an out-of-range stage.
   [[nodiscard]] unsigned route_port(int stage,
                                     std::uint32_t dest_terminal) const {
     if (wiring_.radix() == 2 && stage >= 0 && stage < wiring_.stages())
         [[likely]] {
       if (stage + 1 == wiring_.stages()) return dest_terminal & 1U;
-      const std::uint32_t dest_cell = dest_terminal >> 1;
-      return static_cast<unsigned>(
-                 (dest_cell >>
-                  schedule_.bit[static_cast<std::size_t>(stage)]) &
-                 1U) ^
-             schedule_.invert[static_cast<std::size_t>(stage)];
+      const auto s = static_cast<std::size_t>(stage);
+      return (((dest_terminal >> 1) >> schedule_.digit[s]) & 1U) ^
+             schedule_.port_of_value[s][0];
     }
     return route_port_general(stage, dest_terminal);
   }
@@ -574,13 +565,12 @@ class Engine {
   /// Digit routing (radix > 2) and the out-of-range throw.
   [[nodiscard]] unsigned route_port_general(int stage,
                                             std::uint32_t dest_terminal) const;
-  /// Copy the physical wiring's shape into the logical-geometry members
-  /// (every unipath constructor's last step).
-  void finish_unipath_geometry();
-  std::optional<min::MIDigraph> network_;  ///< radix-2 engines only
-  min::BitSchedule schedule_;              ///< radix-2 engines only
-  min::DigitSchedule digit_schedule_;      ///< radix > 2 and multipath
-  /// radix^digit_schedule_.digit[s] per stage, so route_port reads the
+  /// Every unipath constructor's last step, once wiring_ is built: adopt
+  /// \p attached or recover the schedule, check it, and copy the physical
+  /// wiring's shape into the logical-geometry members.
+  void init_unipath(const std::optional<min::DigitSchedule>& attached);
+  min::DigitSchedule schedule_;
+  /// radix^schedule_.digit[s] per stage, so route_port reads the
   /// scheduled digit with one division (logical radix on multipath
   /// engines, with identity placeholders at free connections).
   std::vector<std::uint32_t> digit_scale_;

@@ -310,18 +310,17 @@ class WormholePolicy {
     std::uint32_t digit_scale = 1;
     const std::uint32_t* port_of_value = nullptr;
     if (!target_ejects) {
+      const std::vector<unsigned>& stage_map =
+          core_.engine()
+              .schedule()
+              .port_of_value[static_cast<std::size_t>(s + 1)];
       if constexpr (kBinary) {
         bit_shift = static_cast<unsigned>(
-            core_.engine().schedule().bit[static_cast<std::size_t>(s + 1)]);
-        bit_invert = core_.engine()
-                         .schedule()
-                         .invert[static_cast<std::size_t>(s + 1)];
+            core_.engine().schedule().digit[static_cast<std::size_t>(s + 1)]);
+        bit_invert = stage_map[0];
       } else {
         digit_scale = core_.engine().route_digit_scale(s + 1);
-        port_of_value = core_.engine()
-                            .digit_schedule()
-                            .port_of_value[static_cast<std::size_t>(s + 1)]
-                            .data();
+        port_of_value = stage_map.data();
       }
     }
     const auto route_next = [&](std::uint32_t dest) -> unsigned {
@@ -1066,7 +1065,7 @@ class WormholePolicy {
       if (!next_free) {
         digit_scale = core_.engine().route_digit_scale(s + 1);
         port_of_value = core_.engine()
-                            .digit_schedule()
+                            .schedule()
                             .port_of_value[static_cast<std::size_t>(s + 1)]
                             .data();
       } else if (path_policy_ == PathPolicy::kLooping) {
@@ -1221,7 +1220,7 @@ class WormholePolicy {
     if (!first_free) {
       digit_scale = core_.engine().route_digit_scale(0);
       port_of_value =
-          core_.engine().digit_schedule().port_of_value[0].data();
+          core_.engine().schedule().port_of_value[0].data();
     } else if (path_policy_ == PathPolicy::kLooping) {
       settings = looping_->settings[0].data();
     }

@@ -31,14 +31,6 @@ TEST(EngineTest, ConstructionRejectsNonRoutableNetwork) {
   EXPECT_THROW((void)Engine(min::network_from_pipids(seq)), std::invalid_argument);
 }
 
-TEST(EngineTest, ConstructionRejectsWrongSchedule) {
-  const min::MIDigraph g = min::baseline_network(3);
-  min::BitSchedule wrong;
-  wrong.bit = {0, 0};  // correct schedule is MSB-first
-  wrong.invert = {0, 0};
-  EXPECT_THROW((void)Engine(g, wrong), std::invalid_argument);
-}
-
 TEST(EngineTest, DeterministicGivenSeed) {
   const Engine engine(min::baseline_network(4));
   const SimResult a = engine.run(Pattern::kUniform, quick_config());

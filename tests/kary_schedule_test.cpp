@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "min/flat_wiring.hpp"
@@ -84,17 +85,38 @@ TEST(KaryScheduleTest, EngineRejectsCorruptAttachedSchedule) {
   EXPECT_THROW(sim::Engine{g2}, std::invalid_argument);
 }
 
-/// A radix-2 KaryMIDigraph adopts the attached schedule through the
-/// binary conversion — runs must stay byte-identical to the MIDigraph
-/// engine, whose schedule is recovered by the all-pairs search.
+/// The digit form of a destination-bit schedule: digit = bit, and the
+/// value map {invert, invert ^ 1}.
+DigitSchedule digit_form(const BitSchedule& bits) {
+  DigitSchedule digits;
+  digits.digit = bits.bit;
+  for (const unsigned invert : bits.invert) {
+    digits.port_of_value.push_back({invert, invert ^ 1U});
+  }
+  return digits;
+}
+
+/// Every engine routes by one digit schedule. Over a binary MI-digraph
+/// it is recovered by find_digit_schedule — and must be exactly the
+/// historic destination-bit schedule, pinned against find_bit_schedule
+/// for every classical kind. A radix-2 KaryMIDigraph adopts its
+/// construction's schedule instead: same schedule, same wiring, and
+/// byte-identical runs.
 TEST(KaryScheduleTest, RadixTwoAdoptionMatchesBinaryEngine) {
+  for (const NetworkKind kind : all_network_kinds()) {
+    for (int stages = 3; stages <= 9; ++stages) {
+      SCOPED_TRACE(network_name(kind) + " n=" + std::to_string(stages));
+      const MIDigraph g = build_network(kind, stages);
+      const auto bits = find_bit_schedule(g);
+      ASSERT_TRUE(bits.has_value());
+      EXPECT_EQ(sim::Engine(g).schedule(), digit_form(*bits));
+    }
+  }
   for (const NetworkKind kind : kKaryKinds) {
     const sim::Engine binary(build_network(kind, 5));
     const sim::Engine kary(build_kary_network(kind, 5, 2));
-    ASSERT_EQ(binary.schedule().bit, kary.schedule().bit)
-        << network_name(kind);
-    ASSERT_EQ(binary.schedule().invert, kary.schedule().invert)
-        << network_name(kind);
+    ASSERT_EQ(binary.schedule(), kary.schedule()) << network_name(kind);
+    ASSERT_EQ(binary.wiring(), kary.wiring()) << network_name(kind);
     sim::SimConfig config;
     config.injection_rate = 0.6;
     config.packet_length = 3;
@@ -138,7 +160,8 @@ TEST(KaryScheduleTest, AboveCapNetworksSimulateEndToEnd) {
 
 /// The recovery budget still guards unknown wirings: the same 16384-cell
 /// geometry without an attached schedule is rejected with advice, not an
-/// apparent hang.
+/// apparent hang — and so is a radix-2 MI-digraph past the budget, which
+/// takes the same recovery path (a cube at n = 14 has 8192 cells).
 TEST(KaryScheduleTest, UnknownWiringAboveCapStillThrows) {
   const KaryMIDigraph built =
       build_kary_network(NetworkKind::kOmega, 8, 4);
@@ -149,6 +172,17 @@ TEST(KaryScheduleTest, UnknownWiringAboveCapStillThrows) {
   const KaryMIDigraph bare(8, 4, std::move(connections));
   ASSERT_FALSE(bare.schedule().has_value());
   EXPECT_THROW(sim::Engine{bare}, std::invalid_argument);
+
+  const MIDigraph cube = build_network(NetworkKind::kIndirectBinaryCube, 14);
+  try {
+    const sim::Engine engine(cube);
+    ADD_FAILURE() << "a 8192-cell MI-digraph passed the recovery budget";
+  } catch (const std::invalid_argument& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("8192 cells"), std::string::npos) << message;
+    EXPECT_NE(message.find("budget (4096 cells)"), std::string::npos)
+        << message;
+  }
 }
 
 }  // namespace

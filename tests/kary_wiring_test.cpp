@@ -219,28 +219,47 @@ TEST(DigitScheduleTest, RejectsFabricsWithoutFullAccess) {
 // The k-ary engine
 // ---------------------------------------------------------------------------
 
+/// route_port delivers every (source, destination) pair from the one
+/// digit schedule every engine holds — at radix 3, and at radix 2 from
+/// both the MIDigraph and the KaryMIDigraph constructors (whose schedule
+/// used to be a separate bit schedule, leaving the digit form empty).
 TEST(KaryEngineTest, RoutePortDeliversEveryPairAtRadix3) {
-  const KaryMIDigraph g = min::kary_baseline(3, 3);
-  const sim::Engine engine(g);
-  const FlatWiring& w = engine.wiring();
-  EXPECT_EQ(engine.radix(), 3);
-  EXPECT_EQ(engine.terminals(), 27U);
-  EXPECT_THROW((void)engine.network(), std::logic_error);
-  for (std::uint32_t src = 0; src < engine.terminals(); ++src) {
-    for (std::uint32_t dest = 0; dest < engine.terminals(); ++dest) {
-      std::uint32_t cell = src / 3;
-      for (int s = 0; s + 1 < w.stages(); ++s) {
-        cell = w.child(s, cell, engine.route_port(s, dest));
+  const sim::Engine ternary(min::kary_baseline(3, 3));
+  EXPECT_EQ(ternary.radix(), 3);
+  EXPECT_EQ(ternary.terminals(), 27U);
+  const sim::Engine binary(min::build_network(NetworkKind::kOmega, 4));
+  const sim::Engine binary_kary(min::kary_flip(4, 2));
+  // The same radix-2 tables without the construction's schedule take
+  // the recovery path instead of adoption.
+  const KaryMIDigraph built = min::kary_baseline(4, 2);
+  std::vector<KaryConnection> connections;
+  for (int s = 0; s + 1 < built.stages(); ++s) {
+    connections.push_back(built.connection(s));
+  }
+  const sim::Engine binary_bare(KaryMIDigraph(4, 2, std::move(connections)));
+  for (const sim::Engine* engine :
+       {&ternary, &binary, &binary_kary, &binary_bare}) {
+    const FlatWiring& w = engine->wiring();
+    const auto r = static_cast<std::uint32_t>(engine->radix());
+    SCOPED_TRACE("radix " + std::to_string(r));
+    EXPECT_EQ(engine->schedule().digit.size(),
+              static_cast<std::size_t>(w.stages() - 1));
+    for (std::uint32_t src = 0; src < engine->terminals(); ++src) {
+      for (std::uint32_t dest = 0; dest < engine->terminals(); ++dest) {
+        std::uint32_t cell = src / r;
+        for (int s = 0; s + 1 < w.stages(); ++s) {
+          cell = w.child(s, cell, engine->route_port(s, dest));
+        }
+        EXPECT_EQ(cell, dest / r) << "src=" << src << " dest=" << dest;
+        EXPECT_EQ(engine->route_port(w.stages() - 1, dest), dest % r);
       }
-      EXPECT_EQ(cell, dest / 3) << "src=" << src << " dest=" << dest;
-      EXPECT_EQ(engine.route_port(w.stages() - 1, dest), dest % 3);
     }
   }
 }
 
 TEST(KaryEngineTest, Radix2KaryEngineMatchesBinaryEngineExactly) {
-  // A radix-2 KaryMIDigraph takes the binary engine path; its runs must
-  // be byte-identical to the MIDigraph constructor's.
+  // A radix-2 KaryMIDigraph flattens to the same wiring and schedule as
+  // the MIDigraph constructor; its runs must be byte-identical.
   const sim::Engine kary(min::kary_omega(5, 2));
   const sim::Engine binary(min::build_network(NetworkKind::kOmega, 5));
   EXPECT_EQ(kary.wiring(), binary.wiring());

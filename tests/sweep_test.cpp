@@ -192,6 +192,23 @@ TEST(SweepTest, RadixAxisExpandsTheGridAndStaysDeterministic) {
   EXPECT_EQ(sweep_csv(run_sweep(grid, 1)), csv);
   EXPECT_EQ(sweep_csv(run_sweep(grid, 5)), csv);
   EXPECT_EQ(sweep_json(run_sweep(grid, 1)), sweep_json(run_sweep(grid, 5)));
+
+  // Closed-form kinds build through their construction at radix 2 too:
+  // an omega at 14 stages (8192 cells per stage, past the schedule-
+  // recovery budget) sets up without any recovery and runs.
+  SweepGrid deep = small_grid();
+  deep.networks = {min::NetworkKind::kOmega};
+  deep.radices = {2};
+  deep.patterns = {sim::Pattern::kUniform};
+  deep.modes = {sim::SwitchingMode::kStoreAndForward};
+  deep.rates = {0.5};
+  deep.stages = 14;
+  deep.base.warmup_cycles = 0;
+  deep.base.measure_cycles = 4;
+  const SweepResult deep_sweep = run_sweep(deep, 1);
+  ASSERT_EQ(deep_sweep.points.size(), 1U);
+  EXPECT_EQ(deep_sweep.points[0].stages, 14);
+  EXPECT_GT(deep_sweep.points[0].result.injected, 0U);
 }
 
 TEST(SweepTest, RadixAxisCrossesTheFaultAxis) {

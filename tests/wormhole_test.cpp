@@ -208,7 +208,7 @@ TEST(WormholeTest, CountersBounded) {
   EXPECT_LE(result.lane_occupancy.max(), 1.0);
   EXPECT_EQ(result.latency_histogram.total(), result.latency.count());
   EXPECT_GE(result.latency.min(),
-            static_cast<double>(engine.network().stages()));
+            static_cast<double>(engine.wiring().stages()));
 }
 
 TEST(WormholeTest, SafSerializationRaisesLatency) {
