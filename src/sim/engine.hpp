@@ -13,7 +13,8 @@
 /// process). Everything is deterministic given the seed.
 ///
 /// Both switching disciplines are policies over one shared substrate
-/// (FabricCore, fabric.hpp): the stage-packed min::FlatWiring IR, the
+/// (FabricCore, fabric.hpp, with the PolicyBase plumbing and the one run
+/// dispatcher of policy.hpp): the stage-packed min::FlatWiring IR, the
 /// round-robin arbiters, struct-of-arrays payload pools and the SimResult
 /// reporting are common; only the per-switch advancement rule differs:
 ///  - store-and-forward: packets move as units; a packet of L flits

@@ -6,7 +6,8 @@
 /// (min::FlatWiring), the per-output-port round-robin arbiters, the
 /// pluggable workload source behind the attempt/draw/commit seam
 /// (workload/workload.hpp), the result counters and their finalization —
-/// is one substrate, owned by FabricCore. Each discipline is a *policy* (engine.cpp, wormhole.cpp)
+/// is one substrate, owned by FabricCore. Each discipline is a *policy*
+/// (engine.cpp, wormhole.cpp, over the shared PolicyBase of policy.hpp)
 /// that implements the four per-cycle phases over the core; the driver
 /// loop run_switched() sequences them identically for both:
 ///
@@ -458,9 +459,12 @@ class FabricCore {
   }
 
   /// The policy accepted the drawn packet: commit source state and, when
-  /// recording, capture the injection into the trace.
-  void commit(std::uint64_t cycle, std::uint32_t t,
-              const workload::Injection& injection) {
+  /// recording, capture the injection into the trace. Always inlined:
+  /// the inject loops call it per accepted packet, and GCC's size limits
+  /// otherwise out-line it from the large store-and-forward driver loop
+  /// (measured 10-20% slower on small fabrics).
+  [[gnu::always_inline]] void commit(std::uint64_t cycle, std::uint32_t t,
+                                     const workload::Injection& injection) {
     if (recording_) [[unlikely]] {
       recorded_.push_back({cycle, t, injection.dest,
                            static_cast<std::uint32_t>(config_.packet_length),

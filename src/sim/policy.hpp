@@ -1,0 +1,604 @@
+/// \file policy.hpp
+/// \brief The plumbing both switching policies share, defined once: the
+/// PolicyBase CRTP base and the one run dispatcher behind Engine::run and
+/// WormholeSimulator::run.
+///
+/// A discipline (StoreAndForwardPolicy in engine.cpp, WormholePolicy in
+/// wormhole.cpp) derives from PolicyBase and supplies only what moves its
+/// payload: its pool, the unipath and multipath eject / advance / inject
+/// kernels, the sample kernels and the replay of its deferred ejections.
+/// The base owns the per-feature state (fault view, credit ledger and
+/// arbiters, multipath geometry, observer and stall scratch), the
+/// arbitration seam, the observability helpers, and the serial and
+/// sharded driver entry points that dispatch to those kernels.
+///
+/// Shared code never asks which discipline is calling: the differences
+/// arrive as data — the buffers behind each input port (one FIFO or
+/// `lanes` lanes) and each buffer's capacity — or through the Derived
+/// type's kernels. Buffers are indexed flat, (stage * ports + port) *
+/// slots + slot, so a buffer index names the same thing in both pools.
+
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
+#include "fault/fault_mask.hpp"
+#include "multipath/looping.hpp"
+#include "obs/observer.hpp"
+#include "sim/engine.hpp"
+#include "sim/fabric.hpp"
+#include "sim/shard.hpp"
+#include "sim/wormhole.hpp"
+
+namespace mineq::sim {
+
+/// What a run hands its policy beyond the core and the workspace.
+struct PolicyArgs {
+  const fault::FaultMask* mask = nullptr;  ///< non-null on faulted runs only
+  obs::Observer* obs = nullptr;            ///< non-null on kObs runs only
+  /// Precomputed settings of a kLooping multipath run (else null).
+  const multipath::LoopingSettings* looping = nullptr;
+  /// Per-flit ejection hook (wormhole runs; empty otherwise).
+  const EjectObserver* eject_observer = nullptr;
+  std::size_t slots = 1;     ///< buffers behind each input port
+  std::size_t capacity = 1;  ///< units (packets or flits) per buffer
+};
+
+/// core.result for the serial kernels (kShard = false), the worker's
+/// partial for sharded ones — so the kernel bodies read identically.
+template <bool kShard>
+[[nodiscard]] SimResult& shard_result([[maybe_unused]] FabricCore& core,
+                                      [[maybe_unused]] ShardWorker* wk) {
+  if constexpr (kShard) {
+    return wk->partial;
+  } else {
+    return core.result;
+  }
+}
+
+/// The WorkerLog the current kernel writes: the worker's own sink on
+/// sharded runs (shard_eject re-binds it every cycle), log 0 serially.
+template <bool kShard>
+[[nodiscard]] obs::WorkerLog& obs_log([[maybe_unused]] obs::Observer* obs,
+                                      [[maybe_unused]] ShardWorker* wk) {
+  if constexpr (kShard) {
+    return *wk->obs_log;
+  } else {
+    return obs->log(0);
+  }
+}
+
+/// Append one trace event to the current worker's buffer, tagged with its
+/// (cycle, phase) sort key. Callers have already checked
+/// Observer::traced for the packet.
+template <bool kShard>
+void trace_push(obs::Observer* obs, ShardWorker* wk, std::uint64_t cycle,
+                std::uint64_t inject_cycle, std::uint32_t src,
+                std::uint32_t dst, obs::TraceEventKind kind,
+                std::uint8_t stage, std::uint8_t cause, std::uint8_t phase) {
+  obs::TraceEvent event;
+  event.cycle = cycle;
+  event.inject_cycle = inject_cycle;
+  event.src = src;
+  event.dst = dst;
+  event.kind = kind;
+  event.stage = stage;
+  event.cause = cause;
+  event.phase = phase;
+  obs_log<kShard>(obs, wk).events.push_back(event);
+}
+
+/// The head packet of a buffer, as the stall tracer reports it.
+struct BufferHead {
+  std::uint64_t inject_cycle;
+  std::uint32_t src;
+  std::uint32_t dst;
+};
+
+/// The CRTP base of both switching policies. \p Derived implements, over
+/// cells [x0, x1) (logical cells for the multipath eject):
+///   template <bool kShard> void eject_impl(cycle, measuring, x0, x1, wk);
+///   template <bool kShard> void eject_multipath_impl(...same...);
+///   template <bool kShard> void advance_stage_impl(s, cycle, measuring,
+///                                                  x0, x1, wk);
+///   template <bool kShard> void advance_stage_multipath_impl(...same...);
+///   void inject_unipath(cycle, measuring);
+///   void inject_multipath(cycle, measuring);
+///   template <bool kShard> void sample_impl(cycle, w, n, wk);
+///   void replay_ejects(cycle, measuring, ShardWorker&);  // worker 0
+///   BufferHead head(b) const;             // non-empty buffer b
+///   std::uint32_t buffer_count(b) const;  // units buffered in b
+/// plus buffered_flits() and shard_sample_reduce(cycle, workers).
+///
+/// \tparam kFaulted the run routes through the fault::FaultedWiring view
+/// (the false instantiation is the byte-identical unmasked fast path).
+/// \tparam kBinary radix() folds to the literal 2, so / and % compile to
+/// the historic shift/mask code and a stage's route reads its scheduled
+/// digit and port_of_value[s][0] as a shift and an invert.
+/// \tparam kCredits link-level credit flow control over a CreditLedger
+/// plus the pluggable output-port arbitration.
+/// \tparam kMultiPath logical terminal addresses over a MultiPathWiring's
+/// physical fabric (always general-radix and credit-less).
+/// \tparam kObs feeds an obs::Observer; the false instantiation carries
+/// no telemetry code at all.
+template <class Derived, bool kFaulted, bool kBinary, bool kCredits,
+          bool kMultiPath, bool kObs>
+class PolicyBase {
+  static_assert(!(kMultiPath && (kBinary || kCredits)),
+                "multipath instantiations are general-radix and credit-less");
+
+ public:
+  // --- The serial driver interface (run_switched, fabric.hpp) ----------
+
+  /// Eject at the last stage. Eject runs first each cycle, so the credit
+  /// ledger's start-of-cycle harvest lives here.
+  void eject(std::uint64_t cycle, bool measuring) {
+    if constexpr (kCredits) credits_->deliver(cycle);
+    eject_range<false>(cycle, measuring, 0, eject_cells(), nullptr);
+  }
+
+  /// Advance one switch stage. The policies hoist the stage's routing
+  /// schedule reads (and, faulted, the mask probes) to registers:
+  /// signed/unsigned TBAA cannot prove the pool stores don't alias the
+  /// Engine's schedule fields, so an Engine::route_port call in the probe
+  /// loop would reload them per probe.
+  void advance_stage(int s, std::uint64_t cycle, bool measuring) {
+    advance_range<false>(s, cycle, measuring, 0, core_.cells(), nullptr);
+  }
+
+  /// Inject at the first stage. A terminal whose source declines
+  /// (bursty-OFF, gate miss, closed window, no due trace record) makes no
+  /// attempt at all.
+  void inject(std::uint64_t cycle, bool measuring) {
+    if constexpr (kMultiPath) {
+      derived().inject_multipath(cycle, measuring);
+    } else {
+      derived().inject_unipath(cycle, measuring);
+    }
+  }
+
+  /// Sample occupancy (measured cycles only); credit runs also audit the
+  /// conservation invariant — credits held + credits in flight + units
+  /// buffered == capacity on every link, counted, not thrown.
+  void sample(std::uint64_t cycle) {
+    derived().template sample_impl<false>(cycle, 0, 1, nullptr);
+  }
+
+  /// Busy-link cycles (store-and-forward) or flit hops (wormhole).
+  [[nodiscard]] std::uint64_t link_counter() const { return link_counter_; }
+
+  // --- The sharded driver interface (run_switched_sharded, shard.hpp) --
+  // Every kernel runs the SAME code as its serial phase, templated on
+  // kShard = true: disjoint contiguous ranges, per-worker partial
+  // counters, deferred order-sensitive statistics.
+
+  /// Credit runs harvest the return ring as a dedicated phase: give_back
+  /// writes the very slot deliver reads for the same cycle, so harvest
+  /// must finish fabric-wide before any kernel returns a credit.
+  static constexpr bool kShardNeedsDeliver = kCredits;
+
+  void shard_deliver(std::uint64_t cycle, std::size_t w, std::size_t n) {
+    if constexpr (kCredits) {
+      const auto [lo, hi] = shard_range(buffers(), w, n);
+      credits_->deliver_range(cycle, lo, hi);
+    }
+  }
+
+  /// Multipath ejection arbitrates per LOGICAL terminal across planes, so
+  /// its partition is by logical cells; the physical buffers a logical
+  /// range touches are disjoint per-plane runs.
+  void shard_eject(std::uint64_t cycle, bool measuring, std::size_t w,
+                   std::size_t n, ShardWorker& wk) {
+    if constexpr (kObs) wk.obs_log = &obs_->log(w);
+    const auto [x0, x1] = shard_range(eject_cells(), w, n);
+    eject_range<true>(cycle, measuring, static_cast<std::uint32_t>(x0),
+                      static_cast<std::uint32_t>(x1), &wk);
+  }
+
+  void shard_advance(int s, std::uint64_t cycle, bool measuring,
+                     std::size_t w, std::size_t n, ShardWorker& wk) {
+    const auto [x0, x1] = shard_range(core_.cells(), w, n);
+    advance_range<true>(s, cycle, measuring, static_cast<std::uint32_t>(x0),
+                        static_cast<std::uint32_t>(x1), &wk);
+  }
+
+  /// Worker 0's exclusive phase: replay the cycle's deferred ejection
+  /// statistics and workload deliveries in ascending-worker (=
+  /// ascending-cell = serial) order, then run the cycle tail exactly as
+  /// the serial driver does — the workload tick and injection consume the
+  /// source's RNG streams in terminal order, so they stay serial by
+  /// construction and byte-deterministic at any thread count.
+  void shard_serial(std::uint64_t cycle, bool measuring,
+                    std::vector<ShardWorker>& workers) {
+    for (ShardWorker& wk : workers) {
+      derived().replay_ejects(cycle, measuring, wk);
+      for (const workload::Delivery& delivery : wk.wl_events) {
+        core_.workload_delivered(delivery);
+      }
+      wk.wl_events.clear();
+    }
+    core_.workload_tick(cycle, measuring);
+    inject(cycle, measuring);
+  }
+
+  void shard_sample(std::uint64_t cycle, std::size_t w, std::size_t n,
+                    ShardWorker& wk) {
+    derived().template sample_impl<true>(cycle, w, n, &wk);
+  }
+
+  /// Sum every worker's order-independent partial into the core result.
+  void shard_finish(const std::vector<ShardWorker>& workers) {
+    SimResult& total = core_.result;
+    for (const ShardWorker& wk : workers) {
+      const SimResult& p = wk.partial;
+      total.flits_delivered += p.flits_delivered;
+      total.hol_blocking_cycles += p.hol_blocking_cycles;
+      total.credit_stall_cycles += p.credit_stall_cycles;
+      total.credit_violations += p.credit_violations;
+      total.packets_dropped_faulted += p.packets_dropped_faulted;
+      total.flits_dropped_faulted += p.flits_dropped_faulted;
+      total.packets_rerouted += p.packets_rerouted;
+      total.packets_misdelivered += p.packets_misdelivered;
+      total.path_reroutes += p.path_reroutes;
+      total.stall_lost_arbitration += p.stall_lost_arbitration;
+      total.stall_downstream_full += p.stall_downstream_full;
+      total.stall_no_free_lane += p.stall_no_free_lane;
+      total.stall_zero_credits += p.stall_zero_credits;
+      total.stall_masked_arc += p.stall_masked_arc;
+      link_counter_ += wk.link_counter;
+      shard_pool_delta_ += wk.pool_delta;
+    }
+  }
+
+ protected:
+  PolicyBase(FabricCore& core, SimWorkspace& workspace,
+             const PolicyArgs& args)
+      : core_(core),
+        radix_(static_cast<unsigned>(core.wiring().radix())),
+        length_(core.config().packet_length),
+        slots_(args.slots),
+        total_slots_(static_cast<double>(core.stages()) *
+                     static_cast<double>(core.ports()) *
+                     static_cast<double>(args.slots) *
+                     static_cast<double>(args.capacity)) {
+    if constexpr (kMultiPath) {
+      const Engine& engine = core.engine();
+      lradix_ = static_cast<unsigned>(engine.logical_radix());
+      lcells_ = engine.logical_cells();
+      planes_ = static_cast<unsigned>(engine.planes());
+      dilation_ = static_cast<unsigned>(engine.dilation());
+      path_policy_ = core.config().path_policy;
+      looping_ = args.looping;
+      free_stage_ = engine.fabric().free_stage().data();
+      core.result.paths_available = engine.fabric().paths_available();
+    }
+    if constexpr (kFaulted) {
+      faulted_ = fault::FaultedWiring(core.wiring(), *args.mask);
+    }
+    if constexpr (kCredits) {
+      credit_config_ = &core.config().credits;
+      service_levels_ = credit_config_->service_levels();
+      credits_ = &workspace.credit_ledger(
+          buffers(), static_cast<std::uint32_t>(args.capacity),
+          credit_config_->return_latency);
+      if (credit_config_->arbitration == ArbitrationPolicy::kWeighted) {
+        weighted_.reset(
+            static_cast<std::size_t>(core.stages()) * core.ports(),
+            static_cast<unsigned>(static_cast<std::size_t>(radix()) *
+                                  slots_));
+      }
+      core.result.sl_latency.resize(service_levels_);
+    }
+    if constexpr (kObs) {
+      obs_ = args.obs;
+      // One StallCause slot per buffer; the kernels re-zero exactly the
+      // ranges they probe each cycle.
+      stall_cause_.assign(buffers(), 0);
+    }
+  }
+
+  [[nodiscard]] Derived& derived() { return static_cast<Derived&>(*this); }
+
+  /// The radix, folded to the literal 2 in the binary instantiations so
+  /// / and % compile to the historic shift/mask code.
+  [[nodiscard]] unsigned radix() const noexcept {
+    if constexpr (kBinary) {
+      return 2U;
+    } else {
+      return radix_;
+    }
+  }
+
+  /// Buffers across the whole fabric (stages * ports * slots).
+  [[nodiscard]] std::size_t buffers() const {
+    return static_cast<std::size_t>(core_.stages()) * core_.ports() * slots_;
+  }
+
+  // --- The arbitration seam (kCredits only varies it) ------------------
+  // Round-robin and strict priority keep the core's RoundRobin pointer
+  // state — priority filters candidates before the pointer ever moves,
+  // so uniform weights degrade to plain round-robin byte for byte —
+  // while the weighted policy swaps in the quantum WRR state. Candidates
+  // index the radix * slots input buffers of an output port.
+
+  [[nodiscard]] unsigned arb_candidate(int s, std::size_t out,
+                                       unsigned probe) {
+    if constexpr (kCredits) {
+      if (credit_config_->arbitration == ArbitrationPolicy::kWeighted) {
+        return weighted_.candidate(arb_index(s, out), probe);
+      }
+    }
+    return core_.arbiter(s, out).candidate(probe);
+  }
+
+  void arb_grant(int s, std::size_t out, unsigned winner,
+                 [[maybe_unused]] unsigned vl) {
+    if constexpr (kCredits) {
+      if (credit_config_->arbitration == ArbitrationPolicy::kWeighted) {
+        weighted_.grant(arb_index(s, out), winner,
+                        credit_config_->weight(vl));
+        return;
+      }
+    }
+    core_.arbiter(s, out).grant(winner);
+  }
+
+  [[nodiscard]] std::size_t arb_index(int s, std::size_t out) const {
+    return static_cast<std::size_t>(s) * core_.ports() + out;
+  }
+
+  // --- Observability (kObs instantiations only) ------------------------
+
+  /// One blocked head-cycle of buffer \p b: the per-cause SimResult
+  /// counter, the per-stage probe counter, and a stall instant for traced
+  /// packets. Called from the scan that counts hol_blocking_cycles, so
+  /// the per-cause counters partition it exactly.
+  template <bool kShard>
+  void attribute_stall(int s, std::uint64_t cycle, std::size_t b,
+                       ShardWorker* wk, std::uint8_t phase) {
+    SimResult& res = shard_result<kShard>(core_, wk);
+    const auto cause = static_cast<obs::StallCause>(stall_cause_[b]);
+    switch (cause) {
+      case obs::StallCause::kLostArbitration:
+        ++res.stall_lost_arbitration;
+        break;
+      case obs::StallCause::kDownstreamFull:
+        ++res.stall_downstream_full;
+        break;
+      case obs::StallCause::kNoFreeLane:
+        ++res.stall_no_free_lane;
+        break;
+      case obs::StallCause::kZeroCredits:
+        ++res.stall_zero_credits;
+        break;
+      case obs::StallCause::kMaskedArc:
+        ++res.stall_masked_arc;
+        break;
+    }
+    ++obs_log<kShard>(obs_, wk).hol[static_cast<std::size_t>(s)];
+    if (obs_->trace_on()) {
+      const BufferHead head = derived().head(b);
+      if (head.inject_cycle >= core_.config().warmup_cycles &&
+          obs_->traced(head.src, head.inject_cycle)) {
+        trace_push<kShard>(obs_, wk, cycle, head.inject_cycle, head.src,
+                           head.dst, obs::TraceEventKind::kStall,
+                           static_cast<std::uint8_t>(s),
+                           static_cast<std::uint8_t>(cause), phase);
+      }
+    }
+  }
+
+  /// Close a probe window (serial sample phase / worker 0's sample
+  /// reduce): fill the observer's scratch with the per-(stage, cell)
+  /// buffered units and commit. A cell's buffers are contiguous.
+  void commit_probe_window(std::uint64_t cycle) {
+    std::vector<std::uint32_t>& scratch = obs_->occupancy_scratch();
+    const std::size_t per_cell = static_cast<std::size_t>(radix()) * slots_;
+    const std::size_t cells =
+        static_cast<std::size_t>(core_.stages()) * core_.cells();
+    std::size_t b = 0;
+    for (std::size_t c = 0; c < cells; ++c) {
+      std::uint32_t occupied = 0;
+      for (std::size_t k = 0; k < per_cell; ++k) {
+        occupied += derived().buffer_count(b++);
+      }
+      scratch[c] = occupied;
+    }
+    obs_->commit_probe(cycle);
+  }
+
+  // Phase ordinals (TraceEvent::phase): the serial sub-phases of one
+  // cycle numbered in execution order — eject moves, the per-plane eject
+  // HOL scans, then per advance stage s (walked S-2 down to 0) a
+  // drain / moves / HOL-scan triple, and injection last — so the sharded
+  // (cycle, phase) stable sort reproduces the serial emission order.
+  static constexpr std::uint8_t kEjectPhase = 0;
+  [[nodiscard]] std::uint8_t eject_stall_phase(unsigned plane) const noexcept {
+    return static_cast<std::uint8_t>(1 + plane);
+  }
+  [[nodiscard]] std::uint8_t drain_phase(int s) const noexcept {
+    return static_cast<std::uint8_t>(
+        1 + planes_ + 3 * static_cast<unsigned>(core_.stages() - 2 - s));
+  }
+  [[nodiscard]] std::uint8_t advance_phase(int s) const noexcept {
+    return static_cast<std::uint8_t>(drain_phase(s) + 1);
+  }
+  [[nodiscard]] std::uint8_t stall_phase(int s) const noexcept {
+    return static_cast<std::uint8_t>(drain_phase(s) + 2);
+  }
+  [[nodiscard]] std::uint8_t inject_phase() const noexcept {
+    return static_cast<std::uint8_t>(
+        1 + planes_ + 3 * static_cast<unsigned>(core_.stages() - 1));
+  }
+
+  FabricCore& core_;
+  unsigned radix_;
+  std::uint64_t length_;
+  std::size_t slots_;
+  /// Units (packets or flits) the whole fabric buffers: the occupancy
+  /// samples' denominator.
+  double total_slots_;
+  std::uint64_t link_counter_ = 0;
+  /// Sharded kernels bypass the pool-wide counter (it would be a data
+  /// race); shard_finish folds the per-worker deltas back in here.
+  std::int64_t shard_pool_delta_ = 0;
+  fault::FaultedWiring faulted_;                         // kFaulted only
+  const CreditConfig* credit_config_ = nullptr;          // kCredits only
+  CreditLedger* credits_ = nullptr;                      // kCredits only
+  WeightedRoundRobin weighted_;                          // kCredits only
+  std::size_t service_levels_ = 1;                       // kCredits only
+  unsigned lradix_ = 2;                                  // kMultiPath only
+  std::uint32_t lcells_ = 1;                             // kMultiPath only
+  unsigned planes_ = 1;                                  // kMultiPath only
+  unsigned dilation_ = 1;                                // kMultiPath only
+  PathPolicy path_policy_ = PathPolicy::kHash;           // kMultiPath only
+  const multipath::LoopingSettings* looping_ = nullptr;  // kMultiPath only
+  const std::uint8_t* free_stage_ = nullptr;             // kMultiPath only
+  obs::Observer* obs_ = nullptr;                         // kObs only
+  /// Per-buffer StallCause scratch, written by the probe loops and read
+  /// by the blocking scans — same writer partition as the buffers.
+  std::vector<std::uint8_t> stall_cause_;  // kObs only
+
+ private:
+  /// Cells an eject kernel partitions: logical cells on multipath runs.
+  [[nodiscard]] std::uint32_t eject_cells() const {
+    if constexpr (kMultiPath) {
+      return lcells_;
+    } else {
+      return core_.cells();
+    }
+  }
+
+  template <bool kShard>
+  void eject_range(std::uint64_t cycle, bool measuring, std::uint32_t x0,
+                   std::uint32_t x1, ShardWorker* wk) {
+    if constexpr (kMultiPath) {
+      derived().template eject_multipath_impl<kShard>(cycle, measuring, x0,
+                                                      x1, wk);
+    } else {
+      derived().template eject_impl<kShard>(cycle, measuring, x0, x1, wk);
+    }
+  }
+
+  template <bool kShard>
+  void advance_range(int s, std::uint64_t cycle, bool measuring,
+                     std::uint32_t x0, std::uint32_t x1, ShardWorker* wk) {
+    if constexpr (kMultiPath) {
+      derived().template advance_stage_multipath_impl<kShard>(
+          s, cycle, measuring, x0, x1, wk);
+    } else {
+      derived().template advance_stage_impl<kShard>(s, cycle, measuring, x0,
+                                                    x1, wk);
+    }
+  }
+};
+
+// The ladder below takes a discipline as a class whose member template
+// Policy names its policy — not the policy template itself: a
+// template-template argument from an anonymous namespace gives GCC's
+// instantiations vague (COMDAT) linkage, which disables hot/cold
+// splitting and moves the kernels out of their TU's text.
+
+/// One policy instantiation's run. Out of line on purpose: inlining all
+/// the instantiations into the ladder lets the compiler cross-jump the
+/// twin hot loops into shared blocks, costing the binary instantiation
+/// measurable time.
+template <class Discipline, bool kFaulted, bool kBinary, bool kCredits,
+          bool kMultiPath, bool kObs>
+#if defined(__GNUC__)
+[[gnu::noinline]]
+#endif
+SimResult
+run_policy(FabricCore& core, SimWorkspace& workspace,
+           const PolicyArgs& args) {
+  typename Discipline::template Policy<kFaulted, kBinary, kCredits,
+                                       kMultiPath, kObs>
+      policy(core, workspace, args);
+  if constexpr (kObs) {
+    // Closed-loop sources route request->reply latencies into the flow
+    // recorder's service channel (null and ignored when flows are off).
+    core.set_service_recorder(args.obs->flow_recorder());
+  }
+  const std::size_t threads = core.config().sim_threads;
+  SimResult result = threads > 1 ? run_switched_sharded(core, policy, threads)
+                                 : run_switched(core, policy);
+  if constexpr (kObs) {
+    result.probes = args.obs->take_probes();
+    if (args.obs->flows_on()) result.flows = args.obs->flow_summary();
+    result.trace = args.obs->take_trace();
+  }
+  return result;
+}
+
+/// The obs fork: an absent observer dispatches to the kObs=false
+/// instantiation — byte for byte the pre-observability policy, the same
+/// pattern the kFaulted/kCredits fast paths use.
+template <class Discipline, bool kFaulted, bool kBinary, bool kCredits,
+          bool kMultiPath>
+SimResult run_observed(FabricCore& core, SimWorkspace& workspace,
+                       const PolicyArgs& args) {
+  if (args.obs != nullptr) {
+    return run_policy<Discipline, kFaulted, kBinary, kCredits, kMultiPath,
+                      true>(core, workspace, args);
+  }
+  return run_policy<Discipline, kFaulted, kBinary, kCredits, kMultiPath,
+                    false>(core, workspace, args);
+}
+
+/// The instantiation ladder of one discipline: faulted x binary x
+/// credits over unipath engines, faulted over multipath ones — 20
+/// instantiations with the obs fork.
+template <class Discipline>
+SimResult run_discipline(FabricCore& core, SimWorkspace& workspace,
+                         const PolicyArgs& args) {
+  const bool faulted = args.mask != nullptr;
+  if (core.engine().multipath()) {
+    return faulted ? run_observed<Discipline, true, false, false, true>(
+                         core, workspace, args)
+                   : run_observed<Discipline, false, false, false, true>(
+                         core, workspace, args);
+  }
+  const bool binary = core.engine().radix() == 2;
+  const bool credits = core.config().credits.enabled;
+  if (faulted) {
+    if (credits) {
+      return binary ? run_observed<Discipline, true, true, true, false>(
+                          core, workspace, args)
+                    : run_observed<Discipline, true, false, true, false>(
+                          core, workspace, args);
+    }
+    return binary ? run_observed<Discipline, true, true, false, false>(
+                        core, workspace, args)
+                  : run_observed<Discipline, true, false, false, false>(
+                        core, workspace, args);
+  }
+  if (credits) {
+    return binary ? run_observed<Discipline, false, true, true, false>(
+                        core, workspace, args)
+                  : run_observed<Discipline, false, false, true, false>(
+                        core, workspace, args);
+  }
+  return binary ? run_observed<Discipline, false, true, false, false>(
+                      core, workspace, args)
+                : run_observed<Discipline, false, false, false, false>(
+                      core, workspace, args);
+}
+
+/// The disciplines' ladders (engine.cpp, wormhole.cpp).
+SimResult run_store_and_forward(FabricCore& core, SimWorkspace& workspace,
+                                const PolicyArgs& args);
+SimResult run_wormhole(FabricCore& core, SimWorkspace& workspace,
+                       const PolicyArgs& args);
+
+/// The one run dispatcher behind Engine::run and WormholeSimulator::run:
+/// validate the config, check the mask, build the observer, configure
+/// the looping settings of a multipath run, build the FabricCore, and
+/// hand off to \p mode's instantiation ladder.
+SimResult run_fabric(const Engine& engine, SwitchingMode mode,
+                     Pattern pattern, const SimConfig& config,
+                     const fault::FaultMask* mask, SimWorkspace* workspace,
+                     const EjectObserver& eject_observer);
+
+}  // namespace mineq::sim

@@ -1,14 +1,11 @@
 #include "sim/wormhole.hpp"
 
 #include <algorithm>
-#include <optional>
-#include <stdexcept>
 #include <vector>
 
-#include "multipath/looping.hpp"
-#include "obs/observer.hpp"
 #include "sim/fabric.hpp"
 #include "sim/multipath_select.hpp"
+#include "sim/policy.hpp"
 #include "sim/shard.hpp"
 
 namespace mineq::sim {
@@ -20,138 +17,110 @@ namespace {
 /// a LanePool. The head flit claims an idle downstream lane and advances
 /// as soon as it wins output-port arbitration; body and tail flits follow
 /// through the reserved lane; the tail releases each lane as it passes.
-/// One flit crosses each link per cycle.
-///
-/// \tparam kFaulted compile-time fault switch: the false instantiation
-/// is the byte-identical unmasked fast path; the true instantiation
-/// resolves every worm's out-port through the fault::FaultedWiring view
-/// when its head is accepted — following the schedule while its arc
-/// survives, detouring through the next surviving port otherwise, and
-/// marking the lane *dropping* when the switch is dead so the worm (and
-/// every flit still following its reservation) drains into the
-/// dropped-at-fault counters instead of wedging the buffer.
-///
-/// \tparam kBinary compile-time radix-2 switch: radix() folds to the
-/// literal 2 so the binary instantiations keep the historic shift/mask
-/// code generation (see StoreAndForwardPolicy in engine.cpp).
-///
-/// \tparam kCredits compile-time flow-control switch: the false
-/// instantiation keeps the idealized handshake (senders probe downstream
-/// lane occupancy directly) byte for byte; the true instantiation runs
-/// per-lane credits over a CreditLedger — one credit per downstream lane
-/// slot, consumed per flit accepted, returned per flit popped with the
-/// configured latency — plus the pluggable output-port arbitration. With
-/// a non-empty SL->VL map, worms travel in their fixed virtual lane
-/// vl_of_sl(sl) at every hop instead of claiming the first idle lane.
-///
-/// \tparam kMultiPath compile-time multipath switch: terminals are
-/// *logical* (the engine's MultiPathWiring view), a head resolves its
-/// next out-port by selecting within the fabric's equivalent-path group
-/// (free Benes connection, dilation group, injection plane) under the
-/// configured PathPolicy, and ejection arbitrates the planes * radix *
-/// lanes candidate lanes of each logical terminal. General-radix and
-/// credit-less: the binary and credit specializations never combine
-/// with it.
-///
-/// \tparam kObs compile-time observability switch — same contract as
-/// StoreAndForwardPolicy (engine.cpp): the false instantiation carries
-/// no telemetry code at all, the true one feeds an obs::Observer with
-/// per-stage probe counters (per-flit hops here), trace events keyed by
-/// (cycle, intra-cycle phase), flow records at tail ejection, and a
-/// StallCause per blocked lane-cycle attributed in the same account
-/// scan that counts hol_blocking_cycles.
+/// One flit crosses each link per cycle. The template switches and the
+/// shared plumbing are PolicyBase's (policy.hpp); what they mean here:
+///  - kFaulted: every worm's out-port resolves through the
+///    fault::FaultedWiring view when its head is accepted — following the
+///    schedule while its arc survives, detouring through the next
+///    surviving port otherwise, and marking the lane *dropping* when the
+///    switch is dead so the worm (and every flit still following its
+///    reservation) drains into the dropped-at-fault counters instead of
+///    wedging the buffer;
+///  - kCredits: one credit per downstream lane slot, consumed per flit
+///    accepted, returned per flit popped with the configured latency.
+///    With a non-empty SL->VL map, worms travel in their fixed virtual
+///    lane vl_of_sl(sl) at every hop instead of claiming the first idle
+///    lane;
+///  - kMultiPath: a head resolves its next out-port by selecting within
+///    the fabric's equivalent-path group (free Benes connection, dilation
+///    group, injection plane) under the configured PathPolicy, and
+///    ejection arbitrates the planes * radix * lanes candidate lanes of
+///    each logical terminal;
+///  - kObs: per-stage probe counters (per-flit hops here), trace events
+///    keyed by (cycle, intra-cycle phase), flow records at tail ejection,
+///    and a StallCause per blocked lane-cycle.
 template <bool kFaulted, bool kBinary, bool kCredits, bool kMultiPath,
           bool kObs>
-class WormholePolicy {
-  static_assert(!(kMultiPath && (kBinary || kCredits)),
-                "multipath instantiations are general-radix and credit-less");
+class WormholePolicy
+    : public PolicyBase<
+          WormholePolicy<kFaulted, kBinary, kCredits, kMultiPath, kObs>,
+          kFaulted, kBinary, kCredits, kMultiPath, kObs> {
+  using Base = PolicyBase<WormholePolicy, kFaulted, kBinary, kCredits,
+                          kMultiPath, kObs>;
+  friend Base;
+  using Base::core_, Base::radix_, Base::length_, Base::link_counter_,
+      Base::shard_pool_delta_, Base::total_slots_, Base::faulted_,
+      Base::credit_config_, Base::credits_, Base::service_levels_,
+      Base::lradix_, Base::lcells_, Base::planes_, Base::dilation_,
+      Base::path_policy_, Base::looping_, Base::free_stage_, Base::obs_,
+      Base::stall_cause_, Base::radix, Base::arb_candidate, Base::arb_grant,
+      Base::commit_probe_window, Base::kEjectPhase, Base::eject_stall_phase,
+      Base::drain_phase, Base::advance_phase, Base::stall_phase,
+      Base::inject_phase;
 
  public:
-  WormholePolicy(FabricCore& core, const EjectObserver& observer,
-                 SimWorkspace& workspace,
-                 [[maybe_unused]] const fault::FaultMask* mask,
-                 [[maybe_unused]] obs::Observer* obs,
-                 [[maybe_unused]] const multipath::LoopingSettings* looping =
-                     nullptr)
-      : core_(core),
-        observer_(observer),
-        radix_(static_cast<unsigned>(core.wiring().radix())),
+  WormholePolicy(FabricCore& core, SimWorkspace& workspace,
+                 const PolicyArgs& args)
+      : Base(core, workspace, args),
+        observer_(*args.eject_observer),
         lanes_(core.config().lanes),
-        length_(core.config().packet_length),
         pool_(workspace.lane_pool(
             static_cast<std::size_t>(core.stages()) * core.ports() * lanes_,
             core.config().lane_depth)),
-        sources_(core.terminals()),
-        // Physical lane slots: ports per stage (== terminals on a
-        // unipath fabric, wider on a multipath one).
-        total_flit_slots_(static_cast<double>(core.stages()) *
-                          static_cast<double>(core.ports()) *
-                          static_cast<double>(lanes_) *
-                          static_cast<double>(core.config().lane_depth)) {
-    if constexpr (kMultiPath) {
-      const Engine& engine = core.engine();
-      lradix_ = static_cast<unsigned>(engine.logical_radix());
-      lcells_ = engine.logical_cells();
-      planes_ = static_cast<unsigned>(engine.planes());
-      dilation_ = static_cast<unsigned>(engine.dilation());
-      path_policy_ = core.config().path_policy;
-      looping_ = looping;
-      free_stage_ = engine.fabric().free_stage().data();
-      core.result.paths_available = engine.fabric().paths_available();
-    }
+        sources_(core.terminals()) {
     if constexpr (kFaulted) {
-      faulted_ = fault::FaultedWiring(core.wiring(), *mask);
       dropping_.assign(
           static_cast<std::size_t>(core.stages()) * core.ports() * lanes_, 0);
     }
+  }
+
+  [[nodiscard]] std::uint64_t buffered_flits() const {
+    return static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(pool_.occupied_flits()) +
+        shard_pool_delta_);
+  }
+
+  /// Worker 0 only: the order-sensitive occupancy adds over pool-wide
+  /// totals reconciled from the workers' deltas and per-VL counts.
+  void shard_sample_reduce([[maybe_unused]] std::uint64_t cycle,
+                           std::vector<ShardWorker>& workers) {
+    std::int64_t delta = 0;
+    for (const ShardWorker& wk : workers) delta += wk.pool_delta;
+    core_.result.lane_occupancy.add(
+        static_cast<double>(
+            static_cast<std::int64_t>(pool_.occupied_flits()) + delta) /
+        total_slots_);
     if constexpr (kCredits) {
-      credit_config_ = &core.config().credits;
-      service_levels_ = credit_config_->service_levels();
-      credits_ = &workspace.credit_ledger(
-          static_cast<std::size_t>(core.stages()) * core.ports() * lanes_,
-          static_cast<std::uint32_t>(core.config().lane_depth),
-          credit_config_->return_latency);
-      if (credit_config_->arbitration == ArbitrationPolicy::kWeighted) {
-        weighted_.reset(
-            static_cast<std::size_t>(core.stages()) * core.ports(),
-            static_cast<unsigned>(static_cast<std::size_t>(radix()) *
-                                  lanes_));
+      if (core_.result.vl_occupancy.empty()) {
+        core_.result.vl_occupancy.resize(lanes_);
       }
-      core.result.sl_latency.resize(service_levels_);
+      const double slots_per_vl = total_slots_ / static_cast<double>(lanes_);
+      for (std::size_t vl = 0; vl < lanes_; ++vl) {
+        std::uint64_t flits = 0;
+        for (const ShardWorker& wk : workers) flits += wk.vl_flits[vl];
+        core_.result.vl_occupancy[vl].add(static_cast<double>(flits) /
+                                          slots_per_vl);
+      }
     }
     if constexpr (kObs) {
-      obs_ = obs;
-      // One StallCause slot per physical lane; advance kernels re-zero
-      // exactly the source-stage ranges they probe each cycle (last-stage
-      // lanes only ever stall on lost eject arbitration, cause 0).
-      stall_cause_.assign(
-          static_cast<std::size_t>(core.stages()) * core.ports() * lanes_, 0);
+      if (obs_->want_probe(cycle)) commit_probe_window(cycle);
     }
   }
 
-  /// Eject at the last stage: one flit per terminal port per cycle,
-  /// round-robin over the radix*lanes candidate lanes. Ejection links are
-  /// terminal attachments, not wiring arcs, so they cannot fault.
-  void eject(std::uint64_t cycle, bool measuring) {
-    if constexpr (kMultiPath) {
-      eject_multipath_impl<false>(cycle, measuring, 0, lcells_, nullptr);
-      return;
-    }
-    if constexpr (kCredits) credits_->deliver(cycle);
-    eject_impl<false>(cycle, measuring, 0, core_.cells(), nullptr);
-  }
-
-  /// The eject kernel over cells [x0, x1). Sharded (kShard), every
-  /// order-sensitive sink — the observer call, the Welford latency adds,
-  /// the per-SL latency — defers into the worker's event buffer for the
-  /// serial-phase replay; order-independent counters accumulate into the
-  /// worker's partial.
+ private:
+  /// The eject kernel over cells [x0, x1): one flit per terminal port per
+  /// cycle, round-robin over the radix*lanes candidate lanes. Ejection links
+  /// are terminal attachments, not wiring arcs, so they cannot fault. Sharded
+  /// (kShard), every order-sensitive sink — the observer call, the Welford
+  /// latency adds, the per-SL latency — defers into the worker's event buffer
+  /// for the serial-phase replay; order-independent counters accumulate into
+  /// the worker's partial.
   template <bool kShard>
   void eject_impl(std::uint64_t cycle, bool measuring, std::uint32_t x0,
                   std::uint32_t x1, ShardWorker* wk) {
     const int last = core_.stages() - 1;
     const unsigned r = radix();
-    SimResult& res = shard_result<kShard>(wk);
+    SimResult& res = shard_result<kShard>(core_, wk);
     const unsigned candidates =
         static_cast<unsigned>(static_cast<std::size_t>(r) * lanes_);
     for (std::uint32_t x = x0; x < x1; ++x) {
@@ -192,7 +161,7 @@ class WormholePolicy {
           if (counted) ++res.flits_delivered;
           if constexpr (kObs) {
             if (measuring) {
-              ++obs_log<kShard>(wk).hops[static_cast<std::size_t>(last)];
+              ++obs_log<kShard>(obs_, wk).hops[static_cast<std::size_t>(last)];
             }
             if (flit.inject_cycle >= core_.config().warmup_cycles &&
                 obs_->traced(static_cast<std::uint32_t>(flit.src),
@@ -200,7 +169,7 @@ class WormholePolicy {
               // Follow the head: its eject closes the last stage slice;
               // the tail's eject completes the packet.
               if (flit.is_head()) {
-                trace_push<kShard>(wk, cycle, flit.inject_cycle,
+                trace_push<kShard>(obs_, wk, cycle, flit.inject_cycle,
                                    static_cast<std::uint32_t>(flit.src),
                                    flit.dest_terminal,
                                    obs::TraceEventKind::kStageEnd,
@@ -208,7 +177,7 @@ class WormholePolicy {
                                    kEjectPhase);
               }
               if (flit.is_tail()) {
-                trace_push<kShard>(wk, cycle, flit.inject_cycle,
+                trace_push<kShard>(obs_, wk, cycle, flit.inject_cycle,
                                    static_cast<std::uint32_t>(flit.src),
                                    flit.dest_terminal,
                                    obs::TraceEventKind::kPacketEnd, 0, 0,
@@ -275,31 +244,18 @@ class WormholePolicy {
                           wk, last, eject_stall_phase(0));
   }
 
-  /// Advance one switch stage: one flit per output link per cycle; heads
-  /// claim an idle downstream lane, body/tail flits follow the
-  /// reservation. The next stage's routing-schedule reads (and, faulted,
-  /// the mask probes) are hoisted to per-stage registers — see
-  /// StoreAndForwardPolicy::advance_stage for the aliasing rationale.
-  void advance_stage(int s, [[maybe_unused]] std::uint64_t cycle,
-                     bool measuring) {
-    if constexpr (kMultiPath) {
-      advance_stage_multipath_impl<false>(s, cycle, measuring, 0,
-                                          core_.cells(), nullptr);
-      return;
-    }
-    advance_stage_impl<false>(s, cycle, measuring, 0, core_.cells(), nullptr);
-  }
-
-  /// The advance kernel over cells [x0, x1) of stage \p s. Safe to shard
-  /// by cell ranges: a worker pushes only into stage-(s+1) lanes reached
-  /// through its own cells' arcs, and the perfect-matching property makes
-  /// each of those lanes single-writer for the whole phase.
+  /// The advance kernel over cells [x0, x1) of stage \p s: one flit per output
+  /// link per cycle; heads claim an idle downstream lane, body/tail flits
+  /// follow the reservation. Safe to shard by cell ranges: a worker pushes only
+  /// into stage-(s+1) lanes reached through its own cells' arcs, and the
+  /// perfect-matching property makes each of those lanes single-writer for the
+  /// whole phase.
   template <bool kShard>
   void advance_stage_impl(int s, [[maybe_unused]] std::uint64_t cycle,
                           bool measuring, std::uint32_t x0, std::uint32_t x1,
                           ShardWorker* wk) {
     const unsigned r = radix();
-    [[maybe_unused]] SimResult& res = shard_result<kShard>(wk);
+    [[maybe_unused]] SimResult& res = shard_result<kShard>(core_, wk);
     const auto down = core_.wiring().down_stage(s);
     // Routing constants for the target stage s + 1, where an advancing
     // head resolves its next out-port (ejection port when s + 1 is the
@@ -424,7 +380,8 @@ class WormholePolicy {
                 if (measuring) {
                   ++res.credit_stall_cycles;
                   if constexpr (kObs) {
-                    ++obs_log<kShard>(wk).credit[static_cast<std::size_t>(s)];
+                    ++obs_log<kShard>(obs_, wk)
+                          .credit[static_cast<std::size_t>(s)];
                   }
                 }
                 if constexpr (kObs) {
@@ -454,13 +411,13 @@ class WormholePolicy {
               if (flit.inject_cycle >= core_.config().warmup_cycles &&
                   obs_->traced(static_cast<std::uint32_t>(flit.src),
                                flit.inject_cycle)) {
-                trace_push<kShard>(wk, cycle, flit.inject_cycle,
+                trace_push<kShard>(obs_, wk, cycle, flit.inject_cycle,
                                    static_cast<std::uint32_t>(flit.src),
                                    flit.dest_terminal,
                                    obs::TraceEventKind::kStageEnd,
                                    static_cast<std::uint8_t>(s), 0,
                                    advance_phase(s));
-                trace_push<kShard>(wk, cycle, flit.inject_cycle,
+                trace_push<kShard>(obs_, wk, cycle, flit.inject_cycle,
                                    static_cast<std::uint32_t>(flit.src),
                                    flit.dest_terminal,
                                    obs::TraceEventKind::kStageBegin,
@@ -481,7 +438,8 @@ class WormholePolicy {
                 if (measuring) {
                   ++res.credit_stall_cycles;
                   if constexpr (kObs) {
-                    ++obs_log<kShard>(wk).credit[static_cast<std::size_t>(s)];
+                    ++obs_log<kShard>(obs_, wk)
+                          .credit[static_cast<std::size_t>(s)];
                   }
                 }
                 if constexpr (kObs) {
@@ -508,7 +466,7 @@ class WormholePolicy {
           if (measuring) {
             shard_link_counter<kShard>(wk);
             if constexpr (kObs) {
-              ++obs_log<kShard>(wk).hops[static_cast<std::size_t>(s)];
+              ++obs_log<kShard>(obs_, wk).hops[static_cast<std::size_t>(s)];
             }
           }
           break;
@@ -522,16 +480,12 @@ class WormholePolicy {
                           wk, s, stall_phase(s));
   }
 
-  /// Inject at the first stage: terminal t feeds slot t % r of cell
-  /// t / r, at most one flit per cycle. A terminal mid-packet keeps
-  /// serializing into the claimed lane; an idle terminal draws the
-  /// Bernoulli gate (bursty-OFF terminals skip the attempt) and its head
-  /// needs an idle lane or the packet is refused at the source.
-  void inject(std::uint64_t cycle, bool measuring) {
-    if constexpr (kMultiPath) {
-      inject_multipath(cycle, measuring);
-      return;
-    }
+  /// Unipath injection: terminal t feeds slot t % r of cell t / r, at
+  /// most one flit per cycle. A terminal mid-packet keeps serializing
+  /// into the claimed lane; an idle terminal draws the Bernoulli gate
+  /// (bursty-OFF terminals skip the attempt) and its head needs an idle
+  /// lane or the packet is refused at the source.
+  void inject_unipath(std::uint64_t cycle, bool measuring) {
     const unsigned r = radix();
     for (std::uint64_t t = 0; t < core_.terminals(); ++t) {
       SourceState& src = sources_[t];
@@ -617,11 +571,11 @@ class WormholePolicy {
           // Injection is always a serial phase: log 0 is the sink in
           // both drivers, keeping trace bytes thread-count invariant.
           if (obs_->traced(static_cast<std::uint32_t>(t), cycle)) {
-            trace_push<false>(nullptr, cycle, cycle,
+            trace_push<false>(obs_, nullptr, cycle, cycle,
                               static_cast<std::uint32_t>(t), dest,
                               obs::TraceEventKind::kPacketBegin, 0, 0,
                               inject_phase());
-            trace_push<false>(nullptr, cycle, cycle,
+            trace_push<false>(obs_, nullptr, cycle, cycle,
                               static_cast<std::uint32_t>(t), dest,
                               obs::TraceEventKind::kStageBegin, 0, 0,
                               inject_phase());
@@ -630,13 +584,6 @@ class WormholePolicy {
       }
     }
   }
-
-  /// Sample buffer occupancy (measured cycles only). Credit runs also
-  /// audit the conservation invariant every sampled cycle — per lane,
-  /// credits held + credit messages in flight + flits buffered must
-  /// equal the lane depth exactly — and sample occupancy per virtual
-  /// lane so weighted/priority sweeps can see the VL partition directly.
-  void sample(std::uint64_t cycle) { sample_impl<false>(cycle, 0, 1, nullptr); }
 
   /// The sample kernel over worker \p w's share of the lane links.
   /// Sharded, the occupancy adds (order-sensitive Welford updates over
@@ -650,7 +597,7 @@ class WormholePolicy {
                    [[maybe_unused]] ShardWorker* wk) {
     if constexpr (!kShard) {
       core_.result.lane_occupancy.add(
-          static_cast<double>(pool_.occupied_flits()) / total_flit_slots_);
+          static_cast<double>(pool_.occupied_flits()) / total_slots_);
     }
     if constexpr (kCredits) {
       const std::size_t lane_links =
@@ -672,7 +619,7 @@ class WormholePolicy {
         hi = range.second;
         vl_flits = &wk->vl_flits;
       }
-      SimResult& res = shard_result<kShard>(wk);
+      SimResult& res = shard_result<kShard>(core_, wk);
       vl_flits->assign(lanes_, 0);
       for (std::size_t l = lo; l < hi; ++l) {
         const std::uint64_t held = credits_->credits(l);
@@ -683,8 +630,8 @@ class WormholePolicy {
         (*vl_flits)[l % lanes_] += pool_.count(l);
       }
       if constexpr (!kShard) {
-        const double slots_per_vl = total_flit_slots_ /
-                                    static_cast<double>(lanes_);
+        const double slots_per_vl =
+            total_slots_ / static_cast<double>(lanes_);
         for (std::size_t vl = 0; vl < lanes_; ++vl) {
           core_.result.vl_occupancy[vl].add(
               static_cast<double>(vl_flits_[vl]) / slots_per_vl);
@@ -696,165 +643,41 @@ class WormholePolicy {
     }
   }
 
-  [[nodiscard]] std::uint64_t buffered_flits() const {
-    return static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(pool_.occupied_flits()) +
-        shard_pool_delta_);
-  }
-  [[nodiscard]] std::uint64_t link_counter() const { return link_flit_hops_; }
-
-  // ------------------------------------------------ sharded-driver seam
-  // (see run_switched_sharded in shard.hpp for the phase schedule)
-
-  /// Credit runs harvest the return ring as a dedicated phase: give_back
-  /// writes the very slot deliver reads for the same cycle, so harvest
-  /// must finish fabric-wide before any kernel returns a credit.
-  static constexpr bool kShardNeedsDeliver = kCredits;
-
-  void shard_deliver(std::uint64_t cycle, std::size_t w, std::size_t n) {
-    if constexpr (kCredits) {
-      const std::size_t lane_links =
-          static_cast<std::size_t>(core_.stages()) * core_.ports() * lanes_;
-      const auto range = shard_range(lane_links, w, n);
-      credits_->deliver_range(cycle, range.first, range.second);
-    }
-  }
-
-  void shard_eject(std::uint64_t cycle, bool measuring, std::size_t w,
-                   std::size_t n, ShardWorker& wk) {
-    if constexpr (kObs) wk.obs_log = &obs_->log(w);
-    if constexpr (kMultiPath) {
-      const auto range = shard_range(lcells_, w, n);
-      eject_multipath_impl<true>(cycle, measuring,
-                                 static_cast<std::uint32_t>(range.first),
-                                 static_cast<std::uint32_t>(range.second),
-                                 &wk);
-    } else {
-      const auto range = shard_range(core_.cells(), w, n);
-      eject_impl<true>(cycle, measuring,
-                       static_cast<std::uint32_t>(range.first),
-                       static_cast<std::uint32_t>(range.second), &wk);
-    }
-  }
-
-  void shard_advance(int s, std::uint64_t cycle, bool measuring,
-                     std::size_t w, std::size_t n, ShardWorker& wk) {
-    const auto range = shard_range(core_.cells(), w, n);
-    if constexpr (kMultiPath) {
-      advance_stage_multipath_impl<true>(
-          s, cycle, measuring, static_cast<std::uint32_t>(range.first),
-          static_cast<std::uint32_t>(range.second), &wk);
-    } else {
-      advance_stage_impl<true>(s, cycle, measuring,
-                               static_cast<std::uint32_t>(range.first),
-                               static_cast<std::uint32_t>(range.second),
-                               &wk);
-    }
-  }
-
-  /// Worker 0 only: replay the deferred ejections in ascending-worker
-  /// order (== ascending cell order == the serial iteration order), then
-  /// run the inherently serial injection front end.
-  void shard_serial(std::uint64_t cycle, bool measuring,
-                    std::vector<ShardWorker>& workers) {
-    for (ShardWorker& wk : workers) {
-      for (const Flit& flit : wk.wh_events) {
-        if (observer_) observer_(flit, cycle);
-        if (measuring &&
-            flit.inject_cycle >= core_.config().warmup_cycles &&
-            flit.is_tail()) {
-          const double latency =
-              static_cast<double>(cycle - flit.inject_cycle + 1);
-          core_.record_packet_delivered(latency);
-          if constexpr (kCredits) {
-            core_.result.sl_latency[static_cast<unsigned>(flit.sl)].add(
-                latency);
-          }
-          if constexpr (kObs) {
-            if (obs_->flows_on()) {
-              obs_->record_flow(static_cast<std::uint32_t>(flit.src),
-                                flit.dest_terminal,
-                                static_cast<unsigned>(flit.sl), latency);
-            }
+  /// Replay one worker's deferred ejections (worker 0's serial phase, in
+  /// ascending-worker = serial order): the observer call and the
+  /// order-sensitive latency adds of every tail that completes a
+  /// measured delivery.
+  void replay_ejects(std::uint64_t cycle, bool measuring, ShardWorker& wk) {
+    for (const Flit& flit : wk.wh_events) {
+      if (observer_) observer_(flit, cycle);
+      if (measuring && flit.inject_cycle >= core_.config().warmup_cycles &&
+          flit.is_tail()) {
+        const double latency =
+            static_cast<double>(cycle - flit.inject_cycle + 1);
+        core_.record_packet_delivered(latency);
+        if constexpr (kCredits) {
+          core_.result.sl_latency[static_cast<unsigned>(flit.sl)].add(
+              latency);
+        }
+        if constexpr (kObs) {
+          if (obs_->flows_on()) {
+            obs_->record_flow(static_cast<std::uint32_t>(flit.src),
+                              flit.dest_terminal,
+                              static_cast<unsigned>(flit.sl), latency);
           }
         }
       }
-      wk.wh_events.clear();
-      for (const workload::Delivery& delivery : wk.wl_events) {
-        core_.workload_delivered(delivery);
-      }
-      wk.wl_events.clear();
     }
-    core_.workload_tick(cycle, measuring);
-    inject(cycle, measuring);
+    wk.wh_events.clear();
   }
 
-  void shard_sample(std::uint64_t cycle, std::size_t w, std::size_t n,
-                    ShardWorker& wk) {
-    sample_impl<true>(cycle, w, n, &wk);
+  [[nodiscard]] BufferHead head(std::size_t l) const {
+    const Flit& flit = pool_.front(l);
+    return {static_cast<std::uint64_t>(flit.inject_cycle),
+            static_cast<std::uint32_t>(flit.src), flit.dest_terminal};
   }
-
-  /// Worker 0 only: the order-sensitive occupancy adds over pool-wide
-  /// totals reconciled from the workers' deltas and per-VL counts.
-  void shard_sample_reduce([[maybe_unused]] std::uint64_t cycle,
-                           std::vector<ShardWorker>& workers) {
-    std::int64_t delta = 0;
-    for (const ShardWorker& wk : workers) delta += wk.pool_delta;
-    core_.result.lane_occupancy.add(
-        static_cast<double>(
-            static_cast<std::int64_t>(pool_.occupied_flits()) + delta) /
-        total_flit_slots_);
-    if constexpr (kCredits) {
-      if (core_.result.vl_occupancy.empty()) {
-        core_.result.vl_occupancy.resize(lanes_);
-      }
-      const double slots_per_vl =
-          total_flit_slots_ / static_cast<double>(lanes_);
-      for (std::size_t vl = 0; vl < lanes_; ++vl) {
-        std::uint64_t flits = 0;
-        for (const ShardWorker& wk : workers) flits += wk.vl_flits[vl];
-        core_.result.vl_occupancy[vl].add(static_cast<double>(flits) /
-                                          slots_per_vl);
-      }
-    }
-    if constexpr (kObs) {
-      if (obs_->want_probe(cycle)) commit_probe_window(cycle);
-    }
-  }
-
-  /// Sum every worker's order-independent partial into the core result.
-  void shard_finish(std::vector<ShardWorker>& workers) {
-    for (const ShardWorker& wk : workers) {
-      const SimResult& p = wk.partial;
-      core_.result.flits_delivered += p.flits_delivered;
-      core_.result.hol_blocking_cycles += p.hol_blocking_cycles;
-      core_.result.credit_stall_cycles += p.credit_stall_cycles;
-      core_.result.credit_violations += p.credit_violations;
-      core_.result.packets_dropped_faulted += p.packets_dropped_faulted;
-      core_.result.flits_dropped_faulted += p.flits_dropped_faulted;
-      core_.result.packets_rerouted += p.packets_rerouted;
-      core_.result.packets_misdelivered += p.packets_misdelivered;
-      core_.result.path_reroutes += p.path_reroutes;
-      core_.result.stall_lost_arbitration += p.stall_lost_arbitration;
-      core_.result.stall_downstream_full += p.stall_downstream_full;
-      core_.result.stall_no_free_lane += p.stall_no_free_lane;
-      core_.result.stall_zero_credits += p.stall_zero_credits;
-      core_.result.stall_masked_arc += p.stall_masked_arc;
-      link_flit_hops_ += wk.link_counter;
-      shard_pool_delta_ += wk.pool_delta;
-    }
-  }
-
- private:
-  /// The destination of every order-independent counter: the worker's
-  /// partial when sharded, the core result when serial.
-  template <bool kShard>
-  [[nodiscard]] SimResult& shard_result(ShardWorker* wk) {
-    if constexpr (kShard) {
-      return wk->partial;
-    } else {
-      return core_.result;
-    }
+  [[nodiscard]] std::uint32_t buffer_count(std::size_t l) const {
+    return pool_.count(l);
   }
 
   /// Pool mutations: uncounted + per-worker delta when sharded (the
@@ -897,7 +720,7 @@ class WormholePolicy {
     if constexpr (kShard) {
       ++wk->link_counter;
     } else {
-      ++link_flit_hops_;
+      ++link_counter_;
     }
   }
   /// Per-terminal injection state: the packet currently serializing into
@@ -914,15 +737,6 @@ class WormholePolicy {
     unsigned tag = 0;  // workload tag carried by every flit of the packet
     std::size_t port = 0;  // claimed physical input port (kMultiPath only)
   };
-
-  /// The radix, folded to the literal 2 in the binary instantiations.
-  [[nodiscard]] unsigned radix() const noexcept {
-    if constexpr (kBinary) {
-      return 2U;
-    } else {
-      return radix_;
-    }
-  }
 
   /// Multipath ejection: logical terminal lx * lr + j arbitrates over
   /// the planes * radix * lanes last-stage lanes of its logical cell (a
@@ -941,7 +755,7 @@ class WormholePolicy {
     const unsigned r = radix_;
     const unsigned candidates = static_cast<unsigned>(
         static_cast<std::size_t>(planes_) * r * lanes_);
-    [[maybe_unused]] SimResult& res = shard_result<kShard>(wk);
+    [[maybe_unused]] SimResult& res = shard_result<kShard>(core_, wk);
     for (std::uint32_t lx = lx0; lx < lx1; ++lx) {
       for (unsigned j = 0; j < lradix_; ++j) {
         const std::size_t term =
@@ -966,13 +780,13 @@ class WormholePolicy {
           if (counted) ++res.flits_delivered;
           if constexpr (kObs) {
             if (measuring) {
-              ++obs_log<kShard>(wk).hops[static_cast<std::size_t>(last)];
+              ++obs_log<kShard>(obs_, wk).hops[static_cast<std::size_t>(last)];
             }
             if (flit.inject_cycle >= core_.config().warmup_cycles &&
                 obs_->traced(static_cast<std::uint32_t>(flit.src),
                              flit.inject_cycle)) {
               if (flit.is_head()) {
-                trace_push<kShard>(wk, cycle, flit.inject_cycle,
+                trace_push<kShard>(obs_, wk, cycle, flit.inject_cycle,
                                    static_cast<std::uint32_t>(flit.src),
                                    flit.dest_terminal,
                                    obs::TraceEventKind::kStageEnd,
@@ -980,7 +794,7 @@ class WormholePolicy {
                                    kEjectPhase);
               }
               if (flit.is_tail()) {
-                trace_push<kShard>(wk, cycle, flit.inject_cycle,
+                trace_push<kShard>(obs_, wk, cycle, flit.inject_cycle,
                                    static_cast<std::uint32_t>(flit.src),
                                    flit.dest_terminal,
                                    obs::TraceEventKind::kPacketEnd, 0, 0,
@@ -1049,7 +863,7 @@ class WormholePolicy {
                                     bool measuring, std::uint32_t x0,
                                     std::uint32_t x1, ShardWorker* wk) {
     const unsigned r = radix_;
-    [[maybe_unused]] SimResult& res = shard_result<kShard>(wk);
+    [[maybe_unused]] SimResult& res = shard_result<kShard>(core_, wk);
     const auto down = core_.wiring().down_stage(s);
     const bool target_ejects = s + 2 == core_.stages();
     // Routing constants for the target stage s + 1: the free flag, the
@@ -1142,13 +956,13 @@ class WormholePolicy {
               if (flit.inject_cycle >= core_.config().warmup_cycles &&
                   obs_->traced(static_cast<std::uint32_t>(flit.src),
                                flit.inject_cycle)) {
-                trace_push<kShard>(wk, cycle, flit.inject_cycle,
+                trace_push<kShard>(obs_, wk, cycle, flit.inject_cycle,
                                    static_cast<std::uint32_t>(flit.src),
                                    flit.dest_terminal,
                                    obs::TraceEventKind::kStageEnd,
                                    static_cast<std::uint8_t>(s), 0,
                                    advance_phase(s));
-                trace_push<kShard>(wk, cycle, flit.inject_cycle,
+                trace_push<kShard>(obs_, wk, cycle, flit.inject_cycle,
                                    static_cast<std::uint32_t>(flit.src),
                                    flit.dest_terminal,
                                    obs::TraceEventKind::kStageBegin,
@@ -1161,10 +975,11 @@ class WormholePolicy {
                   flit.inject_cycle >= core_.config().warmup_cycles) {
                 ++res.path_reroutes;
                 if constexpr (kObs) {
-                  ++obs_log<kShard>(wk).reroute[static_cast<std::size_t>(s)];
+                  ++obs_log<kShard>(obs_, wk)
+                        .reroute[static_cast<std::size_t>(s)];
                   if (obs_->traced(static_cast<std::uint32_t>(flit.src),
                                    flit.inject_cycle)) {
-                    trace_push<kShard>(wk, cycle, flit.inject_cycle,
+                    trace_push<kShard>(obs_, wk, cycle, flit.inject_cycle,
                                        static_cast<std::uint32_t>(flit.src),
                                        flit.dest_terminal,
                                        obs::TraceEventKind::kReroute,
@@ -1190,7 +1005,7 @@ class WormholePolicy {
           if (measuring) {
             shard_link_counter<kShard>(wk);
             if constexpr (kObs) {
-              ++obs_log<kShard>(wk).hops[static_cast<std::size_t>(s)];
+              ++obs_log<kShard>(obs_, wk).hops[static_cast<std::size_t>(s)];
             }
           }
           break;
@@ -1310,7 +1125,7 @@ class WormholePolicy {
           if constexpr (kObs) {
             ++obs_->log(0).reroute[0];
             if (obs_->traced(static_cast<std::uint32_t>(t), cycle)) {
-              trace_push<false>(nullptr, cycle, cycle,
+              trace_push<false>(obs_, nullptr, cycle, cycle,
                                 static_cast<std::uint32_t>(t), dest,
                                 obs::TraceEventKind::kReroute, 0, 0,
                                 inject_phase());
@@ -1333,11 +1148,11 @@ class WormholePolicy {
         ++core_.result.flits_injected;
         if constexpr (kObs) {
           if (obs_->traced(static_cast<std::uint32_t>(t), cycle)) {
-            trace_push<false>(nullptr, cycle, cycle,
+            trace_push<false>(obs_, nullptr, cycle, cycle,
                               static_cast<std::uint32_t>(t), dest,
                               obs::TraceEventKind::kPacketBegin, 0, 0,
                               inject_phase());
-            trace_push<false>(nullptr, cycle, cycle,
+            trace_push<false>(obs_, nullptr, cycle, cycle,
                               static_cast<std::uint32_t>(t), dest,
                               obs::TraceEventKind::kStageBegin, 0, 0,
                               inject_phase());
@@ -1428,35 +1243,6 @@ class WormholePolicy {
            lane;
   }
 
-  /// The arbitration seam (kCredits only varies it) — see
-  /// StoreAndForwardPolicy for the policy semantics. Candidates here
-  /// index the radix * lanes input lanes of an output port.
-  [[nodiscard]] unsigned arb_candidate(int s, std::size_t out,
-                                       unsigned probe) {
-    if constexpr (kCredits) {
-      if (credit_config_->arbitration == ArbitrationPolicy::kWeighted) {
-        return weighted_.candidate(arb_index(s, out), probe);
-      }
-    }
-    return core_.arbiter(s, out).candidate(probe);
-  }
-
-  void arb_grant(int s, std::size_t out, unsigned winner,
-                 [[maybe_unused]] unsigned vl) {
-    if constexpr (kCredits) {
-      if (credit_config_->arbitration == ArbitrationPolicy::kWeighted) {
-        weighted_.grant(arb_index(s, out), winner,
-                        credit_config_->weight(vl));
-        return;
-      }
-    }
-    core_.arbiter(s, out).grant(winner);
-  }
-
-  [[nodiscard]] std::size_t arb_index(int s, std::size_t out) const {
-    return static_cast<std::size_t>(s) * core_.ports() + out;
-  }
-
   /// Weight class of the worm at the head of lane \p l (kCredits only).
   [[nodiscard]] unsigned flit_weight(std::size_t l) const {
     return credit_config_->weight(credit_config_->vl_of_sl(
@@ -1489,14 +1275,14 @@ class WormholePolicy {
         }
         if (static_cast<unsigned>(port) != desired && measuring &&
             head.inject_cycle >= core_.config().warmup_cycles) {
-          ++shard_result<kShard>(wk).packets_rerouted;
+          ++shard_result<kShard>(core_, wk).packets_rerouted;
           if constexpr (kObs) {
             // Charged to the stage whose out-port detoured (the one the
             // head just entered); the trace event carries the same stage.
-            ++obs_log<kShard>(wk).reroute[static_cast<std::size_t>(s)];
+            ++obs_log<kShard>(obs_, wk).reroute[static_cast<std::size_t>(s)];
             if (obs_->traced(static_cast<std::uint32_t>(head.src),
                              head.inject_cycle)) {
-              trace_push<kShard>(wk, cycle, head.inject_cycle,
+              trace_push<kShard>(obs_, wk, cycle, head.inject_cycle,
                                  static_cast<std::uint32_t>(head.src),
                                  head.dest_terminal,
                                  obs::TraceEventKind::kReroute,
@@ -1527,7 +1313,7 @@ class WormholePolicy {
                                        lanes_;
     const std::size_t hi = first + static_cast<std::size_t>(x1) * radix() *
                                        lanes_;
-    [[maybe_unused]] SimResult& res = shard_result<kShard>(wk);
+    [[maybe_unused]] SimResult& res = shard_result<kShard>(core_, wk);
     for (std::size_t l = lo; l < hi; ++l) {
       if (dropping_[l] == 0) continue;
       while (!pool_.empty(l)) {
@@ -1544,15 +1330,15 @@ class WormholePolicy {
                              flit.inject_cycle)) {
               const std::uint8_t phase = drain_phase(s);
               const auto src = static_cast<std::uint32_t>(flit.src);
-              trace_push<kShard>(wk, cycle, flit.inject_cycle, src,
+              trace_push<kShard>(obs_, wk, cycle, flit.inject_cycle, src,
                                  flit.dest_terminal,
                                  obs::TraceEventKind::kStageEnd,
                                  static_cast<std::uint8_t>(s), 0, phase);
-              trace_push<kShard>(wk, cycle, flit.inject_cycle, src,
+              trace_push<kShard>(obs_, wk, cycle, flit.inject_cycle, src,
                                  flit.dest_terminal,
                                  obs::TraceEventKind::kDrop,
                                  static_cast<std::uint8_t>(s), 0, phase);
-              trace_push<kShard>(wk, cycle, flit.inject_cycle, src,
+              trace_push<kShard>(obs_, wk, cycle, flit.inject_cycle, src,
                                  flit.dest_terminal,
                                  obs::TraceEventKind::kPacketEnd, 0, 0,
                                  phase);
@@ -1576,218 +1362,40 @@ class WormholePolicy {
                      std::size_t lo, std::size_t hi, ShardWorker* wk,
                      [[maybe_unused]] int stage,
                      [[maybe_unused]] std::uint8_t phase) {
-    SimResult& res = shard_result<kShard>(wk);
+    SimResult& res = shard_result<kShard>(core_, wk);
     for (std::size_t l = lo; l < hi; ++l) {
       if (measuring && !pool_.empty(l) && !pool_.moved(l)) {
         ++res.hol_blocking_cycles;
         if constexpr (kObs) {
-          attribute_stall<kShard>(stage, cycle, l, wk, phase);
+          this->template attribute_stall<kShard>(stage, cycle, l, wk, phase);
         }
       }
       pool_.clear_moved(l);
     }
   }
 
-  /// kObs only: one stalled lane-cycle's telemetry — the per-cause
-  /// SimResult counter, the per-stage probe counter, and a stall instant
-  /// for traced packets.
-  template <bool kShard>
-  void attribute_stall(int s, std::uint64_t cycle, std::size_t l,
-                       ShardWorker* wk, std::uint8_t phase) {
-    SimResult& res = shard_result<kShard>(wk);
-    const auto cause = static_cast<obs::StallCause>(stall_cause_[l]);
-    switch (cause) {
-      case obs::StallCause::kLostArbitration:
-        ++res.stall_lost_arbitration;
-        break;
-      case obs::StallCause::kDownstreamFull:
-        ++res.stall_downstream_full;
-        break;
-      case obs::StallCause::kNoFreeLane:
-        ++res.stall_no_free_lane;
-        break;
-      case obs::StallCause::kZeroCredits:
-        ++res.stall_zero_credits;
-        break;
-      case obs::StallCause::kMaskedArc:
-        ++res.stall_masked_arc;
-        break;
-    }
-    ++obs_log<kShard>(wk).hol[static_cast<std::size_t>(s)];
-    if (obs_->trace_on()) {
-      const Flit& flit = pool_.front(l);
-      const auto ic = static_cast<std::uint64_t>(flit.inject_cycle);
-      const auto src = static_cast<std::uint32_t>(flit.src);
-      if (ic >= core_.config().warmup_cycles && obs_->traced(src, ic)) {
-        trace_push<kShard>(wk, cycle, ic, src, flit.dest_terminal,
-                           obs::TraceEventKind::kStall,
-                           static_cast<std::uint8_t>(s),
-                           static_cast<std::uint8_t>(cause), phase);
-      }
-    }
-  }
-
-  // --- Observability helpers (kObs instantiations only) ----------------
-
-  /// The WorkerLog the current kernel writes: the worker's own sink on
-  /// sharded runs (shard_eject re-binds it every cycle), log 0 serially.
-  template <bool kShard>
-  [[nodiscard]] obs::WorkerLog& obs_log([[maybe_unused]] ShardWorker* wk) {
-    if constexpr (kShard) {
-      return *wk->obs_log;
-    } else {
-      return obs_->log(0);
-    }
-  }
-
-  /// Append one trace event to the current worker's buffer, tagged with
-  /// its (cycle, phase) sort key. Callers have already checked
-  /// Observer::traced for the packet.
-  template <bool kShard>
-  void trace_push(ShardWorker* wk, std::uint64_t cycle,
-                  std::uint64_t inject_cycle, std::uint32_t src,
-                  std::uint32_t dst, obs::TraceEventKind kind,
-                  std::uint8_t stage, std::uint8_t cause,
-                  std::uint8_t phase) {
-    obs::TraceEvent event;
-    event.cycle = cycle;
-    event.inject_cycle = inject_cycle;
-    event.src = src;
-    event.dst = dst;
-    event.kind = kind;
-    event.stage = stage;
-    event.cause = cause;
-    event.phase = phase;
-    obs_log<kShard>(wk).events.push_back(event);
-  }
-
-  // Phase ordinals (TraceEvent::phase) — the same numbering as
-  // StoreAndForwardPolicy (engine.cpp): eject moves, the per-plane eject
-  // HOL scans, then per advance stage s (walked S-2 down to 0) a
-  // drain / moves / HOL-scan triple, and injection last — so the sharded
-  // (cycle, phase) stable sort reproduces the serial emission order.
-  static constexpr std::uint8_t kEjectPhase = 0;
-  [[nodiscard]] std::uint8_t eject_stall_phase(unsigned plane) const noexcept {
-    return static_cast<std::uint8_t>(1 + plane);
-  }
-  [[nodiscard]] std::uint8_t advance_base(int s) const noexcept {
-    return static_cast<std::uint8_t>(
-        1 + planes_ +
-        3 * static_cast<unsigned>(core_.stages() - 2 - s));
-  }
-  [[nodiscard]] std::uint8_t drain_phase(int s) const noexcept {
-    return advance_base(s);
-  }
-  [[nodiscard]] std::uint8_t advance_phase(int s) const noexcept {
-    return static_cast<std::uint8_t>(advance_base(s) + 1);
-  }
-  [[nodiscard]] std::uint8_t stall_phase(int s) const noexcept {
-    return static_cast<std::uint8_t>(advance_base(s) + 2);
-  }
-  [[nodiscard]] std::uint8_t inject_phase() const noexcept {
-    return static_cast<std::uint8_t>(
-        1 + planes_ + 3 * static_cast<unsigned>(core_.stages() - 1));
-  }
-
-  /// Close a probe window (serial sample phase / worker 0's sample
-  /// reduce): fill the observer's scratch with the per-(stage, cell)
-  /// buffered flit counts and commit.
-  void commit_probe_window(std::uint64_t cycle) {
-    std::vector<std::uint32_t>& scratch = obs_->occupancy_scratch();
-    const unsigned r = radix();
-    const int stages = core_.stages();
-    const std::uint32_t cells = core_.cells();
-    for (int s = 0; s < stages; ++s) {
-      for (std::uint32_t x = 0; x < cells; ++x) {
-        std::uint32_t occupied = 0;
-        for (unsigned slot = 0; slot < r; ++slot) {
-          for (std::size_t ln = 0; ln < lanes_; ++ln) {
-            occupied += pool_.count(lane_index(s, x * r + slot, ln));
-          }
-        }
-        scratch[static_cast<std::size_t>(s) * cells + x] = occupied;
-      }
-    }
-    obs_->commit_probe(cycle);
-  }
-
-  FabricCore& core_;
   const EjectObserver& observer_;
-  unsigned radix_;
   std::size_t lanes_;
-  std::uint64_t length_;
   LanePool& pool_;
   std::vector<SourceState> sources_;
   std::uint32_t next_packet_id_ = 0;
-  std::uint64_t link_flit_hops_ = 0;
-  std::int64_t shard_pool_delta_ = 0;  // sharded runs only
-  double total_flit_slots_;
-  fault::FaultedWiring faulted_;        // kFaulted only
-  std::vector<std::uint8_t> dropping_;  // kFaulted only
-  const CreditConfig* credit_config_ = nullptr;  // kCredits only
-  CreditLedger* credits_ = nullptr;              // kCredits only
-  WeightedRoundRobin weighted_;                  // kCredits only
-  std::size_t service_levels_ = 1;               // kCredits only
-  std::vector<std::uint64_t> vl_flits_;          // kCredits only (scratch)
-  unsigned lradix_ = 2;                              // kMultiPath only
-  std::uint32_t lcells_ = 1;                         // kMultiPath only
-  unsigned planes_ = 1;                              // kMultiPath only
-  unsigned dilation_ = 1;                            // kMultiPath only
-  PathPolicy path_policy_ = PathPolicy::kHash;       // kMultiPath only
-  const multipath::LoopingSettings* looping_ = nullptr;  // kMultiPath only
-  const std::uint8_t* free_stage_ = nullptr;         // kMultiPath only
-  obs::Observer* obs_ = nullptr;                     // kObs only
-  /// Per-lane StallCause scratch, written by the advance probe loops and
-  /// read by account_stage's attribution — same writer partition as the
-  /// lanes themselves.
-  std::vector<std::uint8_t> stall_cause_;            // kObs only
+  std::vector<std::uint8_t> dropping_;   // kFaulted only
+  std::vector<std::uint64_t> vl_flits_;  // kCredits only (scratch)
 };
 
-/// Out of line on purpose — see run_saf in engine.cpp.
-template <bool kFaulted, bool kBinary, bool kCredits, bool kMultiPath,
-          bool kObs>
-#if defined(__GNUC__)
-[[gnu::noinline]]
-#endif
-SimResult
-run_wormhole_impl(FabricCore& core, const EjectObserver& observer,
-                  SimWorkspace& workspace, const fault::FaultMask* mask,
-                  obs::Observer* obs,
-                  const multipath::LoopingSettings* looping) {
-  WormholePolicy<kFaulted, kBinary, kCredits, kMultiPath, kObs> policy(
-      core, observer, workspace, mask, obs, looping);
-  if constexpr (kObs) {
-    // Closed-loop sources route request->reply latencies into the flow
-    // recorder's service channel (null and ignored when flows are off).
-    core.set_service_recorder(obs->flow_recorder());
-  }
-  const std::size_t threads = core.config().sim_threads;
-  SimResult result = threads > 1 ? run_switched_sharded(core, policy, threads)
-                                 : run_switched(core, policy);
-  if constexpr (kObs) {
-    result.probes = obs->take_probes();
-    if (obs->flows_on()) result.flows = obs->flow_summary();
-    result.trace = obs->take_trace();
-  }
-  return result;
-}
-
-/// The obs fork: an absent observer dispatches to the kObs=false
-/// instantiation — byte for byte the pre-observability policy.
-template <bool kFaulted, bool kBinary, bool kCredits, bool kMultiPath>
-SimResult run_wormhole(FabricCore& core, const EjectObserver& observer,
-                       SimWorkspace& workspace, const fault::FaultMask* mask,
-                       obs::Observer* obs,
-                       const multipath::LoopingSettings* looping = nullptr) {
-  if (obs != nullptr) {
-    return run_wormhole_impl<kFaulted, kBinary, kCredits, kMultiPath, true>(
-        core, observer, workspace, mask, obs, looping);
-  }
-  return run_wormhole_impl<kFaulted, kBinary, kCredits, kMultiPath, false>(
-      core, observer, workspace, mask, nullptr, looping);
-}
+/// The discipline as the ladder's argument (see run_policy).
+struct Wormhole {
+  template <bool kFaulted, bool kBinary, bool kCredits, bool kMultiPath,
+            bool kObs>
+  using Policy = WormholePolicy<kFaulted, kBinary, kCredits, kMultiPath, kObs>;
+};
 
 }  // namespace
+
+SimResult run_wormhole(FabricCore& core, SimWorkspace& workspace,
+                       const PolicyArgs& args) {
+  return run_discipline<Wormhole>(core, workspace, args);
+}
 
 SimResult WormholeSimulator::run(Pattern pattern,
                                  const SimConfig& config) const {
@@ -1803,92 +1411,8 @@ SimResult WormholeSimulator::run(Pattern pattern, const SimConfig& config,
                                  const EjectObserver& observer,
                                  const fault::FaultMask* mask,
                                  SimWorkspace* workspace) const {
-  config.validate();
-  const bool faulted = mask != nullptr && !mask->none();
-  if (faulted && !mask->matches(engine_.wiring())) {
-    throw std::invalid_argument(
-        "WormholeSimulator::run: fault mask geometry does not match");
-  }
-  SimWorkspace local;
-  SimWorkspace& ws = workspace != nullptr ? *workspace : local;
-  // The observer outlives the policy — same construction as Engine::run
-  // (worker-log count matches the shard team clamp; flit slots per stage
-  // replace packet slots in the occupancy normalization).
-  std::optional<obs::Observer> observer_state;
-  if (config.obs.any()) {
-    config.obs.validate(engine_.terminals());
-    const auto& wiring = engine_.wiring();
-    const std::size_t workers =
-        config.sim_threads > 1
-            ? std::min<std::size_t>(
-                  config.sim_threads,
-                  std::max<std::uint32_t>(1, wiring.cells_per_stage()))
-            : 1;
-    const std::size_t ports = static_cast<std::size_t>(wiring.radix()) *
-                              wiring.cells_per_stage();
-    observer_state.emplace(
-        config.obs, wiring.stages(), wiring.cells_per_stage(), ports,
-        static_cast<std::uint32_t>(engine_.terminals()), config.warmup_cycles,
-        config.measure_cycles, workers,
-        latency_histogram_buckets(config, wiring.stages()),
-        config.credits.enabled ? config.credits.service_levels() : 1,
-        static_cast<double>(ports) * static_cast<double>(config.lanes) *
-            static_cast<double>(config.lane_depth));
-  }
-  obs::Observer* obs = observer_state.has_value() ? &*observer_state : nullptr;
-  if (engine_.multipath()) {
-    if (config.credits.enabled) {
-      throw std::invalid_argument(
-          "WormholeSimulator::run: credit-based flow control is not "
-          "supported on multipath fabrics");
-    }
-    std::optional<multipath::LoopingSettings> looping;
-    if (config.path_policy == PathPolicy::kLooping) {
-      looping = multipath::looping_configure(engine_.fabric(),
-                                             config.permutation);
-    }
-    const multipath::LoopingSettings* settings =
-        looping.has_value() ? &*looping : nullptr;
-    FabricCore core(
-        engine_, pattern, config,
-        static_cast<unsigned>(static_cast<std::size_t>(engine_.radix()) *
-                              config.lanes),
-        static_cast<unsigned>(static_cast<std::size_t>(engine_.planes()) *
-                              engine_.radix() * config.lanes));
-    return faulted ? run_wormhole<true, false, false, true>(core, observer,
-                                                            ws, mask, obs,
-                                                            settings)
-                   : run_wormhole<false, false, false, true>(
-                         core, observer, ws, nullptr, obs, settings);
-  }
-  FabricCore core(
-      engine_, pattern, config,
-      static_cast<unsigned>(static_cast<std::size_t>(engine_.radix()) *
-                            config.lanes));
-  const bool binary = engine_.radix() == 2;
-  const bool credits = config.credits.enabled;
-  if (faulted) {
-    if (credits) {
-      return binary ? run_wormhole<true, true, true, false>(core, observer,
-                                                            ws, mask, obs)
-                    : run_wormhole<true, false, true, false>(core, observer,
-                                                             ws, mask, obs);
-    }
-    return binary ? run_wormhole<true, true, false, false>(core, observer,
-                                                           ws, mask, obs)
-                  : run_wormhole<true, false, false, false>(core, observer,
-                                                            ws, mask, obs);
-  }
-  if (credits) {
-    return binary ? run_wormhole<false, true, true, false>(core, observer,
-                                                           ws, nullptr, obs)
-                  : run_wormhole<false, false, true, false>(core, observer,
-                                                            ws, nullptr, obs);
-  }
-  return binary ? run_wormhole<false, true, false, false>(core, observer, ws,
-                                                          nullptr, obs)
-                : run_wormhole<false, false, false, false>(
-                      core, observer, ws, nullptr, obs);
+  return run_fabric(engine_, SwitchingMode::kWormhole, pattern, config, mask,
+                    workspace, observer);
 }
 
 }  // namespace mineq::sim

@@ -7,8 +7,9 @@
 /// output-port arbitration; body and tail flits follow through the
 /// reserved lanes; the tail releases each lane as it passes. One flit
 /// crosses each link per cycle. Deterministic given the seed, like the
-/// store-and-forward path; Engine::run dispatches here when
-/// SimConfig::mode is kWormhole. Both disciplines are policies over the
+/// store-and-forward path. WormholeSimulator::run and Engine::run with
+/// SimConfig::mode kWormhole go through the same dispatcher
+/// (run_fabric, policy.hpp); both disciplines are policies over the
 /// shared FabricCore (fabric.hpp).
 
 #pragma once

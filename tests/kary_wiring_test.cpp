@@ -220,9 +220,9 @@ TEST(DigitScheduleTest, RejectsFabricsWithoutFullAccess) {
 // ---------------------------------------------------------------------------
 
 /// route_port delivers every (source, destination) pair from the one
-/// digit schedule every engine holds — at radix 3, and at radix 2 from
-/// both the MIDigraph and the KaryMIDigraph constructors (whose schedule
-/// used to be a separate bit schedule, leaving the digit form empty).
+/// digit schedule every engine holds: at radix 3, and at radix 2 from the
+/// MIDigraph constructor and from KaryMIDigraphs with and without an
+/// attached schedule.
 TEST(KaryEngineTest, RoutePortDeliversEveryPairAtRadix3) {
   const sim::Engine ternary(min::kary_baseline(3, 3));
   EXPECT_EQ(ternary.radix(), 3);
