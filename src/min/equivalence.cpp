@@ -43,7 +43,7 @@ constexpr std::uint32_t kFlattenWorthwhileCells = 128;
 
 EquivalenceReport check_baseline_equivalence(const MIDigraph& g) {
   const bool flatten_profiles = g.cells_per_stage() >= kFlattenWorthwhileCells;
-  // Fail-fast order: the degree scan and the early-exiting Banyan DP run
+  // Fail-fast order: the degree scan and the early-exiting Banyan check run
   // straight off the image tables, so networks that fail (the common
   // case when classifying random candidates) never pay for flattening.
   // Only a Banyan survivor at IR-worthwhile size is flattened — once —
@@ -105,11 +105,9 @@ FaultedClassification classify_faulted(const FlatWiring& w,
   out.total_arcs = mask.total_arcs();
   out.surviving_arcs = mask.surviving_arcs();
   if (mask.none()) {
-    // Pristine fast path: run_sweep classifies every {network, fault
-    // spec} pair serially before fanning the grid out, and the default
-    // no-fault spec must not pay the per-source path DP — the word-wide
-    // bitset Banyan check is the 2-3x faster route at n >= 10. A Banyan
-    // fabric has exactly one path per pair, so full access is implied.
+    // Pristine fast path: a Banyan fabric has exactly one path per pair,
+    // so full access is implied, and the characterization also decides
+    // baseline equivalence.
     const EquivalenceReport pristine = check_baseline_equivalence(w);
     out.banyan = pristine.banyan;
     out.baseline_equivalent = pristine.equivalent;
@@ -117,26 +115,12 @@ FaultedClassification classify_faulted(const FlatWiring& w,
       out.full_access = true;
       return out;
     }
-    // Not Banyan: fall through — the DP still decides full access
-    // (parallel paths may cover every pair).
+    // Not Banyan: parallel paths may still cover every pair.
   }
-  bool full_access = true;
-  bool unique_paths = true;
-  const std::uint32_t cells = w.cells_per_stage();
-  for (std::uint32_t u = 0; u < cells && full_access; ++u) {
-    // Saturating at 2 is enough to separate 0 / 1 / "many" paths.
-    const auto counts = path_counts_from(w, mask, u, /*cap=*/2);
-    for (const std::uint64_t c : counts) {
-      if (c != 1) unique_paths = false;
-      if (c == 0) {
-        full_access = false;
-        break;
-      }
-    }
-  }
-  out.full_access = full_access;
+  const SurvivingPaths paths = surviving_paths(w, mask);
+  out.full_access = paths.full_access;
   if (!mask.none()) {
-    out.banyan = full_access && unique_paths;
+    out.banyan = paths.unique;
     // Removing any arc from a full-access fabric with unique paths
     // severs at least one (source, sink) pair, so only the unmasked
     // fabric can still be an (intact, baseline-equivalent) MI-digraph.

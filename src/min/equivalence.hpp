@@ -1,6 +1,6 @@
 /// \file equivalence.hpp
 /// \brief The paper's "easy characterization": deciding Baseline
-/// equivalence in near-linear time.
+/// equivalence from three structural properties.
 ///
 /// Theorem (Section 2, from [12]): all n-stage MI-digraphs satisfying the
 /// Banyan property, P(*, n) and P(1, *) are isomorphic — and the Baseline
@@ -12,6 +12,12 @@
 /// procedure here also exposes the Theorem-3 fast path: if every stage is
 /// an independent connection and the digraph is Banyan, equivalence holds
 /// with no component counting at all.
+///
+/// Cost: both component profiles are one incremental DSU sweep each,
+/// near-linear in the arcs. The Banyan check is not: it counts paths for
+/// every (source, sink) pair, O(stages * cells^2 * radix / 64) word
+/// operations with 64 sources per word (banyan.hpp), and dominates the
+/// characterization of every network that passes its fail-fast probe.
 
 #pragma once
 
@@ -37,16 +43,16 @@ struct EquivalenceReport {
 };
 
 /// Run the full characterization check (degree validity, Banyan, both
-/// component profiles). O(stages * cells^2) dominated by the Banyan
-/// check. Fail-fast: degree and Banyan failures are detected straight
-/// off the image tables; a Banyan survivor is flattened to a FlatWiring
-/// once and the component profiles run over the packed records.
+/// component profiles), in that order and fail-fast. The degree scan and
+/// the Banyan check run straight off the image tables; a Banyan survivor
+/// of at least 128 cells per stage is flattened to a FlatWiring once and
+/// the component profiles run over the packed records.
 [[nodiscard]] EquivalenceReport check_baseline_equivalence(const MIDigraph& g);
 
 /// Same checks over a prebuilt wiring IR — the path for callers that
 /// already hold the FlatWiring (sweeps, repeated classification): no
-/// flattening, the bitset-doubling Banyan check and the DSU component
-/// profiles all consume the packed records. A constructible FlatWiring
+/// flattening, the batched Banyan kernel and the DSU component profiles
+/// all consume the packed records. A constructible FlatWiring
 /// is valid by definition, so valid_degrees is always true here.
 [[nodiscard]] EquivalenceReport check_baseline_equivalence(
     const FlatWiring& w);
@@ -83,11 +89,12 @@ struct FaultedClassification {
   bool baseline_equivalent = false;
 };
 
-/// Classify the faulted fabric (w, mask). Runs the per-source saturating
-/// path-count DP over surviving arcs — the doubling criterion needs
-/// out-degree exactly 2, so under faults path counts are the criterion:
-/// full access is "all counts >= 1", Banyan is "all counts == 1". With an
-/// empty mask the verdicts coincide with is_banyan /
+/// Classify the faulted fabric (w, mask). Counts surviving paths with
+/// banyan.hpp's surviving_paths (the batched kernel, 64 sources per
+/// word): full access is "every pair has a path", Banyan is "every pair
+/// has exactly one". An empty mask takes check_baseline_equivalence
+/// first, and only a non-Banyan wiring then counts paths for full
+/// access; the verdicts coincide with is_banyan /
 /// check_baseline_equivalence (asserted in the tests).
 /// \throws std::invalid_argument if the mask geometry does not match.
 [[nodiscard]] FaultedClassification classify_faulted(

@@ -9,14 +9,17 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "fault/fault_model.hpp"
 #include "graph/dsu.hpp"
 #include "min/banyan.hpp"
 #include "min/equivalence.hpp"
+#include "min/kary.hpp"
 #include "min/networks.hpp"
 #include "min/properties.hpp"
+#include "multipath/multipath_wiring.hpp"
 #include "sim/fabric.hpp"
 #include "sim/wormhole.hpp"
 #include "test_seed.hpp"
@@ -403,6 +406,110 @@ TEST(ClassifyFaultedTest, EmptyMaskMatchesPristineChecks) {
     EXPECT_EQ(c.banyan, min::is_banyan(w));
     EXPECT_EQ(c.baseline_equivalent, min::is_baseline_equivalent(w));
   }
+}
+
+/// Full access and unique surviving paths by the per-source masked DP.
+min::SurvivingPaths per_source_survivors(const FlatWiring& w,
+                                         const FaultMask& mask) {
+  min::SurvivingPaths truth{true, true};
+  for (std::uint32_t u = 0; u < w.cells_per_stage(); ++u) {
+    for (const std::uint64_t c : min::path_counts_from(w, mask, u, 2)) {
+      if (c == 0) truth.full_access = false;
+      if (c != 1) truth.unique = false;
+    }
+  }
+  return truth;
+}
+
+void expect_classified_like_per_source(const FlatWiring& w,
+                                       const FaultMask& mask) {
+  const min::SurvivingPaths truth = per_source_survivors(w, mask);
+  const min::SurvivingPaths paths = min::surviving_paths(w, mask);
+  EXPECT_EQ(paths.full_access, truth.full_access);
+  EXPECT_EQ(paths.unique, truth.unique);
+  const min::FaultedClassification c = min::classify_faulted(w, mask);
+  EXPECT_EQ(c.full_access, truth.full_access);
+  EXPECT_EQ(c.banyan, truth.unique);
+}
+
+TEST(ClassifyFaultedTest, BatchedSurvivorsMatchPerSourceDp) {
+  // Banyans lose full access to almost any fault; Benes fabrics keep it
+  // under light faults while their paths stay multiple, so both verdicts
+  // get exercised, over several 64-source batches from n = 8 on.
+  MINEQ_SEEDED_RNG(rng, 409);
+  std::vector<FlatWiring> wirings;
+  for (int n = 7; n <= 10; ++n) {
+    wirings.push_back(omega_wiring(n));
+    wirings.push_back(min::MultiPathWiring::benes(n, 2).wiring());
+  }
+  wirings.push_back(FlatWiring::from_kary(min::kary_baseline(5, 3)));
+  wirings.push_back(min::MultiPathWiring::benes(4, 3).wiring());
+  for (const FlatWiring& w : wirings) {
+    SCOPED_TRACE("radix " + std::to_string(w.radix()) + ", " +
+                 std::to_string(w.cells_per_stage()) + " cells, " +
+                 std::to_string(w.stages()) + " stages");
+    expect_classified_like_per_source(w, FaultMask(w));
+    for (const FaultKind kind :
+         {FaultKind::kRandomLinks, FaultKind::kSwitchKills}) {
+      for (const double rate : {0.002, 0.02}) {
+        expect_classified_like_per_source(
+            w, fault::build_fault_mask(w, FaultSpec{kind, rate, rng.next()}));
+      }
+    }
+  }
+}
+
+TEST(ClassifyFaultedTest, FaultSeveringOnlyALaterBatchIsSeen) {
+  // One dead first-stage arc of source 100 severs only that source's
+  // pairs: the first batch (sources 0..63) keeps full access.
+  for (const FlatWiring& w :
+       {omega_wiring(8), min::MultiPathWiring::benes(8, 2).wiring()}) {
+    FaultMask mask(w);
+    mask.set(0, 100, 0);
+    mask.set(0, 100, 1);
+    expect_classified_like_per_source(w, mask);
+    EXPECT_FALSE(min::classify_faulted(w, mask).full_access);
+  }
+}
+
+TEST(ClassifyFaultedTest, MultiplePathsSurviveASingleArcPerLink) {
+  // Keep one arc of every dilated link at the last connection: the
+  // sinks then get one arc per logical path, and the second paths seen
+  // there were formed at earlier stages and carried along.
+  const FlatWiring w =
+      min::MultiPathWiring::dilated(min::NetworkKind::kOmega, 8, 2, 2)
+          .wiring();
+  FaultMask mask(w);
+  const int s = w.stages() - 2;
+  const auto ports = static_cast<unsigned>(w.radix());
+  for (std::uint32_t x = 0; x < w.cells_per_stage(); ++x) {
+    for (unsigned p = 1; p < ports; ++p) {
+      for (unsigned q = 0; q < p; ++q) {
+        if (w.child(s, x, q) == w.child(s, x, p)) {
+          mask.set(s, x, p);
+          break;
+        }
+      }
+    }
+  }
+  expect_classified_like_per_source(w, mask);
+  const min::SurvivingPaths paths = min::surviving_paths(w, mask);
+  EXPECT_TRUE(paths.full_access);
+  EXPECT_FALSE(paths.unique);
+}
+
+TEST(ClassifyFaultedTest, DisjointPlanesHaveNoFullAccess) {
+  // A replicated fabric's sources reach only their own plane's sinks:
+  // every plane is Banyan, the whole wiring is not.
+  const FlatWiring w =
+      min::MultiPathWiring::replicated(min::NetworkKind::kOmega, 7, 2, 2)
+          .wiring();
+  EXPECT_FALSE(min::is_banyan(w));
+  EXPECT_FALSE(min::is_banyan(w, 4));
+  const min::FaultedClassification c = min::classify_faulted(w, FaultMask(w));
+  EXPECT_FALSE(c.full_access);
+  EXPECT_FALSE(c.banyan);
+  EXPECT_FALSE(c.baseline_equivalent);
 }
 
 TEST(ClassifyFaultedTest, AnySingleFaultBreaksFullAccessOfABanyan) {

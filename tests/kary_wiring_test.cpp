@@ -116,8 +116,10 @@ TEST(KaryWiringTest, BanyanAndPropertyVerdictsMatchDigraphImplementations) {
   SCOPED_TRACE(mineq::test::seed_trace());
   auto rng = mineq::test::seeded_rng(43);
   for (int radix : {3, 4}) {
-    for (int stages : {2, 3, 4}) {
-      if (stages == 4 && radix == 4) continue;  // keep the suite fast
+    // 81 and 243 cells at radix 3 leave the Banyan check's last batch of
+    // 64 sources partly empty; 256 cells at radix 4 fill four batches.
+    for (int stages : {2, 3, 4, 5, 6}) {
+      if (radix == 4 && stages == 6) continue;  // keep the suite fast
       std::vector<KaryMIDigraph> candidates =
           classical_kary_networks(stages, radix);
       // Random valid stages are usually non-Banyan, random aligned

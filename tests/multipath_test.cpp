@@ -388,6 +388,19 @@ TEST(MultiPathSweepTest, FabricAxisExtendsSizeAndTagsPoints) {
     EXPECT_EQ(sweep.points[i].paths, 2);
     EXPECT_EQ(sweep.points[i].result.paths_available, 4U);
     EXPECT_FALSE(sweep.points[i].credits.enabled);  // credit axis skipped
+    // Pristine survivor columns: full access, but parallel arcs.
+    EXPECT_TRUE(sweep.points[i].survivor.full_access);
+    EXPECT_FALSE(sweep.points[i].survivor.banyan);
+  }
+  // Full access is judged per physical cell pair: a replicated fabric's
+  // disjoint planes never have it, while every logical pair keeps p paths.
+  grid.networks.clear();
+  grid.fabrics = {{MultiPathKind::kReplicated, NetworkKind::kOmega, 2}};
+  for (const exp::SweepPoint& p : run_sweep(grid, 2).points) {
+    EXPECT_EQ(p.fault.kind, fault::FaultKind::kNone);
+    EXPECT_FALSE(p.survivor.full_access);
+    EXPECT_FALSE(p.survivor.banyan);
+    EXPECT_EQ(p.min_path_diversity, 2U);
   }
 }
 
