@@ -11,8 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "fault/fault_mask.hpp"
+#include "fault/fault_model.hpp"
 #include "min/networks.hpp"
+#include "multipath/multipath_wiring.hpp"
 #include "sim/engine.hpp"
 
 namespace mineq::sim {
@@ -146,6 +150,230 @@ TEST(GoldenSimTest, RepeatRunsAreIdentical) {
   EXPECT_EQ(a.delivered, b.delivered);
   EXPECT_EQ(a.hol_blocking_cycles, b.hol_blocking_cycles);
   EXPECT_DOUBLE_EQ(a.latency.mean(), b.latency.mean());
+}
+
+/// The counters a multipath or faulted golden pins, in SimResult order.
+struct Pins {
+  std::uint64_t offered, injected, delivered;
+  std::uint64_t flits_injected, flits_delivered, flits_in_flight;
+  std::uint64_t hol_blocking_cycles;
+  std::uint64_t path_reroutes, packets_rerouted, packets_dropped_faulted,
+      packets_misdelivered;
+  /// lost arbitration, downstream full, no free lane, zero credits,
+  /// masked arc
+  std::uint64_t stall[5];
+  double latency_mean, latency_max, latency_p99;
+  double link_utilization, lane_occupancy_mean;
+};
+
+void expect_pins(const SimResult& r, const Pins& p) {
+  EXPECT_EQ(r.offered, p.offered);
+  EXPECT_EQ(r.injected, p.injected);
+  EXPECT_EQ(r.delivered, p.delivered);
+  EXPECT_EQ(r.flits_injected, p.flits_injected);
+  EXPECT_EQ(r.flits_delivered, p.flits_delivered);
+  EXPECT_EQ(r.flits_in_flight, p.flits_in_flight);
+  EXPECT_EQ(r.hol_blocking_cycles, p.hol_blocking_cycles);
+  EXPECT_EQ(r.path_reroutes, p.path_reroutes);
+  EXPECT_EQ(r.packets_rerouted, p.packets_rerouted);
+  EXPECT_EQ(r.packets_dropped_faulted, p.packets_dropped_faulted);
+  EXPECT_EQ(r.packets_misdelivered, p.packets_misdelivered);
+  EXPECT_EQ(r.stall_lost_arbitration, p.stall[0]);
+  EXPECT_EQ(r.stall_downstream_full, p.stall[1]);
+  EXPECT_EQ(r.stall_no_free_lane, p.stall[2]);
+  EXPECT_EQ(r.stall_zero_credits, p.stall[3]);
+  EXPECT_EQ(r.stall_masked_arc, p.stall[4]);
+  EXPECT_DOUBLE_EQ(r.latency.mean(), p.latency_mean);
+  EXPECT_DOUBLE_EQ(r.latency.max(), p.latency_max);
+  EXPECT_DOUBLE_EQ(r.latency_histogram.quantile(0.99), p.latency_p99);
+  EXPECT_DOUBLE_EQ(r.link_utilization, p.link_utilization);
+  EXPECT_DOUBLE_EQ(r.lane_occupancy.mean(), p.lane_occupancy_mean);
+}
+
+/// Benes(4, 2) on the reversal permutation at full load.
+SimResult run_benes_reversal(SwitchingMode mode, PathPolicy policy) {
+  const Engine engine{min::MultiPathWiring::benes(4, 2)};
+  SimConfig config;
+  config.mode = mode;
+  config.injection_rate = 1.0;
+  config.packet_length = 2;
+  config.queue_capacity = 4;
+  config.lanes = 2;
+  config.lane_depth = 4;
+  config.warmup_cycles = 100;
+  config.measure_cycles = 400;
+  config.seed = 7;
+  config.path_policy = policy;
+  config.permutation.resize(16);
+  for (std::uint32_t t = 0; t < 16; ++t) config.permutation[t] = 15 - t;
+  return engine.run(Pattern::kPermutation, config);
+}
+
+/// dilated(omega, 4, 2, 2), adaptive, 10% random link faults, probes and
+/// flow statistics on.
+SimResult run_dilated_faulted() {
+  const Engine engine{
+      min::MultiPathWiring::dilated(min::NetworkKind::kOmega, 4, 2, 2)};
+  fault::FaultSpec spec;
+  spec.kind = fault::FaultKind::kRandomLinks;
+  spec.rate = 0.1;
+  spec.seed = 3;
+  const fault::FaultMask mask = fault::build_fault_mask(engine.wiring(), spec);
+  SimConfig config;
+  config.injection_rate = 0.6;
+  config.packet_length = 2;
+  config.queue_capacity = 4;
+  config.warmup_cycles = 100;
+  config.measure_cycles = 400;
+  config.seed = 13;
+  config.path_policy = PathPolicy::kAdaptive;
+  config.obs.probe_stride = 50;
+  config.obs.flow_stats = true;
+  return engine.run(Pattern::kUniform, config, &mask);
+}
+
+/// replicated(omega, 4, 2, 2), hash, switch kills, 2 lanes, traced.
+SimResult run_replicated_killed() {
+  const Engine engine{
+      min::MultiPathWiring::replicated(min::NetworkKind::kOmega, 4, 2, 2)};
+  fault::FaultSpec spec;
+  spec.kind = fault::FaultKind::kSwitchKills;
+  spec.rate = 0.1;
+  spec.seed = 5;
+  const fault::FaultMask mask = fault::build_fault_mask(engine.wiring(), spec);
+  SimConfig config;
+  config.mode = SwitchingMode::kWormhole;
+  config.injection_rate = 0.5;
+  config.packet_length = 3;
+  config.lanes = 2;
+  config.lane_depth = 3;
+  config.warmup_cycles = 100;
+  config.measure_cycles = 400;
+  config.seed = 17;
+  config.path_policy = PathPolicy::kHash;
+  config.obs.trace_sample = 4;
+  return engine.run(Pattern::kUniform, config, &mask);
+}
+
+/// Benes(3, 3): the general-radix multipath kernels, adaptive.
+SimResult run_benes_radix3() {
+  const Engine engine{min::MultiPathWiring::benes(3, 3)};
+  SimConfig config;
+  config.injection_rate = 0.6;
+  config.packet_length = 2;
+  config.queue_capacity = 4;
+  config.warmup_cycles = 100;
+  config.measure_cycles = 400;
+  config.seed = 19;
+  config.path_policy = PathPolicy::kAdaptive;
+  return engine.run(Pattern::kUniform, config);
+}
+
+/// omega n = 5 under 10% random link faults with probes on: the
+/// masked-arc refinement of the stall split.
+SimResult run_omega_masked_arcs() {
+  const Engine engine(min::build_network(min::NetworkKind::kOmega, 5));
+  fault::FaultSpec spec;
+  spec.kind = fault::FaultKind::kRandomLinks;
+  spec.rate = 0.1;
+  spec.seed = 9;
+  const fault::FaultMask mask = fault::build_fault_mask(engine.wiring(), spec);
+  SimConfig config;
+  config.injection_rate = 0.6;
+  config.packet_length = 2;
+  config.queue_capacity = 4;
+  config.warmup_cycles = 100;
+  config.measure_cycles = 400;
+  config.seed = 23;
+  config.obs.probe_stride = 50;
+  return engine.run(Pattern::kUniform, config, &mask);
+}
+
+/// Benes(4, 2), hash, 10% random link faults, probes on: in-group path
+/// re-selection (path_reroutes) next to out-of-group detours.
+SimResult run_benes_hash_faulted(SwitchingMode mode) {
+  const Engine engine{min::MultiPathWiring::benes(4, 2)};
+  fault::FaultSpec spec;
+  spec.kind = fault::FaultKind::kRandomLinks;
+  spec.rate = 0.1;
+  spec.seed = 29;
+  const fault::FaultMask mask = fault::build_fault_mask(engine.wiring(), spec);
+  SimConfig config;
+  config.mode = mode;
+  config.injection_rate = 0.6;
+  config.packet_length = 2;
+  config.queue_capacity = 4;
+  config.lanes = 2;
+  config.lane_depth = 4;
+  config.warmup_cycles = 100;
+  config.measure_cycles = 400;
+  config.seed = 31;
+  config.path_policy = PathPolicy::kHash;
+  config.obs.probe_stride = 50;
+  return engine.run(Pattern::kUniform, config, &mask);
+}
+
+// Multipath and faulted pins, captured from the simulators as they stood
+// before the unipath and multipath kernels were merged: every path
+// policy, both disciplines, general radix, fault masks and the
+// observability stall split.
+
+TEST(GoldenSimTest, BenesReversalLoopingAndHash) {
+  expect_pins(
+      run_benes_reversal(SwitchingMode::kStoreAndForward, PathPolicy::kLooping),
+      {3200, 3200, 3088, 6400, 6176, 224, 0, 0, 0, 0, 0, {0, 0, 0, 0, 0},
+       16, 16, 17, 1, 0.25});
+  expect_pins(
+      run_benes_reversal(SwitchingMode::kStoreAndForward, PathPolicy::kHash),
+      {4150, 2248, 2055, 4496, 4110, 386, 14519, 0, 0, 0, 0, {0, 0, 0, 0, 0},
+       35.037956204379554, 66, 55, 0.69781249999999995, 0.4142243303571429});
+  expect_pins(
+      run_benes_reversal(SwitchingMode::kWormhole, PathPolicy::kLooping),
+      {3200, 3200, 3136, 6400, 6288, 112, 0, 0, 0, 0, 0, {0, 0, 0, 0, 0}, 9,
+       9, 10, 1, 0.125});
+  expect_pins(
+      run_benes_reversal(SwitchingMode::kWormhole, PathPolicy::kHash),
+      {4216, 2182, 2090, 4366, 4192, 168, 23236, 0, 0, 0, 0, {0, 0, 0, 0, 0},
+       17.873684210526346, 39, 33, 0.68231770833333338, 0.18603515624999989});
+}
+
+TEST(GoldenSimTest, DilatedOmegaAdaptiveUnderLinkFaults) {
+  expect_pins(run_dilated_faulted(),
+              {2415, 2412, 2301, 4824, 4602, 222, 7186, 0, 0, 0, 0,
+               {6840, 346, 0, 0, 0}, 15.292481529769665, 47, 39,
+               0.37546875000000002, 0.15770996093750006});
+}
+
+TEST(GoldenSimTest, ReplicatedOmegaWormholeUnderSwitchKills) {
+  expect_pins(run_replicated_killed(),
+              {2024, 1152, 949, 3460, 2863, 234, 28923, 0, 244, 118, 211,
+               {7817, 0, 21106, 0, 0}, 30.555321390937834, 189, 150,
+               0.23885416666666667, 0.29814127604166679});
+}
+
+TEST(GoldenSimTest, BenesRadix3Adaptive) {
+  expect_pins(run_benes_radix3(),
+              {4475, 3414, 3100, 6828, 6200, 628, 29990, 0, 0, 0, 0,
+               {0, 0, 0, 0, 0}, 39.486451612903203, 84, 68,
+               0.62192129629629633, 0.59243055555555579});
+}
+
+TEST(GoldenSimTest, OmegaMaskedArcStalls) {
+  expect_pins(run_omega_masked_arcs(),
+              {5830, 3028, 2586, 6056, 5172, 546, 22052, 0, 787, 169, 660,
+               {12961, 7034, 0, 0, 2057}, 36.866202629543743, 142, 111,
+               0.46621093749999998, 0.41677734374999992});
+}
+
+TEST(GoldenSimTest, BenesHashPathReroutesUnderLinkFaults) {
+  expect_pins(run_benes_hash_faulted(SwitchingMode::kStoreAndForward),
+              {3455, 673, 539, 1346, 1078, 268, 11387, 237, 175, 0, 154,
+               {3220, 7781, 0, 0, 386}, 74.356215213358169, 247, 218,
+               0.21546874999999999, 0.30478236607142845});
+  expect_pins(run_benes_hash_faulted(SwitchingMode::kWormhole),
+              {3437, 687, 622, 1374, 1247, 126, 21591, 284, 185, 0, 163,
+               {4215, 0, 17376, 0, 0}, 36.274919614147898, 126, 124,
+               0.21601562499999999, 0.14442801339285707});
 }
 
 }  // namespace

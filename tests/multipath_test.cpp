@@ -13,12 +13,14 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/report.hpp"
 #include "exp/sweep.hpp"
 #include "fault/fault_model.hpp"
 #include "min/equivalence.hpp"
+#include "min/kary.hpp"
 #include "multipath/diversity.hpp"
 #include "multipath/looping.hpp"
 #include "sim/engine.hpp"
@@ -269,6 +271,104 @@ TEST(MultiPathSimTest, HashAndAdaptiveDeliverUniformTraffic) {
                 engine.terminals() * (config.packet_length - 1));
     }
   }
+}
+
+// A unipath banyan is the degenerate multipath fabric: one plane,
+// dilation 1, every route group a singleton. Wrapped in the multipath
+// view it must run exactly like the plain engine over the same banyan —
+// as long as no injection is refused, because the multipath injector
+// draws the packet before checking the first-stage buffer (its plane
+// pick keys on the destination) and a refused attempt discards that
+// draw, while the unipath injector checks first.
+TEST(MultiPathSimTest, UnipathWrapMatchesPlainEngineWithoutRefusals) {
+  const fault::FaultKind fault_kinds[] = {
+      fault::FaultKind::kNone, fault::FaultKind::kRandomLinks,
+      fault::FaultKind::kSwitchKills, fault::FaultKind::kPartialPort};
+  // What the grid must exercise for the comparison to mean anything.
+  std::uint64_t reroutes = 0;
+  std::uint64_t drops = 0;
+  std::uint64_t misdeliveries = 0;
+  std::uint64_t masked_arc_stalls = 0;
+  for (const auto& [stages, radix] : {std::pair{5, 2}, std::pair{3, 3}}) {
+    const sim::Engine plain{
+        min::build_kary_network(NetworkKind::kOmega, stages, radix)};
+    const sim::Engine wrapped{
+        MultiPathWiring::unipath(NetworkKind::kOmega, stages, radix)};
+    ASSERT_TRUE(wrapped.multipath());
+    for (const fault::FaultKind kind : fault_kinds) {
+      fault::FaultSpec spec;
+      spec.kind = kind;
+      spec.rate = kind == fault::FaultKind::kNone ? 0.0 : 0.1;
+      spec.seed = 4;
+      const fault::FaultMask mask =
+          fault::build_fault_mask(plain.wiring(), spec);
+      for (const sim::SwitchingMode mode :
+           {sim::SwitchingMode::kStoreAndForward,
+            sim::SwitchingMode::kWormhole}) {
+        for (const bool obs : {false, true}) {
+          for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+            SCOPED_TRACE("radix " + std::to_string(radix) + " fault " +
+                         fault::fault_kind_name(kind) + ' ' +
+                         sim::switching_mode_name(mode) +
+                         (obs ? " obs" : "") + " threads " +
+                         std::to_string(threads));
+            sim::SimConfig config;
+            config.mode = mode;
+            config.injection_rate = 0.08;
+            config.queue_capacity = 32;
+            config.lanes = 8;
+            config.lane_depth = 2;
+            config.packet_length = 3;
+            config.warmup_cycles = 50;
+            config.measure_cycles = 300;
+            config.seed = 11;
+            config.sim_threads = threads;
+            if (obs) {
+              config.obs.probe_stride = 25;
+              config.obs.flow_stats = true;
+              config.obs.trace_sample = 3;
+            }
+            const sim::SimResult a =
+                plain.run(sim::Pattern::kUniform, config, &mask);
+            const sim::SimResult b =
+                wrapped.run(sim::Pattern::kUniform, config, &mask);
+            // The premise: no attempt was refused on either side.
+            ASSERT_EQ(a.offered, a.injected);
+            ASSERT_EQ(b.offered, b.injected);
+            EXPECT_EQ(a.offered, b.offered);
+            EXPECT_EQ(a.delivered, b.delivered);
+            EXPECT_EQ(a.flits_injected, b.flits_injected);
+            EXPECT_EQ(a.flits_delivered, b.flits_delivered);
+            EXPECT_EQ(a.flits_in_flight, b.flits_in_flight);
+            EXPECT_EQ(a.hol_blocking_cycles, b.hol_blocking_cycles);
+            EXPECT_EQ(a.path_reroutes, b.path_reroutes);
+            EXPECT_EQ(a.packets_rerouted, b.packets_rerouted);
+            EXPECT_EQ(a.packets_dropped_faulted, b.packets_dropped_faulted);
+            EXPECT_EQ(a.packets_misdelivered, b.packets_misdelivered);
+            EXPECT_EQ(a.stall_lost_arbitration, b.stall_lost_arbitration);
+            EXPECT_EQ(a.stall_downstream_full, b.stall_downstream_full);
+            EXPECT_EQ(a.stall_no_free_lane, b.stall_no_free_lane);
+            EXPECT_EQ(a.stall_zero_credits, b.stall_zero_credits);
+            EXPECT_EQ(a.stall_masked_arc, b.stall_masked_arc);
+            EXPECT_EQ(a.latency.mean(), b.latency.mean());
+            EXPECT_EQ(a.latency.max(), b.latency.max());
+            EXPECT_EQ(a.latency_histogram.quantile(0.99),
+                      b.latency_histogram.quantile(0.99));
+            EXPECT_EQ(a.link_utilization, b.link_utilization);
+            EXPECT_EQ(a.lane_occupancy.mean(), b.lane_occupancy.mean());
+            reroutes += a.packets_rerouted;
+            drops += a.packets_dropped_faulted;
+            misdeliveries += a.packets_misdelivered;
+            masked_arc_stalls += a.stall_masked_arc;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(reroutes, 0U);
+  EXPECT_GT(drops, 0U);
+  EXPECT_GT(misdeliveries, 0U);
+  EXPECT_GT(masked_arc_stalls, 0U);
 }
 
 TEST(MultiPathSimTest, RejectsCreditsAndUnconfiguredLooping) {
