@@ -317,7 +317,6 @@ Engine::Engine(min::MultiPathWiring fabric)
     : schedule_(fabric.schedule()),
       wiring_(fabric.wiring()),
       fabric_(std::move(fabric)) {
-  free_stage_ = fabric_->free_stage();
   terminals_ = fabric_->logical_terminals();
   address_digits_ = fabric_->logical_stages();
   logical_radix_ = fabric_->logical_radix();
@@ -325,7 +324,7 @@ Engine::Engine(min::MultiPathWiring fabric)
   planes_ = fabric_->planes();
   dilation_ = fabric_->dilation();
   // Digit scales in the *logical* radix (identity placeholders at free
-  // connections scale by digit 0, harmlessly — route_group checks the
+  // connections scale by digit 0, harmlessly — the policies check the
   // free flag first).
   digit_scale_ = digit_scales(schedule_, logical_radix_);
 }
@@ -367,14 +366,15 @@ namespace {
 ///    returned per pop with the configured latency, plus round-robin /
 ///    quantum-weighted / strict-priority arbitration over the SL->VL
 ///    classes packets carry;
-///  - kMultiPath: every hop selects within the engine's route_group by
-///    the configured PathPolicy (deterministic hash, least-occupancy
-///    adaptive, or looping-precomputed Benes settings), injection picks a
-///    plane on replicated fabrics, and ejection arbitrates per logical
-///    terminal across planes * radix physical buffers. Faulted multipath
-///    runs re-select within the surviving group members first
-///    (path_reroutes) before falling back to the unipath out-of-group
-///    detour (packets_rerouted);
+///  - kMultiPath: the route step (select_port) chooses within a hop's
+///    equivalent-path group by the configured PathPolicy (deterministic
+///    hash, least-occupancy adaptive, or looping-precomputed Benes
+///    settings), injection picks a plane on replicated fabrics, and each
+///    logical terminal's eject arbiter spans planes * radix physical
+///    buffers. Faulted runs re-select within the surviving group members
+///    first (path_reroutes) before falling back to the unipath
+///    out-of-group detour (packets_rerouted). Unipath instantiations run
+///    the same kernels with one plane and singleton groups;
 ///  - kObs: per-stage probe counters and trace events go to the
 ///    per-worker WorkerLogs (order-independent sums / (cycle, phase) sort
 ///    keys keep sharded runs byte-identical to serial), flow records ride
@@ -389,15 +389,17 @@ class StoreAndForwardPolicy
   using Base = PolicyBase<StoreAndForwardPolicy, kFaulted, kBinary, kCredits,
                           kMultiPath, kObs>;
   friend Base;
-  using Base::core_, Base::radix_, Base::length_, Base::link_counter_,
+  using Base::core_, Base::length_, Base::link_counter_,
       Base::shard_pool_delta_, Base::total_slots_, Base::faulted_,
       Base::credit_config_, Base::credits_, Base::service_levels_,
-      Base::lradix_, Base::lcells_, Base::planes_, Base::dilation_,
-      Base::path_policy_, Base::looping_, Base::free_stage_, Base::obs_,
-      Base::stall_cause_, Base::radix, Base::arb_candidate, Base::arb_grant,
-      Base::commit_probe_window, Base::kEjectPhase, Base::eject_stall_phase,
-      Base::drain_phase, Base::advance_phase, Base::stall_phase,
-      Base::inject_phase;
+      Base::path_policy_, Base::obs_, Base::stall_cause_, Base::radix,
+      Base::planes, Base::lradix, Base::lcells, Base::inject_port,
+      Base::stage_route, Base::path_group, Base::arb_candidate,
+      Base::arb_grant, Base::commit_probe_window, Base::kEjectPhase,
+      Base::eject_stall_phase, Base::drain_phase, Base::advance_phase,
+      Base::stall_phase, Base::inject_phase;
+  using StageRoute = typename Base::StageRoute;
+  using PathGroup = typename Base::PathGroup;
 
  public:
   StoreAndForwardPolicy(FabricCore& core, SimWorkspace& workspace,
@@ -452,56 +454,152 @@ class StoreAndForwardPolicy
     }
   }
 
+  /// Injection: logical terminal t feeds the first arc of port t % lr of
+  /// its logical cell t / lr (on a unipath fabric, input slot t % r of
+  /// cell t / r), in the plane the path policy picks on replicated
+  /// fabrics — hash of the destination, or the emptiest injection FIFO.
+  /// Unipath runs check the FIFO (or its credit) before drawing the
+  /// packet; multipath runs draw first, because the hashed plane pick
+  /// keys on the destination, and a refused attempt discards its draw.
+  void inject(std::uint64_t cycle, bool measuring) {
+    for (std::uint64_t t = 0; t < core_.terminals(); ++t) {
+      if (!core_.attempt(cycle, static_cast<std::uint32_t>(t))) continue;
+      if (source_busy_until_[t] > cycle) continue;  // still serializing
+      if (measuring) ++core_.result.offered;
+      workload::Injection packet;
+      std::size_t q = 0;
+      if constexpr (kMultiPath) {
+        packet = core_.draw(cycle, static_cast<std::uint32_t>(t));
+        bool accepted = false;
+        if (planes() == 1) {
+          q = queue_index(0, inject_port(t, 0));
+          accepted = !queues_.full(q);
+        } else if (path_policy_ == PathPolicy::kAdaptive) {
+          std::uint32_t best = 0;
+          for (unsigned plane = 0; plane < planes(); ++plane) {
+            const std::size_t candidate = queue_index(0, inject_port(t, plane));
+            if (queues_.full(candidate)) continue;
+            if (!accepted || queues_.count(candidate) < best) {
+              best = queues_.count(candidate);
+              q = candidate;
+              accepted = true;
+            }
+          }
+        } else {
+          const auto plane =
+              static_cast<unsigned>(path_mix(packet.dest, cycle, t) % planes());
+          q = queue_index(0, inject_port(t, plane));
+          accepted = !queues_.full(q);
+        }
+        if (!accepted) continue;  // dropped at source
+      } else {
+        q = queue_index(0, t);
+        if constexpr (kCredits) {
+          // The terminal's injection link runs the same credit handshake
+          // as the internal links: no credit, no attempt consumed.
+          if (!credits_->available(q)) {
+            if (measuring) {
+              ++core_.result.credit_stall_cycles;
+              if constexpr (kObs) ++obs_->log(0).credit[0];
+            }
+            continue;
+          }
+        } else {
+          if (queues_.full(q)) continue;  // dropped at source
+        }
+        packet = core_.draw(cycle, static_cast<std::uint32_t>(t));
+      }
+      const std::uint32_t dest = packet.dest;
+      const auto src = static_cast<std::uint32_t>(t);
+      if constexpr (kCredits) {
+        queues_.push(q, dest, src, cycle, cycle + length_,
+                     static_cast<unsigned>(t % service_levels_), packet.tag);
+        credits_->consume(q);
+      } else {
+        queues_.push(q, dest, src, cycle, cycle + length_, 0, packet.tag);
+      }
+      core_.commit(cycle, static_cast<std::uint32_t>(t), packet);
+      source_busy_until_[t] = cycle + length_;
+      if (measuring) {
+        ++core_.result.injected;
+        core_.result.flits_injected += length_;
+        if constexpr (kObs) {
+          // Injection is always a serial phase: log 0 is the sink in
+          // both drivers, keeping trace bytes thread-count invariant.
+          if (obs_->traced(src, cycle)) {
+            trace_push<false>(obs_, nullptr, cycle, cycle, src, dest,
+                              obs::TraceEventKind::kPacketBegin, 0, 0,
+                              inject_phase());
+            trace_push<false>(obs_, nullptr, cycle, cycle, src, dest,
+                              obs::TraceEventKind::kStageBegin, 0, 0,
+                              inject_phase());
+          }
+        }
+      }
+    }
+  }
+
  private:
-  /// The eject kernel over cells [\p x0, \p x1): each terminal link (cell x,
-  /// port d % r) carries one packet per packet_length cycles, arbitrated
-  /// between the r input slots. Ejection consumes no credits (terminals always
-  /// sink), but popping returns the slot's credit upstream. The serial
-  /// instantiation (kShard = false) runs the full range and mutates the core
-  /// result directly — byte-identical to the historic method — and the sharded
-  /// one accumulates order-independent counters into \p wk's partial and defers
-  /// the order-sensitive latency adds into its event buffer for worker 0 to
-  /// replay in range order. Every structure touched is owned by the range:
-  /// last-stage queues, eject pacing, arbiters and queue_moved_ slots all index
-  /// by (cell, port).
+  /// The eject kernel over logical cells [\p lx0, \p lx1): each terminal
+  /// link carries one packet per packet_length cycles, granted by the
+  /// terminal's arbiter among the planes * radix last-stage buffers of its
+  /// logical cell (a packet may arrive on any arc of its dilation group
+  /// and in any plane; on a unipath fabric, the r input slots of the
+  /// cell). Ejection consumes no credits (terminals always sink), but
+  /// popping returns the slot's credit upstream. The serial instantiation
+  /// (kShard = false) runs the full range and mutates the core result
+  /// directly, and the sharded one accumulates order-independent counters
+  /// into \p wk's partial and defers the order-sensitive latency adds into
+  /// its event buffer for worker 0 to replay in range order. Every
+  /// structure touched is owned by the range: a logical-cell range owns
+  /// one contiguous physical run per plane (cells plane * lcells + [lx0,
+  /// lx1)), and eject pacing and arbiters index by terminal.
   template <bool kShard>
-  void eject_impl(std::uint64_t cycle, bool measuring, std::uint32_t x0,
-                  std::uint32_t x1, [[maybe_unused]] ShardWorker* wk) {
+  void eject_impl(std::uint64_t cycle, bool measuring, std::uint32_t lx0,
+                  std::uint32_t lx1, [[maybe_unused]] ShardWorker* wk) {
     [[maybe_unused]] SimResult& res = shard_result<kShard>(core_, wk);
     const int last = core_.stages() - 1;
     const unsigned r = radix();
-    std::fill(queue_moved_.begin() + static_cast<std::size_t>(x0) * r,
-              queue_moved_.begin() + static_cast<std::size_t>(x1) * r, 0);
-    if constexpr (kObs) {
-      // Stall causes default to lost-arbitration; the probe loops below
-      // overwrite the specific causes they detect.
-      std::fill(stall_cause_.begin() + queue_index(last, x0 * r),
-                stall_cause_.begin() + queue_index(last, x1 * r), 0);
+    const unsigned lr = lradix();
+    const unsigned candidates = planes() * r;
+    for (unsigned plane = 0; plane < planes(); ++plane) {
+      const std::size_t run = static_cast<std::size_t>(plane) * lcells() * r;
+      std::fill(queue_moved_.begin() + run + static_cast<std::size_t>(lx0) * r,
+                queue_moved_.begin() + run + static_cast<std::size_t>(lx1) * r,
+                0);
+      if constexpr (kObs) {
+        // Stall causes default to lost-arbitration; the probe loops below
+        // overwrite the specific causes they detect.
+        std::fill(stall_cause_.begin() + queue_index(last, run + lx0 * r),
+                  stall_cause_.begin() + queue_index(last, run + lx1 * r), 0);
+      }
     }
-    for (std::uint32_t x = x0; x < x1; ++x) {
-      for (unsigned port = 0; port < r; ++port) {
-        if (eject_busy_until_[x * r + port] > cycle) continue;
+    for (std::uint32_t lx = lx0; lx < lx1; ++lx) {
+      for (unsigned j = 0; j < lr; ++j) {
+        const std::uint32_t term = lx * lr + j;
+        if (eject_busy_until_[term] > cycle) continue;
         // Strict priority scans the ready candidates first: only a
         // head of the highest ready weight class may win this cycle.
         [[maybe_unused]] unsigned need_weight = 0;
         if constexpr (kCredits) {
           if (credit_config_->arbitration == ArbitrationPolicy::kPriority) {
-            for (unsigned slot = 0; slot < r; ++slot) {
-              const std::size_t q = queue_index(last, x * r + slot);
+            for (unsigned c = 0; c < candidates; ++c) {
+              const std::size_t q = queue_index(last, eject_port(lx, c));
               if (queues_.empty(q) || queues_.front_arrival(q) > cycle ||
-                  (queues_.front_dest(q) % r) != port) {
+                  (queues_.front_dest(q) % lr) != j) {
                 continue;
               }
               need_weight = std::max(need_weight, front_weight(q));
             }
           }
         }
-        for (unsigned probe = 0; probe < r; ++probe) {
-          const unsigned slot = arb_candidate(last, x * r + port, probe);
-          const std::size_t q = queue_index(last, x * r + slot);
+        for (unsigned probe = 0; probe < candidates; ++probe) {
+          const unsigned c = arb_candidate(last, term, probe);
+          const std::size_t port_index = eject_port(lx, c);
+          const std::size_t q = queue_index(last, port_index);
           if (queues_.empty(q)) continue;
           if (queues_.front_arrival(q) > cycle) continue;
-          if ((queues_.front_dest(q) % r) != port) continue;
+          if ((queues_.front_dest(q) % lr) != j) continue;
           [[maybe_unused]] unsigned vl = 0;
           if constexpr (kCredits) {
             vl = credit_config_->vl_of_sl(queues_.front_sl(q));
@@ -519,15 +617,15 @@ class StoreAndForwardPolicy
           if constexpr (kCredits) sl = queues_.front_sl(q);
           shard_pop<kShard>(q, wk);
           if constexpr (kCredits) credits_->give_back(q, cycle);
-          eject_busy_until_[x * r + port] = cycle + length_;
-          arb_grant(last, x * r + port, slot, vl);
-          queue_moved_[x * r + slot] = 1;
+          eject_busy_until_[term] = cycle + length_;
+          arb_grant(last, term, c, vl);
+          queue_moved_[port_index] = 1;
           if (core_.wants_deliveries()) {
             // Every delivery feeds the source, warmup included (see
             // workload::Delivery); eject_cycle counts the serialization
             // tail so reply latencies match the packet-latency clock.
             const workload::Delivery delivery{
-                src, dest, x * r + port, inject_cycle, cycle + length_,
+                src, dest, term, inject_cycle, cycle + length_,
                 static_cast<std::uint8_t>(tag),
                 measuring && inject_cycle >= core_.config().warmup_cycles};
             if constexpr (kShard) {
@@ -572,7 +670,7 @@ class StoreAndForwardPolicy
             if constexpr (kFaulted) {
               // A detoured packet ejects at whatever terminal the
               // surviving route reached; count the miss.
-              if ((dest / r) != x) ++res.packets_misdelivered;
+              if ((dest / lr) != lx) ++res.packets_misdelivered;
             }
           }
           break;
@@ -580,20 +678,33 @@ class StoreAndForwardPolicy
       }
     }
     if (measuring) {
-      account_blocking<kShard>(last, cycle, static_cast<std::size_t>(x0) * r,
-                               static_cast<std::size_t>(x1) * r, wk,
-                               eject_stall_phase(0));
+      for (unsigned plane = 0; plane < planes(); ++plane) {
+        const std::size_t run = static_cast<std::size_t>(plane) * lcells() * r;
+        account_blocking<kShard>(last, cycle,
+                                 run + static_cast<std::size_t>(lx0) * r,
+                                 run + static_cast<std::size_t>(lx1) * r, wk,
+                                 eject_stall_phase(plane));
+      }
     }
   }
 
-  /// The advance kernel over cells [\p x0, \p x1): round-robin between the r
-  /// input slots per output port, honoring link serialization and downstream
-  /// FIFO capacity. Safe to run on disjoint ranges concurrently: a cell pops
-  /// only its own stage-s queues and pushes only through its own down-arcs, and
-  /// the perfect matching makes each stage-(s+1) queue reachable from exactly
-  /// one upstream cell — single-writer without locks. Credit handshakes stay
-  /// range-local too (consume/available index the pushed target, give_back the
-  /// popped queue).
+  /// The last-stage input port behind eject candidate \p c of logical
+  /// cell \p lx: slot c % r of the cell's copy in plane c / r.
+  [[nodiscard]] std::size_t eject_port(std::uint32_t lx, unsigned c) const {
+    const unsigned r = radix();
+    if (planes() == 1) return static_cast<std::size_t>(lx) * r + c;
+    return (static_cast<std::size_t>(c / r) * lcells() + lx) * r + c % r;
+  }
+
+  /// The advance kernel over cells [\p x0, \p x1): each output port
+  /// grants one of the r input slots whose head packet's route step
+  /// (select_port) picked it, honoring link serialization and downstream
+  /// FIFO capacity. Safe to run on disjoint ranges concurrently: a cell
+  /// pops only its own stage-s queues and pushes only through its own
+  /// down-arcs, and the perfect matching makes each stage-(s+1) queue
+  /// reachable from exactly one upstream cell — single-writer without
+  /// locks. Credit handshakes stay range-local too (consume/available
+  /// index the pushed target, give_back the popped queue).
   template <bool kShard>
   void advance_stage_impl(int s, std::uint64_t cycle, bool measuring,
                           std::uint32_t x0, std::uint32_t x1,
@@ -603,22 +714,8 @@ class StoreAndForwardPolicy
     const auto down = core_.wiring().down_stage(s);
     const std::size_t link_base =
         static_cast<std::size_t>(s) * core_.ports();
-    // Per-stage routing constants (interior stages only — the last
-    // stage ejects, in eject()).
-    unsigned bit_shift = 0;
-    unsigned bit_invert = 0;
-    std::uint32_t digit_scale = 1;
-    const std::uint32_t* port_of_value = nullptr;
-    const std::vector<unsigned>& stage_map =
-        core_.engine().schedule().port_of_value[static_cast<std::size_t>(s)];
-    if constexpr (kBinary) {
-      bit_shift = static_cast<unsigned>(
-          core_.engine().schedule().digit[static_cast<std::size_t>(s)]);
-      bit_invert = stage_map[0];
-    } else {
-      digit_scale = core_.engine().route_digit_scale(s);
-      port_of_value = stage_map.data();
-    }
+    // Interior stages only — the last stage ejects, in eject().
+    const StageRoute route = stage_route(s);
     // Faulted: arc bit index = stage base + the record's array offset
     // (FaultMask::arc_index's layout), computed with the policy's folded
     // radix so binary instantiations keep shift indexing.
@@ -657,20 +754,12 @@ class StoreAndForwardPolicy
               if (queues_.empty(q) || queues_.front_arrival(q) > cycle) {
                 continue;
               }
-              const std::uint32_t dest = queues_.front_dest(q);
-              unsigned desired;
-              if constexpr (kBinary) {
-                desired = (((dest >> 1) >> bit_shift) & 1U) ^ bit_invert;
-              } else {
-                desired = port_of_value[((dest / r) / digit_scale) % r];
-              }
-              if constexpr (kFaulted) {
-                if (usable_port(mask, arc_base + x * r, desired) !=
-                    static_cast<int>(port)) {
-                  continue;
-                }
-              } else {
-                if (desired != port) continue;
+              int reroute_kind = 0;
+              if (select_port(s, x, slot, queues_.front_dest(q),
+                              queues_.front_inject(q), route, down.data(),
+                              mask, arc_base, reroute_kind) !=
+                  static_cast<int>(port)) {
+                continue;
               }
               need_weight = std::max(need_weight, front_weight(q));
             }
@@ -682,23 +771,11 @@ class StoreAndForwardPolicy
           if (queues_.empty(q)) continue;
           if (queues_.front_arrival(q) > cycle) continue;
           const std::uint32_t dest = queues_.front_dest(q);
-          unsigned desired;
-          if constexpr (kBinary) {
-            desired = (((dest >> 1) >> bit_shift) & 1U) ^ bit_invert;
-          } else {
-            desired = port_of_value[((dest / r) / digit_scale) % r];
-          }
-          if constexpr (kFaulted) {
-            // Degraded-mode adaptive routing: follow the schedule while
-            // its arc survives, detour through the next surviving port
-            // otherwise (the FaultedWiring::usable_port scan, with the
-            // folded radix).
-            if (usable_port(mask, arc_base + x * r, desired) !=
-                static_cast<int>(port)) {
-              continue;
-            }
-          } else {
-            if (desired != port) continue;
+          int reroute_kind = 0;
+          if (select_port(s, x, slot, dest, queues_.front_inject(q), route,
+                          down.data(), mask, arc_base, reroute_kind) !=
+              static_cast<int>(port)) {
+            continue;
           }
           [[maybe_unused]] unsigned vl = 0;
           if constexpr (kCredits) {
@@ -776,9 +853,13 @@ class StoreAndForwardPolicy
             }
           }
           if constexpr (kFaulted) {
-            if (port != desired && measuring &&
+            if (reroute_kind != 0 && measuring &&
                 inject_cycle >= core_.config().warmup_cycles) {
-              ++res.packets_rerouted;
+              if (reroute_kind == 1) {
+                ++res.path_reroutes;
+              } else {
+                ++res.packets_rerouted;
+              }
               if constexpr (kObs) {
                 ++obs_log<kShard>(obs_, wk)
                       .reroute[static_cast<std::size_t>(s)];
@@ -799,8 +880,7 @@ class StoreAndForwardPolicy
       if constexpr (kObs && kFaulted) {
         refine_masked_arc_stalls(s, cycle, static_cast<std::size_t>(x0) * r,
                                  static_cast<std::size_t>(x1) * r, mask,
-                                 arc_base, bit_shift, bit_invert, digit_scale,
-                                 port_of_value);
+                                 arc_base, route);
       }
       account_blocking<kShard>(s, cycle, static_cast<std::size_t>(x0) * r,
                                static_cast<std::size_t>(x1) * r, wk,
@@ -808,56 +888,84 @@ class StoreAndForwardPolicy
     }
   }
 
-  /// Unipath injection: terminal t feeds slot t % r of cell t / r.
-  void inject_unipath(std::uint64_t cycle, bool measuring) {
-    for (std::uint64_t t = 0; t < core_.terminals(); ++t) {
-      if (!core_.attempt(cycle, static_cast<std::uint32_t>(t))) continue;
-      if (source_busy_until_[t] > cycle) continue;  // still serializing
-      if (measuring) ++core_.result.offered;
-      const std::size_t q = queue_index(0, t);
-      if constexpr (kCredits) {
-        // The terminal's injection link runs the same credit handshake
-        // as the internal links: no credit, no attempt consumed.
-        if (!credits_->available(q)) {
-          if (measuring) {
-            ++core_.result.credit_stall_cycles;
-            if constexpr (kObs) ++obs_->log(0).credit[0];
-          }
-          continue;
+  /// The route step: the out-port the head packet at (cell \p x, input
+  /// slot \p slot) of stage \p s takes, or -1 at a dead switch. A
+  /// singleton group — every hop of a unipath fabric — takes its
+  /// scheduled port. A wider group chooses by the configured PathPolicy;
+  /// faulted, a masked choice re-selects among the surviving group
+  /// members (\p reroute_kind = 1). A fully-masked group takes the unipath
+  /// out-of-group detour through the next surviving port (\p reroute_kind
+  /// = 2).
+  [[nodiscard]] int select_port(int s, std::uint32_t x, unsigned slot,
+                                std::uint32_t dest, std::uint64_t inject_cycle,
+                                const StageRoute& route,
+                                const std::uint32_t* down,
+                                [[maybe_unused]] const fault::FaultMask* mask,
+                                [[maybe_unused]] std::size_t arc_base,
+                                int& reroute_kind) {
+    const unsigned r = radix();
+    const PathGroup group = path_group(dest, route);
+    reroute_kind = 0;
+    if (group.count == 1) {
+      if constexpr (kFaulted) {
+        const int port = usable_port(mask, arc_base + x * r, group.base);
+        if (port != static_cast<int>(group.base)) reroute_kind = 2;
+        return port;
+      }
+      return static_cast<int>(group.base);
+    }
+    if (path_policy_ == PathPolicy::kAdaptive) {
+      // Least-occupancy: the group member with the emptiest downstream
+      // FIFO (ties to the lowest port). Masked arcs are simply not
+      // candidates — adaptivity subsumes in-group re-selection.
+      int chosen = -1;
+      std::uint32_t best = 0;
+      for (unsigned k = 0; k < group.count; ++k) {
+        const unsigned p = group.base + k;
+        if constexpr (kFaulted) {
+          if (mask->faulted_index(arc_base + x * r + p)) continue;
+        }
+        const std::uint32_t occupancy =
+            queues_.count(queue_index(s + 1, down[x * r + p]));
+        if (chosen < 0 || occupancy < best) {
+          best = occupancy;
+          chosen = static_cast<int>(p);
+        }
+      }
+      if (chosen >= 0) return chosen;
+    } else {
+      unsigned desired;
+      if (route.settings != nullptr) {
+        desired = route.settings[static_cast<std::size_t>(x) * lradix() + slot];
+      } else {
+        desired = group.base +
+                  static_cast<unsigned>(
+                      path_mix(dest, inject_cycle,
+                               static_cast<std::uint64_t>(s)) %
+                      group.count);
+      }
+      if constexpr (kFaulted) {
+        if (!mask->faulted_index(arc_base + x * r + desired)) {
+          return static_cast<int>(desired);
+        }
+        const int member = surviving_group_member(
+            *mask, arc_base + x * r, group.base, group.count, desired);
+        if (member >= 0) {
+          reroute_kind = 1;
+          return member;
         }
       } else {
-        if (queues_.full(q)) continue;  // dropped at source
-      }
-      const workload::Injection packet =
-          core_.draw(cycle, static_cast<std::uint32_t>(t));
-      const std::uint32_t dest = packet.dest;
-      const auto src = static_cast<std::uint32_t>(t);
-      if constexpr (kCredits) {
-        queues_.push(q, dest, src, cycle, cycle + length_,
-                     static_cast<unsigned>(t % service_levels_), packet.tag);
-        credits_->consume(q);
-      } else {
-        queues_.push(q, dest, src, cycle, cycle + length_, 0, packet.tag);
-      }
-      core_.commit(cycle, static_cast<std::uint32_t>(t), packet);
-      source_busy_until_[t] = cycle + length_;
-      if (measuring) {
-        ++core_.result.injected;
-        core_.result.flits_injected += length_;
-        if constexpr (kObs) {
-          // Injection is always a serial phase: log 0 is the sink in
-          // both drivers, keeping trace bytes thread-count invariant.
-          if (obs_->traced(src, cycle)) {
-            trace_push<false>(obs_, nullptr, cycle, cycle, src, dest,
-                              obs::TraceEventKind::kPacketBegin, 0, 0,
-                              inject_phase());
-            trace_push<false>(obs_, nullptr, cycle, cycle, src, dest,
-                              obs::TraceEventKind::kStageBegin, 0, 0,
-                              inject_phase());
-          }
-        }
+        return static_cast<int>(desired);
       }
     }
+    // Whole group masked: out-of-group detour through any surviving
+    // port, exactly the unipath degraded mode.
+    if constexpr (kFaulted) {
+      const int port = usable_port(mask, arc_base + x * r, group.base);
+      if (port >= 0) reroute_kind = 2;
+      return port;
+    }
+    return static_cast<int>(group.base);
   }
 
   /// The sample kernel: worker \p w of \p n audits its share of the
@@ -955,399 +1063,6 @@ class StoreAndForwardPolicy
     } else {
       queues_.push(q, dest, src, inject_cycle, arrival, sl, tag);
     }
-  }
-  /// Multipath ejection: logical terminal lx * lr + j arbitrates over
-  /// the planes * radix physical last-stage buffers of its logical cell
-  /// (a packet may arrive on any arc of its dilation group and in any
-  /// plane), per-terminal round-robin so no plane starves.
-  template <bool kShard>
-  void eject_multipath_impl(std::uint64_t cycle, bool measuring,
-                            std::uint32_t lx0, std::uint32_t lx1,
-                            [[maybe_unused]] ShardWorker* wk) {
-    [[maybe_unused]] SimResult& res = shard_result<kShard>(core_, wk);
-    const int last = core_.stages() - 1;
-    const unsigned r = radix_;
-    const unsigned candidates = planes_ * r;
-    // A logical-cell range touches one contiguous physical run per plane
-    // (cells plane * lcells + [lx0, lx1)); clear and account exactly
-    // those — disjoint across workers, and the full array at full range.
-    for (unsigned plane = 0; plane < planes_; ++plane) {
-      const std::size_t run =
-          (static_cast<std::size_t>(plane) * lcells_) * r;
-      std::fill(queue_moved_.begin() + run + static_cast<std::size_t>(lx0) * r,
-                queue_moved_.begin() + run + static_cast<std::size_t>(lx1) * r,
-                0);
-      if constexpr (kObs) {
-        std::fill(stall_cause_.begin() + queue_index(last, run + lx0 * r),
-                  stall_cause_.begin() + queue_index(last, run + lx1 * r), 0);
-      }
-    }
-    for (std::uint32_t lx = lx0; lx < lx1; ++lx) {
-      for (unsigned j = 0; j < lradix_; ++j) {
-        const std::size_t term =
-            static_cast<std::size_t>(lx) * lradix_ + j;
-        if (eject_busy_until_[term] > cycle) continue;
-        RoundRobin& arb = core_.eject_arbiter(term);
-        for (unsigned probe = 0; probe < candidates; ++probe) {
-          const unsigned c = arb.candidate(probe);
-          const std::uint32_t cell = (c / r) * lcells_ + lx;
-          const unsigned slot = c % r;
-          const std::size_t port_index =
-              static_cast<std::size_t>(cell) * r + slot;
-          const std::size_t q = queue_index(last, port_index);
-          if (queues_.empty(q)) continue;
-          if (queues_.front_arrival(q) > cycle) continue;
-          const std::uint32_t dest = queues_.front_dest(q);
-          if (dest % lradix_ != j) continue;
-          const std::uint64_t inject_cycle = queues_.front_inject(q);
-          const std::uint32_t src = queues_.front_src(q);
-          const unsigned tag = queues_.front_tag(q);
-          shard_pop<kShard>(q, wk);
-          eject_busy_until_[term] = cycle + length_;
-          arb.grant(c);
-          queue_moved_[port_index] = 1;
-          if (core_.wants_deliveries()) {
-            const workload::Delivery delivery{
-                src, dest, static_cast<std::uint32_t>(term), inject_cycle,
-                cycle + length_, static_cast<std::uint8_t>(tag),
-                measuring && inject_cycle >= core_.config().warmup_cycles};
-            if constexpr (kShard) {
-              wk->wl_events.push_back(delivery);
-            } else {
-              core_.workload_delivered(delivery);
-            }
-          }
-          if constexpr (kObs) {
-            if (measuring) {
-              obs_log<kShard>(obs_, wk).hops[static_cast<std::size_t>(last)] +=
-                  length_;
-            }
-            if (inject_cycle >= core_.config().warmup_cycles &&
-                obs_->traced(src, inject_cycle)) {
-              trace_push<kShard>(obs_, wk, cycle, inject_cycle, src, dest,
-                                 obs::TraceEventKind::kStageEnd,
-                                 static_cast<std::uint8_t>(last), 0,
-                                 kEjectPhase);
-              trace_push<kShard>(obs_, wk, cycle, inject_cycle, src, dest,
-                                 obs::TraceEventKind::kPacketEnd, 0, 0,
-                                 kEjectPhase);
-            }
-          }
-          if (measuring && inject_cycle >= core_.config().warmup_cycles) {
-            res.flits_delivered += length_;
-            const double latency =
-                static_cast<double>(cycle - inject_cycle + length_);
-            if constexpr (kShard) {
-              wk->saf_events.push_back(SafEjectEvent{latency, 0, src, dest});
-            } else {
-              core_.record_packet_delivered(latency);
-              if constexpr (kObs) {
-                if (obs_->flows_on()) {
-                  obs_->record_flow(src, dest, 0, latency);
-                }
-              }
-            }
-            if constexpr (kFaulted) {
-              if ((dest / lradix_) != lx) {
-                ++res.packets_misdelivered;
-              }
-            }
-          }
-          break;
-        }
-      }
-    }
-    if (measuring) {
-      for (unsigned plane = 0; plane < planes_; ++plane) {
-        const std::size_t run =
-            (static_cast<std::size_t>(plane) * lcells_) * r;
-        account_blocking<kShard>(last, cycle,
-                                 run + static_cast<std::size_t>(lx0) * r,
-                                 run + static_cast<std::size_t>(lx1) * r, wk,
-                                 eject_stall_phase(plane));
-      }
-    }
-  }
-
-  /// Multipath advancement: each head packet resolves one physical
-  /// out-port by selecting within the engine's equivalent-path group
-  /// (select_multipath_port); the rest of the hop — arbitration, link
-  /// serialization, downstream capacity — matches the unipath loop.
-  template <bool kShard>
-  void advance_stage_multipath_impl(int s, std::uint64_t cycle,
-                                    bool measuring, std::uint32_t x0,
-                                    std::uint32_t x1,
-                                    [[maybe_unused]] ShardWorker* wk) {
-    [[maybe_unused]] SimResult& res = shard_result<kShard>(core_, wk);
-    const unsigned r = radix_;
-    const auto down = core_.wiring().down_stage(s);
-    const std::size_t link_base =
-        static_cast<std::size_t>(s) * core_.ports();
-    // Per-stage routing constants: the free flag, the forced-group
-    // schedule reads, and the looping settings row (free stages of a
-    // kLooping run only).
-    const bool free = free_stage_[static_cast<std::size_t>(s)] != 0;
-    std::uint32_t digit_scale = 1;
-    const std::uint32_t* port_of_value = nullptr;
-    if (!free) {
-      digit_scale = core_.engine().route_digit_scale(s);
-      port_of_value = core_.engine()
-                          .schedule()
-                          .port_of_value[static_cast<std::size_t>(s)]
-                          .data();
-    }
-    const std::uint8_t* settings =
-        (free && path_policy_ == PathPolicy::kLooping)
-            ? looping_->settings[static_cast<std::size_t>(s)].data()
-            : nullptr;
-    [[maybe_unused]] std::size_t arc_base = 0;
-    [[maybe_unused]] const fault::FaultMask* mask = nullptr;
-    if constexpr (kFaulted) {
-      drain_dead_switches<kShard>(s, cycle, measuring, x0, x1, wk);
-      arc_base = static_cast<std::size_t>(s) * core_.ports();
-      mask = &faulted_.mask();
-    }
-    std::fill(queue_moved_.begin() + static_cast<std::size_t>(x0) * r,
-              queue_moved_.begin() + static_cast<std::size_t>(x1) * r, 0);
-    if constexpr (kObs) {
-      // Stall causes default to lost-arbitration; the probe loops below
-      // overwrite the specific causes they detect.
-      std::fill(stall_cause_.begin() + queue_index(s, x0 * r),
-                stall_cause_.begin() + queue_index(s, x1 * r), 0);
-    }
-    for (std::uint32_t x = x0; x < x1; ++x) {
-      for (unsigned port = 0; port < r; ++port) {
-        if constexpr (kFaulted) {
-          if (mask->faulted_index(arc_base + x * r + port)) {
-            continue;  // dead link
-          }
-        }
-        if (link_busy_until_[link_base + x * r + port] > cycle) {
-          continue;  // still serializing the previous packet
-        }
-        for (unsigned probe = 0; probe < r; ++probe) {
-          const unsigned slot = arb_candidate(s, x * r + port, probe);
-          const std::size_t q = queue_index(s, x * r + slot);
-          if (queues_.empty(q)) continue;
-          if (queues_.front_arrival(q) > cycle) continue;
-          const std::uint32_t dest = queues_.front_dest(q);
-          unsigned base = 0;
-          unsigned count = r;
-          if (!free) {
-            base = port_of_value[((dest / lradix_) / digit_scale) % lradix_] *
-                   dilation_;
-            count = dilation_;
-          }
-          int reroute_kind = 0;
-          const int chosen = select_multipath_port(
-              s, x, slot, dest, queues_.front_inject(q), base, count,
-              settings, down.data(), mask, arc_base, reroute_kind);
-          if (chosen != static_cast<int>(port)) continue;
-          const std::uint32_t record = down[x * r + port];
-          const std::size_t target = queue_index(s + 1, record);
-          if (queues_.full(target)) {
-            if constexpr (kObs) {
-              stall_cause_[q] = static_cast<std::uint8_t>(
-                  obs::StallCause::kDownstreamFull);
-            }
-            continue;
-          }
-          const std::uint64_t inject_cycle = queues_.front_inject(q);
-          const std::uint32_t src = queues_.front_src(q);
-          shard_push<kShard>(target, dest, src, inject_cycle, cycle + length_,
-                             0, queues_.front_tag(q), wk);
-          shard_pop<kShard>(q, wk);
-          queue_moved_[x * r + slot] = 1;
-          link_busy_until_[link_base + x * r + port] = cycle + length_;
-          arb_grant(s, x * r + port, slot, 0);
-          if constexpr (kObs) {
-            if (measuring) {
-              obs_log<kShard>(obs_, wk)
-                  .hops[static_cast<std::size_t>(s)] += length_;
-            }
-            if (inject_cycle >= core_.config().warmup_cycles &&
-                obs_->traced(src, inject_cycle)) {
-              trace_push<kShard>(obs_, wk, cycle, inject_cycle, src, dest,
-                                 obs::TraceEventKind::kStageEnd,
-                                 static_cast<std::uint8_t>(s), 0,
-                                 advance_phase(s));
-              trace_push<kShard>(obs_, wk, cycle, inject_cycle, src, dest,
-                                 obs::TraceEventKind::kStageBegin,
-                                 static_cast<std::uint8_t>(s + 1), 0,
-                                 advance_phase(s));
-            }
-          }
-          if constexpr (kFaulted) {
-            if (measuring && inject_cycle >= core_.config().warmup_cycles) {
-              if (reroute_kind == 1) ++res.path_reroutes;
-              if (reroute_kind == 2) ++res.packets_rerouted;
-              if constexpr (kObs) {
-                if (reroute_kind != 0) {
-                  ++obs_log<kShard>(obs_, wk)
-                        .reroute[static_cast<std::size_t>(s)];
-                  if (obs_->traced(src, inject_cycle)) {
-                    trace_push<kShard>(obs_, wk, cycle, inject_cycle, src, dest,
-                                       obs::TraceEventKind::kReroute,
-                                       static_cast<std::uint8_t>(s), 0,
-                                       advance_phase(s));
-                  }
-                }
-              }
-            }
-          }
-          break;
-        }
-      }
-    }
-    if (measuring) {
-      if constexpr (kObs && kFaulted) {
-        refine_masked_group_stalls(s, cycle, static_cast<std::size_t>(x0) * r,
-                                   static_cast<std::size_t>(x1) * r, mask,
-                                   arc_base, free, digit_scale,
-                                   port_of_value);
-      }
-      account_blocking<kShard>(s, cycle, static_cast<std::size_t>(x0) * r,
-                               static_cast<std::size_t>(x1) * r, wk,
-                               stall_phase(s));
-    }
-  }
-
-  /// Multipath injection: logical terminal t feeds physical input slot
-  /// (t % lr) * dilation of its logical cell, choosing a plane by the
-  /// path policy on replicated fabrics (hash of the destination, or the
-  /// emptiest injection FIFO).
-  void inject_multipath(std::uint64_t cycle, bool measuring) {
-    const unsigned r = radix_;
-    for (std::uint64_t t = 0; t < core_.terminals(); ++t) {
-      if (!core_.attempt(cycle, static_cast<std::uint32_t>(t))) continue;
-      if (source_busy_until_[t] > cycle) continue;  // still serializing
-      if (measuring) ++core_.result.offered;
-      const std::uint32_t lcell =
-          static_cast<std::uint32_t>(t) / lradix_;
-      const unsigned slot =
-          (static_cast<unsigned>(t) % lradix_) * dilation_;
-      // Drawn before the plane pick (the hashed policy keys on the
-      // destination); a refused attempt discards the draw, historically.
-      const workload::Injection packet =
-          core_.draw(cycle, static_cast<std::uint32_t>(t));
-      const std::uint32_t dest = packet.dest;
-      std::size_t q = 0;
-      bool accepted = false;
-      if (planes_ == 1) {
-        q = queue_index(0, static_cast<std::size_t>(lcell) * r + slot);
-        accepted = !queues_.full(q);
-      } else if (path_policy_ == PathPolicy::kAdaptive) {
-        std::uint32_t best = 0;
-        for (unsigned plane = 0; plane < planes_; ++plane) {
-          const std::size_t candidate = queue_index(
-              0, (static_cast<std::size_t>(plane) * lcells_ + lcell) * r +
-                     slot);
-          if (queues_.full(candidate)) continue;
-          if (!accepted || queues_.count(candidate) < best) {
-            best = queues_.count(candidate);
-            q = candidate;
-            accepted = true;
-          }
-        }
-      } else {
-        const unsigned plane = static_cast<unsigned>(
-            path_mix(dest, cycle, t) % planes_);
-        q = queue_index(
-            0, (static_cast<std::size_t>(plane) * lcells_ + lcell) * r +
-                   slot);
-        accepted = !queues_.full(q);
-      }
-      if (!accepted) continue;  // dropped at source
-      const auto src = static_cast<std::uint32_t>(t);
-      queues_.push(q, dest, src, cycle, cycle + length_, 0, packet.tag);
-      core_.commit(cycle, static_cast<std::uint32_t>(t), packet);
-      source_busy_until_[t] = cycle + length_;
-      if (measuring) {
-        ++core_.result.injected;
-        core_.result.flits_injected += length_;
-        if constexpr (kObs) {
-          if (obs_->traced(src, cycle)) {
-            trace_push<false>(obs_, nullptr, cycle, cycle, src, dest,
-                              obs::TraceEventKind::kPacketBegin, 0, 0,
-                              inject_phase());
-            trace_push<false>(obs_, nullptr, cycle, cycle, src, dest,
-                              obs::TraceEventKind::kStageBegin, 0, 0,
-                              inject_phase());
-          }
-        }
-      }
-    }
-  }
-
-  /// The path-selection seam: the physical out-port the head packet at
-  /// (cell \p x, input slot \p slot) of stage \p s takes, chosen within
-  /// the equivalent-path group [\p base, \p base + \p count) by the
-  /// configured policy. Faulted: a masked choice re-selects among the
-  /// surviving group members (\p reroute_kind = 1); a fully-masked group
-  /// falls back to the unipath out-of-group detour (\p reroute_kind =
-  /// 2); -1 means the switch is dead (no surviving out-arc at all).
-  [[nodiscard]] int select_multipath_port(
-      int s, std::uint32_t x, unsigned slot, std::uint32_t dest,
-      std::uint64_t inject_cycle, unsigned base, unsigned count,
-      const std::uint8_t* settings, const std::uint32_t* down,
-      [[maybe_unused]] const fault::FaultMask* mask,
-      [[maybe_unused]] std::size_t arc_base, int& reroute_kind) {
-    const unsigned r = radix_;
-    reroute_kind = 0;
-    if (path_policy_ == PathPolicy::kAdaptive) {
-      // Least-occupancy: the group member with the emptiest downstream
-      // FIFO (ties to the lowest port). Masked arcs are simply not
-      // candidates — adaptivity subsumes in-group re-selection.
-      int chosen = -1;
-      std::uint32_t best = 0;
-      for (unsigned k = 0; k < count; ++k) {
-        const unsigned p = base + k;
-        if constexpr (kFaulted) {
-          if (mask->faulted_index(arc_base + x * r + p)) continue;
-        }
-        const std::uint32_t occupancy =
-            queues_.count(queue_index(s + 1, down[x * r + p]));
-        if (chosen < 0 || occupancy < best) {
-          best = occupancy;
-          chosen = static_cast<int>(p);
-        }
-      }
-      if (chosen >= 0) return chosen;
-    } else {
-      unsigned desired;
-      if (settings != nullptr) {
-        desired = settings[static_cast<std::size_t>(x) * lradix_ + slot];
-      } else if (count == 1) {
-        desired = base;
-      } else {
-        desired = base + static_cast<unsigned>(
-                             path_mix(dest, inject_cycle,
-                                      static_cast<std::uint64_t>(s)) %
-                             count);
-      }
-      if constexpr (kFaulted) {
-        if (mask->faulted_index(arc_base + x * r + desired)) {
-          const int member = surviving_group_member(*mask, arc_base + x * r,
-                                                    base, count, desired);
-          if (member >= 0) {
-            reroute_kind = 1;
-            return member;
-          }
-        } else {
-          return static_cast<int>(desired);
-        }
-      } else {
-        return static_cast<int>(desired);
-      }
-    }
-    // Whole group masked: out-of-group detour through any surviving
-    // port, exactly the unipath degraded mode.
-    if constexpr (kFaulted) {
-      const int port = usable_port(mask, arc_base + x * r, base);
-      if (port >= 0) reroute_kind = 2;
-      return port;
-    }
-    return static_cast<int>(base);
   }
 
   [[nodiscard]] std::size_t queue_index(int s, std::size_t i) const {
@@ -1454,57 +1169,24 @@ class StoreAndForwardPolicy
   }
 
   /// kObs && kFaulted: re-attribute still-unexplained blocked heads whose
-  /// scheduled arc is fault-masked — they stall waiting on detour
-  /// capacity, which is a fault symptom, not plain congestion. Runs just
-  /// before account_blocking with the stage's hoisted routing registers.
+  /// every route-group member is fault-masked — the scheduled arc on a
+  /// unipath hop — as masked-arc stalls: they wait on detour capacity,
+  /// which is a fault symptom, not plain congestion (a surviving member
+  /// would have been a normal candidate). Runs just before
+  /// account_blocking with the stage's hoisted routing registers.
   void refine_masked_arc_stalls(int s, std::uint64_t cycle, std::size_t p0,
                                 std::size_t p1, const fault::FaultMask* mask,
-                                std::size_t arc_base, unsigned bit_shift,
-                                unsigned bit_invert, std::uint32_t digit_scale,
-                                const std::uint32_t* port_of_value) {
+                                std::size_t arc_base,
+                                const StageRoute& route) {
     const unsigned r = radix();
     for (std::size_t i = p0; i < p1; ++i) {
       const std::size_t q = queue_index(s, i);
       if (queue_moved_[i] != 0 || stall_cause_[q] != 0) continue;
       if (queues_.empty(q) || queues_.front_arrival(q) > cycle) continue;
-      const std::uint32_t dest = queues_.front_dest(q);
-      unsigned desired;
-      if constexpr (kBinary) {
-        desired = (((dest >> 1) >> bit_shift) & 1U) ^ bit_invert;
-      } else {
-        desired = port_of_value[((dest / r) / digit_scale) % r];
-      }
-      if (mask->faulted_index(arc_base + (i / r) * r + desired)) {
-        stall_cause_[q] =
-            static_cast<std::uint8_t>(obs::StallCause::kMaskedArc);
-      }
-    }
-  }
-
-  /// The multipath counterpart: masked-arc only when the head's entire
-  /// equivalent-path group is masked (a surviving member would have been
-  /// a normal candidate — that is congestion, not a fault stall).
-  void refine_masked_group_stalls(int s, std::uint64_t cycle, std::size_t p0,
-                                  std::size_t p1, const fault::FaultMask* mask,
-                                  std::size_t arc_base, bool free,
-                                  std::uint32_t digit_scale,
-                                  const std::uint32_t* port_of_value) {
-    const unsigned r = radix_;
-    for (std::size_t i = p0; i < p1; ++i) {
-      const std::size_t q = queue_index(s, i);
-      if (queue_moved_[i] != 0 || stall_cause_[q] != 0) continue;
-      if (queues_.empty(q) || queues_.front_arrival(q) > cycle) continue;
-      unsigned base = 0;
-      unsigned count = r;
-      if (!free) {
-        const std::uint32_t dest = queues_.front_dest(q);
-        base = port_of_value[((dest / lradix_) / digit_scale) % lradix_] *
-               dilation_;
-        count = dilation_;
-      }
+      const PathGroup group = path_group(queues_.front_dest(q), route);
       bool all_masked = true;
-      for (unsigned k = 0; k < count; ++k) {
-        if (!mask->faulted_index(arc_base + (i / r) * r + base + k)) {
+      for (unsigned k = 0; k < group.count; ++k) {
+        if (!mask->faulted_index(arc_base + (i / r) * r + group.base + k)) {
           all_masked = false;
           break;
         }
@@ -1597,14 +1279,10 @@ SimResult run_fabric(const Engine& engine, SwitchingMode mode,
     args.looping = &looping.emplace(
         multipath::looping_configure(engine.fabric(), config.permutation));
   }
-  // Output-port arbiters choose among the radix * slots input buffers;
-  // multipath runs also arbitrate ejection per logical terminal over
-  // every plane's buffers.
-  const auto candidates = static_cast<unsigned>(radix * args.slots);
-  FabricCore core(engine, pattern, config, candidates,
-                  engine.multipath()
-                      ? static_cast<unsigned>(engine.planes()) * candidates
-                      : 0);
+  // Output-port arbiters choose among the radix * slots input buffers
+  // (the last stage's eject among every plane's, see FabricCore).
+  FabricCore core(engine, pattern, config,
+                  static_cast<unsigned>(radix * args.slots));
   SimWorkspace local;
   SimWorkspace& ws = workspace != nullptr ? *workspace : local;
   return wormhole ? run_wormhole(core, ws, args)

@@ -443,10 +443,15 @@ class Engine {
 
   /// An engine over a multipath fabric: packets carry *logical* terminal
   /// addresses while flits traverse the physical wiring, and at every
-  /// hop the discipline chooses among the fabric's equivalent-path group
-  /// (route_group) by the configured SimConfig::path_policy. A
-  /// kUnipath-wrapped fabric behaves exactly like the plain constructor
-  /// over the same banyan.
+  /// hop the discipline chooses among the out-ports that reach the
+  /// destination (any port at a free Benes connection, the dilation
+  /// group at a forced one) by the configured SimConfig::path_policy. A
+  /// kUnipath-wrapped fabric runs exactly like the plain constructor over
+  /// the same banyan as long as no injection is refused: a multipath
+  /// injector draws the packet before it checks the first-stage buffer
+  /// (its plane pick keys on the destination) and a refused attempt
+  /// discards that draw, while the unipath injector checks first, so
+  /// once an attempt is refused the two workload streams diverge.
   /// \throws std::invalid_argument if the fabric's geometry is out of
   /// simulator range.
   explicit Engine(min::MultiPathWiring fabric);
@@ -518,32 +523,6 @@ class Engine {
   /// Parallel arcs per logical link (> 1 only for dilated fabrics).
   [[nodiscard]] int dilation() const noexcept { return dilation_; }
 
-  /// The group of equivalent out-ports a packet for logical terminal
-  /// \p dest_terminal may take at physical connection \p stage of a
-  /// multipath fabric: ports base..base+count-1 all reach the
-  /// destination. Free connections return the whole switch
-  /// ({0, radix()}), forced ones the scheduled dilation group. The
-  /// path policies choose *within* this group. Multipath engines only;
-  /// \p stage must be an inner connection (the last stage ejects).
-  struct PortGroup {
-    unsigned base;
-    unsigned count;
-  };
-  [[nodiscard]] PortGroup route_group(int stage,
-                                      std::uint32_t dest_terminal) const {
-    if (free_stage_[static_cast<std::size_t>(stage)] != 0) {
-      return {0U, static_cast<unsigned>(wiring_.radix())};
-    }
-    const auto lr = static_cast<std::uint32_t>(logical_radix_);
-    const std::uint32_t dest_cell = dest_terminal / lr;
-    const std::uint32_t value =
-        (dest_cell / digit_scale_[static_cast<std::size_t>(stage)]) % lr;
-    const unsigned dil = static_cast<unsigned>(dilation_);
-    return {schedule_.port_of_value[static_cast<std::size_t>(stage)][value] *
-                dil,
-            dil};
-  }
-
   /// The out-port a packet for \p dest_terminal takes at \p stage: the
   /// scheduled destination digit at inner stages, the terminal's low
   /// digit at the last (ejection) stage. The radix-2 path is inline — a
@@ -577,8 +556,6 @@ class Engine {
   std::vector<std::uint32_t> digit_scale_;
   min::FlatWiring wiring_;
   std::optional<min::MultiPathWiring> fabric_;  ///< multipath engines only
-  /// Per-connection free flags (multipath engines; empty otherwise).
-  std::vector<std::uint8_t> free_stage_;
   /// Logical geometry, valid on every engine (== the physical geometry
   /// for unipath ones) so terminals()/address_digits() are branch-free.
   std::uint64_t terminals_ = 0;

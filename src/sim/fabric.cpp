@@ -1,5 +1,6 @@
 #include "sim/fabric.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace mineq::sim {
@@ -245,8 +246,7 @@ int LanePool::find_idle_lane(std::size_t first,
 }
 
 FabricCore::FabricCore(const Engine& engine, Pattern pattern,
-                       const SimConfig& config, unsigned arbiter_candidates,
-                       unsigned eject_candidates)
+                       const SimConfig& config, unsigned arbiter_candidates)
     : engine_(engine),
       config_(config),
       stages_(engine.wiring().stages()),
@@ -256,8 +256,12 @@ FabricCore::FabricCore(const Engine& engine, Pattern pattern,
              engine.wiring().cells_per_stage()),
       arbiters_(static_cast<std::size_t>(stages_) * ports_,
                 RoundRobin(arbiter_candidates)) {
-  if (eject_candidates > 0) {
-    eject_arbiters_.assign(terminals_, RoundRobin(eject_candidates));
+  if (engine.planes() > 1) {
+    // A replicated fabric's logical terminal ejects from every plane.
+    std::fill(arbiters_.end() - static_cast<std::ptrdiff_t>(ports_),
+              arbiters_.end(),
+              RoundRobin(static_cast<unsigned>(engine.planes()) *
+                         arbiter_candidates));
   }
   // Injection is delegated to a workload source (src/workload/). The
   // historic RNG stream layout — split 0 feeds the traffic source,

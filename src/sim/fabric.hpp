@@ -394,14 +394,12 @@ class FabricCore {
  public:
   /// \p arbiter_candidates is the candidate-ring size of every
   /// output-port arbiter (radix input slots for store-and-forward,
-  /// radix * lanes for wormhole). \p eject_candidates, when nonzero,
-  /// additionally allocates one ejection arbiter per *terminal* with
-  /// that ring size — the multipath policies arbitrate ejection per
-  /// logical terminal over planes * radix (* lanes) physical buffers,
-  /// which the per-(cell, port) stage arbiters cannot express. \p config
-  /// must already be validated.
+  /// radix * lanes for wormhole). The last stage's arbiters eject, one
+  /// per logical terminal, over the matching buffers of every plane:
+  /// planes * arbiter_candidates candidates each. \p config must already
+  /// be validated.
   FabricCore(const Engine& engine, Pattern pattern, const SimConfig& config,
-             unsigned arbiter_candidates, unsigned eject_candidates = 0);
+             unsigned arbiter_candidates);
 
   [[nodiscard]] const Engine& engine() const noexcept { return engine_; }
   [[nodiscard]] const SimConfig& config() const noexcept { return config_; }
@@ -421,15 +419,10 @@ class FabricCore {
     return config_.warmup_cycles + config_.measure_cycles;
   }
 
-  /// The arbiter of output port / candidate ring \p i at stage \p s.
+  /// The arbiter of output port / candidate ring \p i at stage \p s
+  /// (of logical terminal i at the last stage).
   [[nodiscard]] RoundRobin& arbiter(int s, std::size_t i) {
     return arbiters_[static_cast<std::size_t>(s) * ports_ + i];
-  }
-
-  /// The ejection arbiter of terminal \p t (only allocated when the
-  /// constructor was given a nonzero eject_candidates ring size).
-  [[nodiscard]] RoundRobin& eject_arbiter(std::size_t t) {
-    return eject_arbiters_[t];
   }
 
   // --- The workload seam (workload/workload.hpp). Injection decisions
@@ -545,7 +538,6 @@ class FabricCore {
   /// (moved into SimResult::workload_trace by finalize()).
   std::vector<workload::TraceRecord> recorded_;
   std::vector<RoundRobin> arbiters_;
-  std::vector<RoundRobin> eject_arbiters_;  ///< per terminal; multipath only
 };
 
 /// The common cycle loop. A Policy implements the four phases plus the

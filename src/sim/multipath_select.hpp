@@ -1,11 +1,12 @@
 /// \file multipath_select.hpp
-/// \brief The shared pieces of the path-selection seam both switching
-/// policies run on multipath fabrics.
+/// \brief The shared pieces of the route step both switching policies
+/// run at every hop.
 ///
-/// Both disciplines face the same choice at every hop of a multipath
-/// fabric: the engine's route_group names a set of equivalent out-ports
-/// (any port at a free Benes connection, the dilation group at a forced
-/// one), and the configured PathPolicy picks one. The deterministic
+/// Both disciplines face the same choice at every hop: PolicyBase's
+/// path_group names the out-ports that reach the destination (any port
+/// at a free Benes connection, the dilation group at a forced one, a
+/// single scheduled port on every unipath hop), and the configured
+/// PathPolicy picks one member of a wider group. The deterministic
 /// plane-hash and the fault-degraded in-group re-selection are pure
 /// functions of (destination, injection cycle, stage) and the mask, so
 /// they live here once; the occupancy metric of the adaptive policy is

@@ -5,12 +5,19 @@
 ///
 /// A discipline (StoreAndForwardPolicy in engine.cpp, WormholePolicy in
 /// wormhole.cpp) derives from PolicyBase and supplies only what moves its
-/// payload: its pool, the unipath and multipath eject / advance / inject
-/// kernels, the sample kernels and the replay of its deferred ejections.
-/// The base owns the per-feature state (fault view, credit ledger and
-/// arbiters, multipath geometry, observer and stall scratch), the
+/// payload: its pool, one eject, advance and inject kernel, its
+/// path-selection step, the sample kernels and the replay of its deferred
+/// ejections. The base owns the per-feature state (fault view, credit
+/// ledger and arbiters, multipath geometry, observer and stall scratch),
+/// the logical geometry and routing accessors the kernels read, the
 /// arbitration seam, the observability helpers, and the serial and
 /// sharded driver entry points that dispatch to those kernels.
+///
+/// A unipath banyan runs as the degenerate multipath fabric: one plane,
+/// dilation 1 and singleton route groups. The geometry accessors fold to
+/// those constants on unipath instantiations, so one kernel body per
+/// phase compiles to the unipath arithmetic there and to the multipath
+/// arithmetic on MultiPathWiring engines.
 ///
 /// Shared code never asks which discipline is calling: the differences
 /// arrive as data — the buffers behind each input port (one FIFO or
@@ -98,14 +105,11 @@ struct BufferHead {
 };
 
 /// The CRTP base of both switching policies. \p Derived implements, over
-/// cells [x0, x1) (logical cells for the multipath eject):
+/// cells [x0, x1) (logical cells for eject):
 ///   template <bool kShard> void eject_impl(cycle, measuring, x0, x1, wk);
-///   template <bool kShard> void eject_multipath_impl(...same...);
 ///   template <bool kShard> void advance_stage_impl(s, cycle, measuring,
 ///                                                  x0, x1, wk);
-///   template <bool kShard> void advance_stage_multipath_impl(...same...);
-///   void inject_unipath(cycle, measuring);
-///   void inject_multipath(cycle, measuring);
+///   void inject(cycle, measuring);
 ///   template <bool kShard> void sample_impl(cycle, w, n, wk);
 ///   void replay_ejects(cycle, measuring, ShardWorker&);  // worker 0
 ///   BufferHead head(b) const;             // non-empty buffer b
@@ -120,7 +124,10 @@ struct BufferHead {
 /// \tparam kCredits link-level credit flow control over a CreditLedger
 /// plus the pluggable output-port arbitration.
 /// \tparam kMultiPath logical terminal addresses over a MultiPathWiring's
-/// physical fabric (always general-radix and credit-less).
+/// physical fabric (always general-radix and credit-less). False folds
+/// the logical geometry to the physical one — planes() 1, dilation() 1,
+/// lradix() radix(), lcells() cells — and every route group to a
+/// singleton.
 /// \tparam kObs feeds an obs::Observer; the false instantiation carries
 /// no telemetry code at all.
 template <class Derived, bool kFaulted, bool kBinary, bool kCredits,
@@ -136,28 +143,20 @@ class PolicyBase {
   /// ledger's start-of-cycle harvest lives here.
   void eject(std::uint64_t cycle, bool measuring) {
     if constexpr (kCredits) credits_->deliver(cycle);
-    eject_range<false>(cycle, measuring, 0, eject_cells(), nullptr);
+    derived().template eject_impl<false>(cycle, measuring, 0, lcells(),
+                                         nullptr);
   }
 
-  /// Advance one switch stage. The policies hoist the stage's routing
-  /// schedule reads (and, faulted, the mask probes) to registers:
-  /// signed/unsigned TBAA cannot prove the pool stores don't alias the
-  /// Engine's schedule fields, so an Engine::route_port call in the probe
-  /// loop would reload them per probe.
+  /// Advance one switch stage. The kernels hoist the stage's routing
+  /// registers (stage_route) and, faulted, the mask probes.
   void advance_stage(int s, std::uint64_t cycle, bool measuring) {
-    advance_range<false>(s, cycle, measuring, 0, core_.cells(), nullptr);
+    derived().template advance_stage_impl<false>(s, cycle, measuring, 0,
+                                                 core_.cells(), nullptr);
   }
 
-  /// Inject at the first stage. A terminal whose source declines
-  /// (bursty-OFF, gate miss, closed window, no due trace record) makes no
-  /// attempt at all.
-  void inject(std::uint64_t cycle, bool measuring) {
-    if constexpr (kMultiPath) {
-      derived().inject_multipath(cycle, measuring);
-    } else {
-      derived().inject_unipath(cycle, measuring);
-    }
-  }
+  // Inject at the first stage is the Derived's own inject(cycle,
+  // measuring): a terminal whose source declines (bursty-OFF, gate miss,
+  // closed window, no due trace record) makes no attempt at all.
 
   /// Sample occupancy (measured cycles only); credit runs also audit the
   /// conservation invariant — credits held + credits in flight + units
@@ -186,22 +185,24 @@ class PolicyBase {
     }
   }
 
-  /// Multipath ejection arbitrates per LOGICAL terminal across planes, so
-  /// its partition is by logical cells; the physical buffers a logical
-  /// range touches are disjoint per-plane runs.
+  /// Ejection arbitrates per LOGICAL terminal across planes, so its
+  /// partition is by logical cells; the physical buffers a logical range
+  /// touches are disjoint per-plane runs.
   void shard_eject(std::uint64_t cycle, bool measuring, std::size_t w,
                    std::size_t n, ShardWorker& wk) {
     if constexpr (kObs) wk.obs_log = &obs_->log(w);
-    const auto [x0, x1] = shard_range(eject_cells(), w, n);
-    eject_range<true>(cycle, measuring, static_cast<std::uint32_t>(x0),
-                      static_cast<std::uint32_t>(x1), &wk);
+    const auto [x0, x1] = shard_range(lcells(), w, n);
+    derived().template eject_impl<true>(cycle, measuring,
+                                        static_cast<std::uint32_t>(x0),
+                                        static_cast<std::uint32_t>(x1), &wk);
   }
 
   void shard_advance(int s, std::uint64_t cycle, bool measuring,
                      std::size_t w, std::size_t n, ShardWorker& wk) {
     const auto [x0, x1] = shard_range(core_.cells(), w, n);
-    advance_range<true>(s, cycle, measuring, static_cast<std::uint32_t>(x0),
-                        static_cast<std::uint32_t>(x1), &wk);
+    derived().template advance_stage_impl<true>(
+        s, cycle, measuring, static_cast<std::uint32_t>(x0),
+        static_cast<std::uint32_t>(x1), &wk);
   }
 
   /// Worker 0's exclusive phase: replay the cycle's deferred ejection
@@ -220,7 +221,7 @@ class PolicyBase {
       wk.wl_events.clear();
     }
     core_.workload_tick(cycle, measuring);
-    inject(cycle, measuring);
+    derived().inject(cycle, measuring);
   }
 
   void shard_sample(std::uint64_t cycle, std::size_t w, std::size_t n,
@@ -314,6 +315,115 @@ class PolicyBase {
   /// Buffers across the whole fabric (stages * ports * slots).
   [[nodiscard]] std::size_t buffers() const {
     return static_cast<std::size_t>(core_.stages()) * core_.ports() * slots_;
+  }
+
+  // --- The logical geometry, folded to constants on unipath runs -------
+
+  /// Injection planes (> 1 only on replicated fabrics).
+  [[nodiscard]] unsigned planes() const noexcept {
+    if constexpr (kMultiPath) {
+      return planes_;
+    } else {
+      return 1U;
+    }
+  }
+  /// Parallel arcs per logical link (> 1 only on dilated fabrics).
+  [[nodiscard]] unsigned dilation() const noexcept {
+    if constexpr (kMultiPath) {
+      return dilation_;
+    } else {
+      return 1U;
+    }
+  }
+  /// The base of terminal addresses: a terminal's logical cell is
+  /// t / lradix() and its port there t % lradix().
+  [[nodiscard]] unsigned lradix() const noexcept {
+    if constexpr (kMultiPath) {
+      return lradix_;
+    } else {
+      return radix();
+    }
+  }
+  /// Logical cells per stage (terminals() / lradix()).
+  [[nodiscard]] std::uint32_t lcells() const noexcept {
+    if constexpr (kMultiPath) {
+      return lcells_;
+    } else {
+      return core_.cells();
+    }
+  }
+
+  /// The first-stage input port logical terminal \p t feeds in plane
+  /// \p plane: the first arc of port t % lradix() of its logical cell.
+  [[nodiscard]] std::size_t inject_port(std::uint64_t t,
+                                        unsigned plane) const {
+    const unsigned lr = lradix();
+    return (static_cast<std::size_t>(plane) * lcells() + t / lr) * radix() +
+           static_cast<std::size_t>(t % lr) * dilation();
+  }
+
+  // --- Routing: one route step per hop ---------------------------------
+
+  /// One connection's routing registers, read once per stage by the
+  /// kernels: signed/unsigned TBAA cannot prove the pool stores don't
+  /// alias the Engine's schedule fields, so reading them through the
+  /// Engine inside a probe loop would reload them per probe.
+  struct StageRoute {
+    bool ejects = false;  ///< the last stage: the terminal's low digit
+    bool free = false;    ///< any out-port reaches the destination
+    unsigned shift = 0;   ///< kBinary: the scheduled digit
+    unsigned invert = 0;  ///< kBinary: port_of_value[s][0]
+    std::uint32_t digit_scale = 1;
+    const std::uint32_t* port_of_value = nullptr;
+    /// The looping settings of a free connection (kLooping runs).
+    const std::uint8_t* settings = nullptr;
+  };
+
+  [[nodiscard]] StageRoute stage_route(int s) const {
+    StageRoute route;
+    if (s + 1 == core_.stages()) {
+      route.ejects = true;
+      return route;
+    }
+    const auto i = static_cast<std::size_t>(s);
+    const min::DigitSchedule& schedule = core_.engine().schedule();
+    if constexpr (kBinary) {
+      route.shift = static_cast<unsigned>(schedule.digit[i]);
+      route.invert = schedule.port_of_value[i][0];
+    } else {
+      route.digit_scale = core_.engine().route_digit_scale(s);
+      route.port_of_value = schedule.port_of_value[i].data();
+    }
+    if constexpr (kMultiPath) {
+      route.free = free_stage_[i] != 0;
+      if (route.free && path_policy_ == PathPolicy::kLooping) {
+        route.settings = looping_->settings[i].data();
+      }
+    }
+    return route;
+  }
+
+  /// The out-ports [base, base + count) that reach logical terminal
+  /// \p dest from an inner connection: the whole switch at a free
+  /// connection, else the dilation group of the scheduled digit — a
+  /// singleton on every unipath hop.
+  struct PathGroup {
+    unsigned base;
+    unsigned count;
+  };
+  [[nodiscard]] PathGroup path_group(std::uint32_t dest,
+                                     const StageRoute& route) const {
+    if constexpr (kMultiPath) {
+      if (route.free) return {0U, radix()};
+    }
+    if constexpr (kBinary) {
+      return {(((dest >> 1) >> route.shift) & 1U) ^ route.invert, 1U};
+    } else {
+      const unsigned lr = lradix();
+      return {route.port_of_value[((dest / lr) / route.digit_scale) % lr] *
+                  dilation(),
+              dilation()};
+    }
   }
 
   // --- The arbitration seam (kCredits only varies it) ------------------
@@ -420,7 +530,7 @@ class PolicyBase {
   }
   [[nodiscard]] std::uint8_t drain_phase(int s) const noexcept {
     return static_cast<std::uint8_t>(
-        1 + planes_ + 3 * static_cast<unsigned>(core_.stages() - 2 - s));
+        1 + planes() + 3 * static_cast<unsigned>(core_.stages() - 2 - s));
   }
   [[nodiscard]] std::uint8_t advance_phase(int s) const noexcept {
     return static_cast<std::uint8_t>(drain_phase(s) + 1);
@@ -430,7 +540,7 @@ class PolicyBase {
   }
   [[nodiscard]] std::uint8_t inject_phase() const noexcept {
     return static_cast<std::uint8_t>(
-        1 + planes_ + 3 * static_cast<unsigned>(core_.stages() - 1));
+        1 + planes() + 3 * static_cast<unsigned>(core_.stages() - 1));
   }
 
   FabricCore& core_;
@@ -460,39 +570,6 @@ class PolicyBase {
   /// Per-buffer StallCause scratch, written by the probe loops and read
   /// by the blocking scans — same writer partition as the buffers.
   std::vector<std::uint8_t> stall_cause_;  // kObs only
-
- private:
-  /// Cells an eject kernel partitions: logical cells on multipath runs.
-  [[nodiscard]] std::uint32_t eject_cells() const {
-    if constexpr (kMultiPath) {
-      return lcells_;
-    } else {
-      return core_.cells();
-    }
-  }
-
-  template <bool kShard>
-  void eject_range(std::uint64_t cycle, bool measuring, std::uint32_t x0,
-                   std::uint32_t x1, ShardWorker* wk) {
-    if constexpr (kMultiPath) {
-      derived().template eject_multipath_impl<kShard>(cycle, measuring, x0,
-                                                      x1, wk);
-    } else {
-      derived().template eject_impl<kShard>(cycle, measuring, x0, x1, wk);
-    }
-  }
-
-  template <bool kShard>
-  void advance_range(int s, std::uint64_t cycle, bool measuring,
-                     std::uint32_t x0, std::uint32_t x1, ShardWorker* wk) {
-    if constexpr (kMultiPath) {
-      derived().template advance_stage_multipath_impl<kShard>(
-          s, cycle, measuring, x0, x1, wk);
-    } else {
-      derived().template advance_stage_impl<kShard>(s, cycle, measuring, x0,
-                                                    x1, wk);
-    }
-  }
 };
 
 // The ladder below takes a discipline as a class whose member template

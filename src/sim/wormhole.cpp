@@ -31,11 +31,13 @@ namespace {
 ///    With a non-empty SL->VL map, worms travel in their fixed virtual
 ///    lane vl_of_sl(sl) at every hop instead of claiming the first idle
 ///    lane;
-///  - kMultiPath: a head resolves its next out-port by selecting within
-///    the fabric's equivalent-path group (free Benes connection, dilation
-///    group, injection plane) under the configured PathPolicy, and
-///    ejection arbitrates the planes * radix * lanes candidate lanes of
-///    each logical terminal;
+///  - kMultiPath: a head's route step (select_next_port) chooses its next
+///    out-port within the fabric's equivalent-path group (free Benes
+///    connection, dilation group) under the configured PathPolicy,
+///    injection picks a plane on replicated fabrics, and each logical
+///    terminal's eject arbiter spans planes * radix * lanes candidate
+///    lanes. Unipath instantiations run the same kernels with one plane
+///    and singleton groups;
 ///  - kObs: per-stage probe counters (per-flit hops here), trace events
 ///    keyed by (cycle, intra-cycle phase), flow records at tail ejection,
 ///    and a StallCause per blocked lane-cycle.
@@ -48,15 +50,17 @@ class WormholePolicy
   using Base = PolicyBase<WormholePolicy, kFaulted, kBinary, kCredits,
                           kMultiPath, kObs>;
   friend Base;
-  using Base::core_, Base::radix_, Base::length_, Base::link_counter_,
+  using Base::core_, Base::length_, Base::link_counter_,
       Base::shard_pool_delta_, Base::total_slots_, Base::faulted_,
       Base::credit_config_, Base::credits_, Base::service_levels_,
-      Base::lradix_, Base::lcells_, Base::planes_, Base::dilation_,
-      Base::path_policy_, Base::looping_, Base::free_stage_, Base::obs_,
-      Base::stall_cause_, Base::radix, Base::arb_candidate, Base::arb_grant,
-      Base::commit_probe_window, Base::kEjectPhase, Base::eject_stall_phase,
-      Base::drain_phase, Base::advance_phase, Base::stall_phase,
-      Base::inject_phase;
+      Base::path_policy_, Base::obs_, Base::stall_cause_, Base::radix,
+      Base::planes, Base::lradix, Base::lcells, Base::inject_port,
+      Base::stage_route, Base::path_group, Base::arb_candidate,
+      Base::arb_grant, Base::commit_probe_window, Base::kEjectPhase,
+      Base::eject_stall_phase, Base::drain_phase, Base::advance_phase,
+      Base::stall_phase, Base::inject_phase;
+  using StageRoute = typename Base::StageRoute;
+  using PathGroup = typename Base::PathGroup;
 
  public:
   WormholePolicy(FabricCore& core, SimWorkspace& workspace,
@@ -107,42 +111,229 @@ class WormholePolicy
     }
   }
 
+  /// Injection, at most one flit per terminal per cycle: logical terminal
+  /// t feeds the first arc of port t % lr of its logical cell t / lr (on
+  /// a unipath fabric, input slot t % r of cell t / r), in the plane the
+  /// path policy picks on replicated fabrics — hash of the destination,
+  /// or the plane with the emptiest injection lanes. A terminal
+  /// mid-packet keeps serializing into the lane it claimed; an idle
+  /// terminal draws the Bernoulli gate (bursty-OFF terminals skip the
+  /// attempt) and its head needs an idle lane or the packet is refused at
+  /// the source. Unipath runs claim the lane before drawing the packet;
+  /// multipath runs draw first, because the hashed plane pick keys on the
+  /// destination, and a refused attempt discards its draw.
+  void inject(std::uint64_t cycle, bool measuring) {
+    const unsigned r = radix();
+    const StageRoute route = stage_route(0);
+    const std::uint32_t* down_next =
+        route.ejects ? nullptr : core_.wiring().down_stage(0).data();
+    [[maybe_unused]] const fault::FaultMask* mask = nullptr;
+    if constexpr (kFaulted) mask = &faulted_.mask();
+    for (std::uint64_t t = 0; t < core_.terminals(); ++t) {
+      SourceState& src = sources_[t];
+      if (src.remaining > 0) {
+        const std::size_t l =
+            lane_index(0, src.port, static_cast<std::size_t>(src.lane));
+        bool room;
+        if constexpr (kCredits) {
+          room = credits_->available(l);
+          if (!room && measuring) {
+            ++core_.result.credit_stall_cycles;
+            if constexpr (kObs) ++obs_->log(0).credit[0];
+          }
+        } else {
+          room = pool_.has_space(l);
+        }
+        if (room) {
+          pool_.accept(l, make_flit(src.id, src.dest,
+                                    static_cast<std::uint32_t>(t),
+                                    src.inject_cycle, src.next_index, length_,
+                                    src.sl, src.tag));
+          if constexpr (kCredits) credits_->consume(l);
+          ++src.next_index;
+          --src.remaining;
+          if (measuring) ++core_.result.flits_injected;
+        }
+        continue;  // the source link is busy with the current packet
+      }
+      if (!core_.attempt(cycle, static_cast<std::uint32_t>(t))) continue;
+      if (measuring) ++core_.result.offered;
+      [[maybe_unused]] unsigned sl = 0;
+      workload::Injection packet;
+      std::size_t port = t;
+      int lane = -1;
+      if constexpr (kMultiPath) {
+        packet = core_.draw(cycle, static_cast<std::uint32_t>(t));
+        if (planes() == 1) {
+          port = inject_port(t, 0);
+          lane = pool_.find_idle_lane(lane_index(0, port, 0), lanes_);
+        } else if (path_policy_ == PathPolicy::kAdaptive) {
+          std::size_t best = 0;
+          for (unsigned plane = 0; plane < planes(); ++plane) {
+            const std::size_t candidate = inject_port(t, plane);
+            const int idle =
+                pool_.find_idle_lane(lane_index(0, candidate, 0), lanes_);
+            if (idle < 0) continue;
+            std::size_t occupancy = 0;
+            for (std::size_t ln = 0; ln < lanes_; ++ln) {
+              occupancy += pool_.count(lane_index(0, candidate, ln));
+            }
+            if (lane < 0 || occupancy < best) {
+              best = occupancy;
+              port = candidate;
+              lane = idle;
+            }
+          }
+        } else {
+          const auto plane = static_cast<unsigned>(
+              path_mix(packet.dest, cycle, t) % planes());
+          port = inject_port(t, plane);
+          lane = pool_.find_idle_lane(lane_index(0, port, 0), lanes_);
+        }
+        if (lane < 0) continue;  // refused at source
+      } else {
+        if constexpr (kCredits) {
+          sl = static_cast<unsigned>(t % service_levels_);
+          if (!credit_config_->sl_map.empty()) {
+            // Fixed virtual lane per service level.
+            lane = static_cast<int>(credit_config_->vl_of_sl(sl));
+            if (!pool_.idle(lane_index(0, t, static_cast<std::size_t>(lane)))) {
+              continue;  // refused at source: its lane is held
+            }
+          } else {
+            lane = pool_.find_idle_lane(lane_index(0, t, 0), lanes_);
+            if (lane < 0) continue;  // refused at source
+          }
+          if (!credits_->available(
+                  lane_index(0, t, static_cast<std::size_t>(lane)))) {
+            if (measuring) {
+              ++core_.result.credit_stall_cycles;
+              if constexpr (kObs) ++obs_->log(0).credit[0];
+            }
+            continue;  // lane free, credits not returned yet
+          }
+        } else {
+          lane = pool_.find_idle_lane(lane_index(0, t, 0), lanes_);
+          if (lane < 0) continue;  // refused at source
+        }
+        packet = core_.draw(cycle, static_cast<std::uint32_t>(t));
+      }
+      const std::uint32_t dest = packet.dest;
+      const std::uint32_t id = next_packet_id_++;
+      const Flit head = make_flit(id, dest, static_cast<std::uint32_t>(t),
+                                  cycle, 0, length_, sl, packet.tag);
+      const std::size_t l = lane_index(0, port, static_cast<std::size_t>(lane));
+      int reroute_kind = 0;
+      accept_head<false>(
+          l, head, 0, static_cast<std::uint32_t>(port / r),
+          select_next_port(route, 0, static_cast<std::uint32_t>(port), head,
+                           down_next, mask, reroute_kind),
+          measuring, nullptr, cycle, inject_phase());
+      if constexpr (kFaulted) {
+        if (reroute_kind == 1 && measuring &&
+            cycle >= core_.config().warmup_cycles) {
+          ++core_.result.path_reroutes;
+          if constexpr (kObs) {
+            ++obs_->log(0).reroute[0];
+            if (obs_->traced(static_cast<std::uint32_t>(t), cycle)) {
+              trace_push<false>(obs_, nullptr, cycle, cycle,
+                                static_cast<std::uint32_t>(t), dest,
+                                obs::TraceEventKind::kReroute, 0, 0,
+                                inject_phase());
+            }
+          }
+        }
+      }
+      if constexpr (kCredits) credits_->consume(l);
+      core_.commit(cycle, static_cast<std::uint32_t>(t), packet);
+      src.dest = dest;
+      src.id = id;
+      src.inject_cycle = cycle;
+      src.next_index = 1;
+      src.remaining = length_ - 1;
+      src.lane = lane;
+      src.port = port;
+      src.sl = sl;
+      src.tag = packet.tag;
+      if (measuring) {
+        ++core_.result.injected;
+        ++core_.result.flits_injected;
+        if constexpr (kObs) {
+          // Injection is always a serial phase: log 0 is the sink in
+          // both drivers, keeping trace bytes thread-count invariant.
+          if (obs_->traced(static_cast<std::uint32_t>(t), cycle)) {
+            trace_push<false>(obs_, nullptr, cycle, cycle,
+                              static_cast<std::uint32_t>(t), dest,
+                              obs::TraceEventKind::kPacketBegin, 0, 0,
+                              inject_phase());
+            trace_push<false>(obs_, nullptr, cycle, cycle,
+                              static_cast<std::uint32_t>(t), dest,
+                              obs::TraceEventKind::kStageBegin, 0, 0,
+                              inject_phase());
+          }
+        }
+      }
+    }
+  }
+
  private:
-  /// The eject kernel over cells [x0, x1): one flit per terminal port per
-  /// cycle, round-robin over the radix*lanes candidate lanes. Ejection links
-  /// are terminal attachments, not wiring arcs, so they cannot fault. Sharded
-  /// (kShard), every order-sensitive sink — the observer call, the Welford
-  /// latency adds, the per-SL latency — defers into the worker's event buffer
-  /// for the serial-phase replay; order-independent counters accumulate into
-  /// the worker's partial.
+  /// The eject kernel over logical cells [lx0, lx1): one flit per
+  /// terminal per cycle, granted by the terminal's arbiter among the
+  /// planes * radix * lanes last-stage lanes of its logical cell (a worm
+  /// may arrive on any arc of its dilation group and in any plane; on a
+  /// unipath fabric, the radix * lanes lanes of the cell). Ejection links
+  /// are terminal attachments, not wiring arcs, so they cannot fault. A
+  /// logical-cell range owns one contiguous physical run per plane, so
+  /// sharded ranges stay single-writer. Sharded (kShard), every
+  /// order-sensitive sink — the observer call, the Welford latency adds,
+  /// the per-SL latency — defers into the worker's event buffer for the
+  /// serial-phase replay; order-independent counters accumulate into the
+  /// worker's partial.
   template <bool kShard>
-  void eject_impl(std::uint64_t cycle, bool measuring, std::uint32_t x0,
-                  std::uint32_t x1, ShardWorker* wk) {
+  void eject_impl(std::uint64_t cycle, bool measuring, std::uint32_t lx0,
+                  std::uint32_t lx1, ShardWorker* wk) {
     const int last = core_.stages() - 1;
     const unsigned r = radix();
+    const unsigned lr = lradix();
     SimResult& res = shard_result<kShard>(core_, wk);
-    const unsigned candidates =
+    const auto per_cell =
         static_cast<unsigned>(static_cast<std::size_t>(r) * lanes_);
-    for (std::uint32_t x = x0; x < x1; ++x) {
-      for (unsigned port = 0; port < r; ++port) {
+    const unsigned candidates = planes() * per_cell;
+    // The lane behind eject candidate c of logical cell lx: lane c % lanes
+    // of slot (c % per_cell) / lanes of the cell's copy in plane
+    // c / per_cell.
+    const auto eject_lane = [&](std::uint32_t lx, unsigned c) {
+      unsigned plane = 0;
+      unsigned within = c;
+      if (planes() > 1) {
+        plane = c / per_cell;
+        within = c % per_cell;
+      }
+      return lane_index(
+          last,
+          (static_cast<std::size_t>(plane) * lcells() + lx) * r +
+              within / lanes_,
+          c % lanes_);
+    };
+    for (std::uint32_t lx = lx0; lx < lx1; ++lx) {
+      for (unsigned j = 0; j < lr; ++j) {
+        const std::uint32_t term = lx * lr + j;
         // Strict priority scans the ready candidates first: only a worm
         // of the highest ready weight class may win this cycle.
         [[maybe_unused]] unsigned need_weight = 0;
         if constexpr (kCredits) {
           if (credit_config_->arbitration == ArbitrationPolicy::kPriority) {
             for (unsigned c = 0; c < candidates; ++c) {
-              const std::size_t l =
-                  lane_index(last, x * r + c / lanes_, c % lanes_);
-              if (pool_.empty(l) || pool_.out_port(l) != port) continue;
+              const std::size_t l = eject_lane(lx, c);
+              if (pool_.empty(l) || pool_.out_port(l) != j) continue;
               need_weight = std::max(need_weight, flit_weight(l));
             }
           }
         }
         for (unsigned probe = 0; probe < candidates; ++probe) {
-          const unsigned c = arb_candidate(last, x * r + port, probe);
-          const std::size_t l =
-              lane_index(last, x * r + c / lanes_, c % lanes_);
-          if (pool_.empty(l) || pool_.out_port(l) != port) continue;
+          const unsigned c = arb_candidate(last, term, probe);
+          const std::size_t l = eject_lane(lx, c);
+          if (pool_.empty(l) || pool_.out_port(l) != j) continue;
           [[maybe_unused]] unsigned vl = 0;
           if constexpr (kCredits) {
             vl = credit_config_->vl_of_sl(
@@ -155,7 +346,7 @@ class WormholePolicy
           }
           const Flit flit = shard_pop<kShard>(l, wk);
           if constexpr (kCredits) credits_->give_back(l, cycle);
-          arb_grant(last, x * r + port, c, vl);
+          arb_grant(last, term, c, vl);
           const bool counted =
               measuring && flit.inject_cycle >= core_.config().warmup_cycles;
           if (counted) ++res.flits_delivered;
@@ -188,8 +379,7 @@ class WormholePolicy
           if constexpr (kFaulted) {
             // A detoured worm ejects at whatever terminal the surviving
             // route reached; count the miss.
-            if (counted && flit.is_tail() &&
-                (flit.dest_terminal / r) != x) {
+            if (counted && flit.is_tail() && (flit.dest_terminal / lr) != lx) {
               ++res.packets_misdelivered;
             }
           }
@@ -200,7 +390,7 @@ class WormholePolicy
             // the flit alone on faulted detours.
             const workload::Delivery delivery{
                 static_cast<std::uint32_t>(flit.src), flit.dest_terminal,
-                x * r + port, flit.inject_cycle, cycle + 1,
+                term, flit.inject_cycle, cycle + 1,
                 static_cast<std::uint8_t>(flit.tag), counted};
             if constexpr (kShard) {
               wk->wl_events.push_back(delivery);
@@ -238,18 +428,25 @@ class WormholePolicy
       }
     }
     const std::size_t first = lane_index(last, 0, 0);
-    account_stage<kShard>(cycle, measuring,
-                          first + static_cast<std::size_t>(x0) * r * lanes_,
-                          first + static_cast<std::size_t>(x1) * r * lanes_,
-                          wk, last, eject_stall_phase(0));
+    for (unsigned plane = 0; plane < planes(); ++plane) {
+      const std::size_t run =
+          static_cast<std::size_t>(plane) * lcells() * r * lanes_;
+      account_stage<kShard>(
+          cycle, measuring,
+          first + run + static_cast<std::size_t>(lx0) * r * lanes_,
+          first + run + static_cast<std::size_t>(lx1) * r * lanes_, wk, last,
+          eject_stall_phase(plane));
+    }
   }
 
-  /// The advance kernel over cells [x0, x1) of stage \p s: one flit per output
-  /// link per cycle; heads claim an idle downstream lane, body/tail flits
-  /// follow the reservation. Safe to shard by cell ranges: a worker pushes only
-  /// into stage-(s+1) lanes reached through its own cells' arcs, and the
-  /// perfect-matching property makes each of those lanes single-writer for the
-  /// whole phase.
+  /// The advance kernel over cells [x0, x1) of stage \p s: one flit per
+  /// output link per cycle; heads claim an idle downstream lane and
+  /// resolve their stage-(s+1) out-port by the route step
+  /// (select_next_port), body/tail flits follow the reservation. Safe to
+  /// shard by cell ranges: a worker pushes only into stage-(s+1) lanes
+  /// reached through its own cells' arcs, and the perfect-matching
+  /// property makes each of those lanes single-writer for the whole
+  /// phase.
   template <bool kShard>
   void advance_stage_impl(int s, [[maybe_unused]] std::uint64_t cycle,
                           bool measuring, std::uint32_t x0, std::uint32_t x1,
@@ -257,36 +454,12 @@ class WormholePolicy
     const unsigned r = radix();
     [[maybe_unused]] SimResult& res = shard_result<kShard>(core_, wk);
     const auto down = core_.wiring().down_stage(s);
-    // Routing constants for the target stage s + 1, where an advancing
-    // head resolves its next out-port (ejection port when s + 1 is the
-    // last stage).
-    const bool target_ejects = s + 2 == core_.stages();
-    unsigned bit_shift = 0;
-    unsigned bit_invert = 0;
-    std::uint32_t digit_scale = 1;
-    const std::uint32_t* port_of_value = nullptr;
-    if (!target_ejects) {
-      const std::vector<unsigned>& stage_map =
-          core_.engine()
-              .schedule()
-              .port_of_value[static_cast<std::size_t>(s + 1)];
-      if constexpr (kBinary) {
-        bit_shift = static_cast<unsigned>(
-            core_.engine().schedule().digit[static_cast<std::size_t>(s + 1)]);
-        bit_invert = stage_map[0];
-      } else {
-        digit_scale = core_.engine().route_digit_scale(s + 1);
-        port_of_value = stage_map.data();
-      }
-    }
-    const auto route_next = [&](std::uint32_t dest) -> unsigned {
-      if (target_ejects) return dest % r;
-      if constexpr (kBinary) {
-        return (((dest >> 1) >> bit_shift) & 1U) ^ bit_invert;
-      } else {
-        return port_of_value[((dest / r) / digit_scale) % r];
-      }
-    };
+    // Routing registers for the target stage s + 1, where an advancing
+    // head resolves its next out-port (the ejection port when s + 1 is
+    // the last stage), and the child records the adaptive metric reads.
+    const StageRoute route = stage_route(s + 1);
+    const std::uint32_t* down_next =
+        route.ejects ? nullptr : core_.wiring().down_stage(s + 1).data();
     // Faulted: arc bit index = stage base + the record's array offset
     // (FaultMask::arc_index's layout), with the policy's folded radix.
     [[maybe_unused]] std::size_t arc_base = 0;
@@ -403,10 +576,13 @@ class WormholePolicy
             const Flit flit = shard_pop<kShard>(l, wk);
             if constexpr (kCredits) credits_->give_back(l, cycle);
             if (!flit.is_tail()) pool_.set_downstream(l, down_lane);
+            int reroute_kind = 0;
             accept_head<kShard>(
                 target_first + static_cast<std::size_t>(down_lane), flit,
-                s + 1, record / r, route_next(flit.dest_terminal), measuring,
-                wk, cycle, advance_phase(s));
+                s + 1, record / r,
+                select_next_port(route, s + 1, record, flit, down_next, mask,
+                                 reroute_kind),
+                measuring, wk, cycle, advance_phase(s));
             if constexpr (kObs) {
               if (flit.inject_cycle >= core_.config().warmup_cycles &&
                   obs_->traced(static_cast<std::uint32_t>(flit.src),
@@ -423,6 +599,25 @@ class WormholePolicy
                                    obs::TraceEventKind::kStageBegin,
                                    static_cast<std::uint8_t>(s + 1), 0,
                                    advance_phase(s));
+              }
+            }
+            if constexpr (kFaulted) {
+              if (reroute_kind == 1 && measuring &&
+                  flit.inject_cycle >= core_.config().warmup_cycles) {
+                ++res.path_reroutes;
+                if constexpr (kObs) {
+                  ++obs_log<kShard>(obs_, wk)
+                        .reroute[static_cast<std::size_t>(s)];
+                  if (obs_->traced(static_cast<std::uint32_t>(flit.src),
+                                   flit.inject_cycle)) {
+                    trace_push<kShard>(obs_, wk, cycle, flit.inject_cycle,
+                                       static_cast<std::uint32_t>(flit.src),
+                                       flit.dest_terminal,
+                                       obs::TraceEventKind::kReroute,
+                                       static_cast<std::uint8_t>(s), 0,
+                                       advance_phase(s));
+                  }
+                }
               }
             }
             if constexpr (kCredits) {
@@ -480,109 +675,74 @@ class WormholePolicy
                           wk, s, stall_phase(s));
   }
 
-  /// Unipath injection: terminal t feeds slot t % r of cell t / r, at
-  /// most one flit per cycle. A terminal mid-packet keeps serializing
-  /// into the claimed lane; an idle terminal draws the Bernoulli gate
-  /// (bursty-OFF terminals skip the attempt) and its head needs an idle
-  /// lane or the packet is refused at the source.
-  void inject_unipath(std::uint64_t cycle, bool measuring) {
+  /// The route step: the out-port the head entering stage \p next_s on
+  /// record \p record (cell * r + input slot) will take — the terminal's
+  /// low digit at the ejection stage, the scheduled port of a singleton
+  /// group (every hop of a unipath fabric), else a member of the
+  /// equivalent-path group chosen by the configured policy. Faulted, a
+  /// masked choice re-selects among the surviving group members
+  /// (\p reroute_kind = 1); a fully-masked group returns its scheduled
+  /// base and lets accept_head run the unipath out-of-group detour (or
+  /// the dead-switch drop).
+  [[nodiscard]] unsigned select_next_port(
+      const StageRoute& route, int next_s, std::uint32_t record,
+      const Flit& flit, const std::uint32_t* down_next,
+      [[maybe_unused]] const fault::FaultMask* mask, int& reroute_kind) {
+    reroute_kind = 0;
+    if (route.ejects) return flit.dest_terminal % lradix();
+    const PathGroup group = path_group(flit.dest_terminal, route);
+    if (group.count == 1) return group.base;
     const unsigned r = radix();
-    for (std::uint64_t t = 0; t < core_.terminals(); ++t) {
-      SourceState& src = sources_[t];
-      if (src.remaining > 0) {
-        const std::size_t l =
-            lane_index(0, t, static_cast<std::size_t>(src.lane));
-        bool room;
-        if constexpr (kCredits) {
-          room = credits_->available(l);
-          if (!room && measuring) {
-            ++core_.result.credit_stall_cycles;
-            if constexpr (kObs) ++obs_->log(0).credit[0];
-          }
-        } else {
-          room = pool_.has_space(l);
+    const std::uint32_t y = record / r;
+    const std::size_t arc_row =
+        static_cast<std::size_t>(next_s) * core_.ports() + y * r;
+    if (path_policy_ == PathPolicy::kAdaptive) {
+      // Least-occupancy: the group member whose downstream lanes hold
+      // the fewest flits (ties to the lowest port). Masked arcs are not
+      // candidates — adaptivity subsumes in-group re-selection.
+      int chosen = -1;
+      std::size_t best = 0;
+      for (unsigned k = 0; k < group.count; ++k) {
+        const unsigned p = group.base + k;
+        if constexpr (kFaulted) {
+          if (mask->faulted_index(arc_row + p)) continue;
         }
-        if (room) {
-          pool_.accept(l, make_flit(src.id, src.dest,
-                                    static_cast<std::uint32_t>(t),
-                                    src.inject_cycle, src.next_index, length_,
-                                    src.sl, src.tag));
-          if constexpr (kCredits) credits_->consume(l);
-          ++src.next_index;
-          --src.remaining;
-          if (measuring) ++core_.result.flits_injected;
+        std::size_t occupancy = 0;
+        const std::size_t down_first =
+            lane_index(next_s + 1, down_next[y * r + p], 0);
+        for (std::size_t ln = 0; ln < lanes_; ++ln) {
+          occupancy += pool_.count(down_first + ln);
         }
-        continue;  // the source link is busy with the current packet
+        if (chosen < 0 || occupancy < best) {
+          best = occupancy;
+          chosen = static_cast<int>(p);
+        }
       }
-      if (!core_.attempt(cycle, static_cast<std::uint32_t>(t))) continue;
-      if (measuring) ++core_.result.offered;
-      [[maybe_unused]] unsigned sl = 0;
-      int lane;
-      if constexpr (kCredits) {
-        sl = static_cast<unsigned>(t % service_levels_);
-        if (!credit_config_->sl_map.empty()) {
-          // Fixed virtual lane per service level.
-          lane = static_cast<int>(credit_config_->vl_of_sl(sl));
-          if (!pool_.idle(lane_index(0, t, static_cast<std::size_t>(lane)))) {
-            continue;  // refused at source: its lane is held
-          }
-        } else {
-          lane = pool_.find_idle_lane(lane_index(0, t, 0), lanes_);
-          if (lane < 0) continue;  // refused at source
-        }
-        if (!credits_->available(
-                lane_index(0, t, static_cast<std::size_t>(lane)))) {
-          if (measuring) {
-            ++core_.result.credit_stall_cycles;
-            if constexpr (kObs) ++obs_->log(0).credit[0];
-          }
-          continue;  // lane free, credits not returned yet
-        }
-      } else {
-        lane = pool_.find_idle_lane(lane_index(0, t, 0), lanes_);
-        if (lane < 0) continue;  // refused at source
-      }
-      const workload::Injection packet =
-          core_.draw(cycle, static_cast<std::uint32_t>(t));
-      const std::uint32_t dest = packet.dest;
-      const std::uint32_t id = next_packet_id_++;
-      accept_head<false>(lane_index(0, t, static_cast<std::size_t>(lane)),
-                         make_flit(id, dest, static_cast<std::uint32_t>(t),
-                                   cycle, 0, length_, sl, packet.tag),
-                         0, static_cast<std::uint32_t>(t / r),
-                         core_.engine().route_port(0, dest), measuring,
-                         nullptr, cycle, inject_phase());
-      if constexpr (kCredits) {
-        credits_->consume(lane_index(0, t, static_cast<std::size_t>(lane)));
-      }
-      core_.commit(cycle, static_cast<std::uint32_t>(t), packet);
-      src.dest = dest;
-      src.id = id;
-      src.inject_cycle = cycle;
-      src.next_index = 1;
-      src.remaining = length_ - 1;
-      src.lane = lane;
-      src.sl = sl;
-      src.tag = packet.tag;
-      if (measuring) {
-        ++core_.result.injected;
-        ++core_.result.flits_injected;
-        if constexpr (kObs) {
-          // Injection is always a serial phase: log 0 is the sink in
-          // both drivers, keeping trace bytes thread-count invariant.
-          if (obs_->traced(static_cast<std::uint32_t>(t), cycle)) {
-            trace_push<false>(obs_, nullptr, cycle, cycle,
-                              static_cast<std::uint32_t>(t), dest,
-                              obs::TraceEventKind::kPacketBegin, 0, 0,
-                              inject_phase());
-            trace_push<false>(obs_, nullptr, cycle, cycle,
-                              static_cast<std::uint32_t>(t), dest,
-                              obs::TraceEventKind::kStageBegin, 0, 0,
-                              inject_phase());
-          }
+      if (chosen >= 0) return static_cast<unsigned>(chosen);
+      return group.base;  // whole group masked: accept_head detours or drops
+    }
+    unsigned desired;
+    if (route.settings != nullptr) {
+      desired = route.settings[static_cast<std::size_t>(y) * lradix() +
+                               record % r];
+    } else {
+      desired = group.base +
+                static_cast<unsigned>(
+                    path_mix(flit.dest_terminal, flit.inject_cycle,
+                             static_cast<std::uint64_t>(next_s)) %
+                    group.count);
+    }
+    if constexpr (kFaulted) {
+      if (mask->faulted_index(arc_row + desired)) {
+        const int member = surviving_group_member(*mask, arc_row, group.base,
+                                                  group.count, desired);
+        if (member >= 0) {
+          reroute_kind = 1;
+          return static_cast<unsigned>(member);
         }
       }
     }
+    return desired;
   }
 
   /// The sample kernel over worker \p w's share of the lane links.
@@ -723,9 +883,10 @@ class WormholePolicy
       ++link_counter_;
     }
   }
+
   /// Per-terminal injection state: the packet currently serializing into
-  /// the first stage (flits are materialized on the fly) and the lane
-  /// that worm claimed.
+  /// the first stage (flits are materialized on the fly) and the input
+  /// port and lane that worm claimed.
   struct SourceState {
     std::uint32_t dest = 0;
     std::uint32_t id = 0;
@@ -735,506 +896,8 @@ class WormholePolicy
     int lane = -1;
     unsigned sl = 0;  // service level of the serializing packet
     unsigned tag = 0;  // workload tag carried by every flit of the packet
-    std::size_t port = 0;  // claimed physical input port (kMultiPath only)
+    std::size_t port = 0;  // claimed first-stage input port
   };
-
-  /// Multipath ejection: logical terminal lx * lr + j arbitrates over
-  /// the planes * radix * lanes last-stage lanes of its logical cell (a
-  /// worm may arrive on any arc of its dilation group and in any
-  /// plane), one flit per terminal per cycle, per-terminal round-robin
-  /// so no plane starves.
-  /// The multipath eject kernel over logical cells [lx0, lx1): a logical
-  /// cell's candidate lanes live at the same offset of every plane, so a
-  /// logical-cell range owns planes_ disjoint physical runs — still
-  /// single-writer under sharding.
-  template <bool kShard>
-  void eject_multipath_impl(std::uint64_t cycle, bool measuring,
-                            std::uint32_t lx0, std::uint32_t lx1,
-                            ShardWorker* wk) {
-    const int last = core_.stages() - 1;
-    const unsigned r = radix_;
-    const unsigned candidates = static_cast<unsigned>(
-        static_cast<std::size_t>(planes_) * r * lanes_);
-    [[maybe_unused]] SimResult& res = shard_result<kShard>(core_, wk);
-    for (std::uint32_t lx = lx0; lx < lx1; ++lx) {
-      for (unsigned j = 0; j < lradix_; ++j) {
-        const std::size_t term =
-            static_cast<std::size_t>(lx) * lradix_ + j;
-        RoundRobin& arb = core_.eject_arbiter(term);
-        for (unsigned probe = 0; probe < candidates; ++probe) {
-          const unsigned c = arb.candidate(probe);
-          const unsigned per_plane =
-              static_cast<unsigned>(r * lanes_);
-          const std::uint32_t cell =
-              (c / per_plane) * lcells_ + lx;
-          const unsigned slot =
-              (c % per_plane) / static_cast<unsigned>(lanes_);
-          const std::size_t l =
-              lane_index(last, static_cast<std::size_t>(cell) * r + slot,
-                         c % lanes_);
-          if (pool_.empty(l) || pool_.out_port(l) != j) continue;
-          const Flit flit = shard_pop<kShard>(l, wk);
-          arb.grant(c);
-          const bool counted =
-              measuring && flit.inject_cycle >= core_.config().warmup_cycles;
-          if (counted) ++res.flits_delivered;
-          if constexpr (kObs) {
-            if (measuring) {
-              ++obs_log<kShard>(obs_, wk).hops[static_cast<std::size_t>(last)];
-            }
-            if (flit.inject_cycle >= core_.config().warmup_cycles &&
-                obs_->traced(static_cast<std::uint32_t>(flit.src),
-                             flit.inject_cycle)) {
-              if (flit.is_head()) {
-                trace_push<kShard>(obs_, wk, cycle, flit.inject_cycle,
-                                   static_cast<std::uint32_t>(flit.src),
-                                   flit.dest_terminal,
-                                   obs::TraceEventKind::kStageEnd,
-                                   static_cast<std::uint8_t>(last), 0,
-                                   kEjectPhase);
-              }
-              if (flit.is_tail()) {
-                trace_push<kShard>(obs_, wk, cycle, flit.inject_cycle,
-                                   static_cast<std::uint32_t>(flit.src),
-                                   flit.dest_terminal,
-                                   obs::TraceEventKind::kPacketEnd, 0, 0,
-                                   kEjectPhase);
-              }
-            }
-          }
-          if constexpr (kFaulted) {
-            if (counted && flit.is_tail() &&
-                (flit.dest_terminal / lradix_) != lx) {
-              ++res.packets_misdelivered;
-            }
-          }
-          if (flit.is_tail() && core_.wants_deliveries()) {
-            const workload::Delivery delivery{
-                static_cast<std::uint32_t>(flit.src), flit.dest_terminal,
-                static_cast<std::uint32_t>(term), flit.inject_cycle,
-                cycle + 1, static_cast<std::uint8_t>(flit.tag), counted};
-            if constexpr (kShard) {
-              wk->wl_events.push_back(delivery);
-            } else {
-              core_.workload_delivered(delivery);
-            }
-          }
-          if constexpr (kShard) {
-            if (observer_ || (counted && flit.is_tail())) {
-              wk->wh_events.push_back(flit);
-            }
-          } else {
-            if (observer_) observer_(flit, cycle);
-            if (counted && flit.is_tail()) {
-              const double latency =
-                  static_cast<double>(cycle - flit.inject_cycle + 1);
-              core_.record_packet_delivered(latency);
-              if constexpr (kObs) {
-                if (obs_->flows_on()) {
-                  obs_->record_flow(static_cast<std::uint32_t>(flit.src),
-                                    flit.dest_terminal, 0, latency);
-                }
-              }
-            }
-          }
-          break;
-        }
-      }
-    }
-    // The per-plane physical runs this logical range owns.
-    const std::size_t first = lane_index(last, 0, 0);
-    for (unsigned plane = 0; plane < planes_; ++plane) {
-      const std::size_t run =
-          static_cast<std::size_t>(plane) * lcells_ * r * lanes_;
-      account_stage<kShard>(
-          cycle, measuring,
-          first + run + static_cast<std::size_t>(lx0) * r * lanes_,
-          first + run + static_cast<std::size_t>(lx1) * r * lanes_, wk, last,
-          eject_stall_phase(plane));
-    }
-  }
-
-  /// Multipath advancement: identical link/lane mechanics to the
-  /// unipath loop, but an advancing head resolves its stage-(s+1)
-  /// out-port by selecting within the fabric's equivalent-path group
-  /// (select_next_port) instead of reading a single scheduled port.
-  template <bool kShard>
-  void advance_stage_multipath_impl(int s, std::uint64_t cycle,
-                                    bool measuring, std::uint32_t x0,
-                                    std::uint32_t x1, ShardWorker* wk) {
-    const unsigned r = radix_;
-    [[maybe_unused]] SimResult& res = shard_result<kShard>(core_, wk);
-    const auto down = core_.wiring().down_stage(s);
-    const bool target_ejects = s + 2 == core_.stages();
-    // Routing constants for the target stage s + 1: the free flag, the
-    // forced-group schedule reads, the looping settings row, and (for
-    // the adaptive metric) the stage-(s+1) child records.
-    bool next_free = false;
-    std::uint32_t digit_scale = 1;
-    const std::uint32_t* port_of_value = nullptr;
-    const std::uint8_t* settings = nullptr;
-    const std::uint32_t* down_next = nullptr;
-    if (!target_ejects) {
-      next_free = free_stage_[static_cast<std::size_t>(s + 1)] != 0;
-      if (!next_free) {
-        digit_scale = core_.engine().route_digit_scale(s + 1);
-        port_of_value = core_.engine()
-                            .schedule()
-                            .port_of_value[static_cast<std::size_t>(s + 1)]
-                            .data();
-      } else if (path_policy_ == PathPolicy::kLooping) {
-        settings =
-            looping_->settings[static_cast<std::size_t>(s + 1)].data();
-      }
-      if (path_policy_ == PathPolicy::kAdaptive) {
-        down_next = core_.wiring().down_stage(s + 1).data();
-      }
-    }
-    [[maybe_unused]] std::size_t arc_base = 0;
-    [[maybe_unused]] const fault::FaultMask* mask = nullptr;
-    if constexpr (kFaulted) {
-      drain_dropping<kShard>(s, cycle, measuring, x0, x1, wk);
-      arc_base = static_cast<std::size_t>(s) * core_.ports();
-      mask = &faulted_.mask();
-    }
-    if constexpr (kObs) {
-      const std::size_t sfirst = lane_index(s, 0, 0);
-      std::fill(
-          stall_cause_.begin() + sfirst + static_cast<std::size_t>(x0) * r *
-                                              lanes_,
-          stall_cause_.begin() + sfirst + static_cast<std::size_t>(x1) * r *
-                                              lanes_,
-          0);
-    }
-    const unsigned candidates =
-        static_cast<unsigned>(static_cast<std::size_t>(r) * lanes_);
-    for (std::uint32_t x = x0; x < x1; ++x) {
-      for (unsigned port = 0; port < r; ++port) {
-        if constexpr (kFaulted) {
-          if (mask->faulted_index(arc_base + x * r + port)) continue;
-        }
-        for (unsigned probe = 0; probe < candidates; ++probe) {
-          const unsigned c = arb_candidate(s, x * r + port, probe);
-          const std::size_t l = lane_index(s, x * r + c / lanes_, c % lanes_);
-          if (pool_.empty(l) || pool_.out_port(l) != port) continue;
-          const std::uint32_t record = down[x * r + port];
-          const std::size_t target_first = lane_index(s + 1, record, 0);
-          if (pool_.front(l).is_head()) {
-            const int down_lane = pool_.find_idle_lane(target_first, lanes_);
-            if (down_lane < 0) {
-              if constexpr (kObs) {
-                stall_cause_[l] = static_cast<std::uint8_t>(
-                    obs::StallCause::kNoFreeLane);
-              }
-              continue;  // blocked: no free lane
-            }
-            const Flit flit = shard_pop<kShard>(l, wk);
-            if (!flit.is_tail()) pool_.set_downstream(l, down_lane);
-            unsigned desired;
-            int reroute_kind = 0;
-            if (target_ejects) {
-              desired = flit.dest_terminal % lradix_;
-            } else {
-              unsigned base = 0;
-              unsigned count = r;
-              if (!next_free) {
-                base = port_of_value[((flit.dest_terminal / lradix_) /
-                                      digit_scale) %
-                                     lradix_] *
-                       dilation_;
-                count = dilation_;
-              }
-              desired = select_next_port(s + 1, record, flit, base, count,
-                                         settings, down_next, mask,
-                                         reroute_kind);
-            }
-            accept_head<kShard>(
-                target_first + static_cast<std::size_t>(down_lane), flit,
-                s + 1, record / r, desired, measuring, wk, cycle,
-                advance_phase(s));
-            if constexpr (kObs) {
-              if (flit.inject_cycle >= core_.config().warmup_cycles &&
-                  obs_->traced(static_cast<std::uint32_t>(flit.src),
-                               flit.inject_cycle)) {
-                trace_push<kShard>(obs_, wk, cycle, flit.inject_cycle,
-                                   static_cast<std::uint32_t>(flit.src),
-                                   flit.dest_terminal,
-                                   obs::TraceEventKind::kStageEnd,
-                                   static_cast<std::uint8_t>(s), 0,
-                                   advance_phase(s));
-                trace_push<kShard>(obs_, wk, cycle, flit.inject_cycle,
-                                   static_cast<std::uint32_t>(flit.src),
-                                   flit.dest_terminal,
-                                   obs::TraceEventKind::kStageBegin,
-                                   static_cast<std::uint8_t>(s + 1), 0,
-                                   advance_phase(s));
-              }
-            }
-            if constexpr (kFaulted) {
-              if (reroute_kind == 1 && measuring &&
-                  flit.inject_cycle >= core_.config().warmup_cycles) {
-                ++res.path_reroutes;
-                if constexpr (kObs) {
-                  ++obs_log<kShard>(obs_, wk)
-                        .reroute[static_cast<std::size_t>(s)];
-                  if (obs_->traced(static_cast<std::uint32_t>(flit.src),
-                                   flit.inject_cycle)) {
-                    trace_push<kShard>(obs_, wk, cycle, flit.inject_cycle,
-                                       static_cast<std::uint32_t>(flit.src),
-                                       flit.dest_terminal,
-                                       obs::TraceEventKind::kReroute,
-                                       static_cast<std::uint8_t>(s), 0,
-                                       advance_phase(s));
-                  }
-                }
-              }
-            }
-          } else {
-            const std::size_t down_l =
-                target_first + static_cast<std::size_t>(pool_.downstream(l));
-            if (!pool_.has_space(down_l)) {
-              if constexpr (kObs) {
-                stall_cause_[l] = static_cast<std::uint8_t>(
-                    obs::StallCause::kDownstreamFull);
-              }
-              continue;  // blocked: full
-            }
-            shard_accept<kShard>(down_l, shard_pop<kShard>(l, wk), wk);
-          }
-          arb_grant(s, x * r + port, c, 0);
-          if (measuring) {
-            shard_link_counter<kShard>(wk);
-            if constexpr (kObs) {
-              ++obs_log<kShard>(obs_, wk).hops[static_cast<std::size_t>(s)];
-            }
-          }
-          break;
-        }
-      }
-    }
-    const std::size_t first = lane_index(s, 0, 0);
-    account_stage<kShard>(cycle, measuring,
-                          first + static_cast<std::size_t>(x0) * r * lanes_,
-                          first + static_cast<std::size_t>(x1) * r * lanes_,
-                          wk, s, stall_phase(s));
-  }
-
-  /// Multipath injection: logical terminal t feeds physical input slot
-  /// (t % lr) * dilation of its logical cell, choosing a plane per
-  /// packet on replicated fabrics (hash of the destination, or the
-  /// plane with the emptiest injection lanes) and its first out-port
-  /// through select_next_port. A terminal mid-packet keeps serializing
-  /// into the claimed lane of the claimed physical port.
-  void inject_multipath(std::uint64_t cycle, bool measuring) {
-    const unsigned r = radix_;
-    const bool first_free = free_stage_[0] != 0;
-    std::uint32_t digit_scale = 1;
-    const std::uint32_t* port_of_value = nullptr;
-    const std::uint8_t* settings = nullptr;
-    const std::uint32_t* down_next = nullptr;
-    if (!first_free) {
-      digit_scale = core_.engine().route_digit_scale(0);
-      port_of_value =
-          core_.engine().schedule().port_of_value[0].data();
-    } else if (path_policy_ == PathPolicy::kLooping) {
-      settings = looping_->settings[0].data();
-    }
-    if (path_policy_ == PathPolicy::kAdaptive) {
-      down_next = core_.wiring().down_stage(0).data();
-    }
-    [[maybe_unused]] const fault::FaultMask* mask = nullptr;
-    if constexpr (kFaulted) mask = &faulted_.mask();
-    for (std::uint64_t t = 0; t < core_.terminals(); ++t) {
-      SourceState& src = sources_[t];
-      if (src.remaining > 0) {
-        const std::size_t l =
-            lane_index(0, src.port, static_cast<std::size_t>(src.lane));
-        if (pool_.has_space(l)) {
-          pool_.accept(l, make_flit(src.id, src.dest,
-                                    static_cast<std::uint32_t>(t),
-                                    src.inject_cycle, src.next_index, length_,
-                                    src.sl, src.tag));
-          ++src.next_index;
-          --src.remaining;
-          if (measuring) ++core_.result.flits_injected;
-        }
-        continue;  // the source link is busy with the current packet
-      }
-      if (!core_.attempt(cycle, static_cast<std::uint32_t>(t))) continue;
-      if (measuring) ++core_.result.offered;
-      // Drawn before the plane pick (the hashed policy keys on the
-      // destination); a refused attempt discards the draw, historically.
-      const workload::Injection packet =
-          core_.draw(cycle, static_cast<std::uint32_t>(t));
-      const std::uint32_t dest = packet.dest;
-      const std::uint32_t lcell =
-          static_cast<std::uint32_t>(t) / lradix_;
-      const unsigned slot =
-          (static_cast<unsigned>(t) % lradix_) * dilation_;
-      std::size_t port_index = 0;
-      int lane = -1;
-      if (planes_ == 1) {
-        port_index = static_cast<std::size_t>(lcell) * r + slot;
-        lane = pool_.find_idle_lane(lane_index(0, port_index, 0), lanes_);
-      } else if (path_policy_ == PathPolicy::kAdaptive) {
-        std::size_t best = 0;
-        for (unsigned plane = 0; plane < planes_; ++plane) {
-          const std::size_t candidate =
-              (static_cast<std::size_t>(plane) * lcells_ + lcell) * r + slot;
-          const int idle =
-              pool_.find_idle_lane(lane_index(0, candidate, 0), lanes_);
-          if (idle < 0) continue;
-          std::size_t occupancy = 0;
-          for (std::size_t ln = 0; ln < lanes_; ++ln) {
-            occupancy += pool_.count(lane_index(0, candidate, ln));
-          }
-          if (lane < 0 || occupancy < best) {
-            best = occupancy;
-            port_index = candidate;
-            lane = idle;
-          }
-        }
-      } else {
-        const unsigned plane = static_cast<unsigned>(
-            path_mix(dest, cycle, t) % planes_);
-        port_index =
-            (static_cast<std::size_t>(plane) * lcells_ + lcell) * r + slot;
-        lane = pool_.find_idle_lane(lane_index(0, port_index, 0), lanes_);
-      }
-      if (lane < 0) continue;  // refused at source
-      const std::uint32_t id = next_packet_id_++;
-      const Flit head = make_flit(id, dest, static_cast<std::uint32_t>(t),
-                                  cycle, 0, length_, 0, packet.tag);
-      int reroute_kind = 0;
-      const unsigned desired = select_next_port(
-          0, static_cast<std::uint32_t>(port_index), head,
-          first_free
-              ? 0U
-              : port_of_value[((dest / lradix_) / digit_scale) % lradix_] *
-                    dilation_,
-          first_free ? r : dilation_, settings, down_next, mask,
-          reroute_kind);
-      accept_head<false>(
-          lane_index(0, port_index, static_cast<std::size_t>(lane)), head, 0,
-          static_cast<std::uint32_t>(port_index / r), desired, measuring,
-          nullptr, cycle, inject_phase());
-      if constexpr (kFaulted) {
-        if (reroute_kind == 1 && measuring &&
-            cycle >= core_.config().warmup_cycles) {
-          ++core_.result.path_reroutes;
-          if constexpr (kObs) {
-            ++obs_->log(0).reroute[0];
-            if (obs_->traced(static_cast<std::uint32_t>(t), cycle)) {
-              trace_push<false>(obs_, nullptr, cycle, cycle,
-                                static_cast<std::uint32_t>(t), dest,
-                                obs::TraceEventKind::kReroute, 0, 0,
-                                inject_phase());
-            }
-          }
-        }
-      }
-      core_.commit(cycle, static_cast<std::uint32_t>(t), packet);
-      src.dest = dest;
-      src.id = id;
-      src.inject_cycle = cycle;
-      src.next_index = 1;
-      src.remaining = length_ - 1;
-      src.lane = lane;
-      src.port = port_index;
-      src.sl = 0;
-      src.tag = packet.tag;
-      if (measuring) {
-        ++core_.result.injected;
-        ++core_.result.flits_injected;
-        if constexpr (kObs) {
-          if (obs_->traced(static_cast<std::uint32_t>(t), cycle)) {
-            trace_push<false>(obs_, nullptr, cycle, cycle,
-                              static_cast<std::uint32_t>(t), dest,
-                              obs::TraceEventKind::kPacketBegin, 0, 0,
-                              inject_phase());
-            trace_push<false>(obs_, nullptr, cycle, cycle,
-                              static_cast<std::uint32_t>(t), dest,
-                              obs::TraceEventKind::kStageBegin, 0, 0,
-                              inject_phase());
-          }
-        }
-      }
-    }
-  }
-
-  /// The path-selection seam: the out-port the head entering stage
-  /// \p next_s on record \p record (cell * r + input slot) will take,
-  /// chosen within the equivalent-path group [\p base, \p base +
-  /// \p count) by the configured policy. Faulted: a masked choice
-  /// re-selects among the surviving group members (\p reroute_kind = 1);
-  /// a fully-masked group returns the scheduled base and lets
-  /// accept_head run the unipath out-of-group detour (or dead-switch
-  /// drop).
-  [[nodiscard]] unsigned select_next_port(
-      int next_s, std::uint32_t record, const Flit& flit, unsigned base,
-      unsigned count, const std::uint8_t* settings,
-      const std::uint32_t* down_next,
-      [[maybe_unused]] const fault::FaultMask* mask, int& reroute_kind) {
-    const unsigned r = radix_;
-    const std::uint32_t y = record / r;
-    reroute_kind = 0;
-    if (path_policy_ == PathPolicy::kAdaptive) {
-      // Least-occupancy: the group member whose downstream lanes hold
-      // the fewest flits (ties to the lowest port). Masked arcs are not
-      // candidates — adaptivity subsumes in-group re-selection.
-      int chosen = -1;
-      std::size_t best = 0;
-      for (unsigned k = 0; k < count; ++k) {
-        const unsigned p = base + k;
-        if constexpr (kFaulted) {
-          if (mask->faulted_index(
-                  static_cast<std::size_t>(next_s) * core_.ports() + y * r +
-                  p)) {
-            continue;
-          }
-        }
-        std::size_t occupancy = 0;
-        const std::size_t down_first =
-            lane_index(next_s + 1, down_next[y * r + p], 0);
-        for (std::size_t ln = 0; ln < lanes_; ++ln) {
-          occupancy += pool_.count(down_first + ln);
-        }
-        if (chosen < 0 || occupancy < best) {
-          best = occupancy;
-          chosen = static_cast<int>(p);
-        }
-      }
-      if (chosen >= 0) return static_cast<unsigned>(chosen);
-      return base;  // whole group masked: accept_head detours or drops
-    }
-    unsigned desired;
-    if (settings != nullptr) {
-      desired = settings[static_cast<std::size_t>(y) * lradix_ +
-                         record % r];
-    } else if (count == 1) {
-      desired = base;
-    } else {
-      desired = base + static_cast<unsigned>(
-                           path_mix(flit.dest_terminal, flit.inject_cycle,
-                                    static_cast<std::uint64_t>(next_s)) %
-                           count);
-    }
-    if constexpr (kFaulted) {
-      if (next_s + 1 < core_.stages() &&
-          mask->faulted_index(static_cast<std::size_t>(next_s) *
-                              core_.ports() +
-                              y * r + desired)) {
-        const int member = surviving_group_member(
-            *mask, static_cast<std::size_t>(next_s) * core_.ports() + y * r,
-            base, count, desired);
-        if (member >= 0) {
-          reroute_kind = 1;
-          return static_cast<unsigned>(member);
-        }
-      }
-    }
-    return desired;
-  }
 
   [[nodiscard]] std::size_t lane_index(int s, std::size_t port_index,
                                        std::size_t lane) const {
