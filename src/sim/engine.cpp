@@ -169,6 +169,18 @@ void SimConfig::validate() const {
         "SimConfig: queue_capacity must be positive (store-and-forward "
         "FIFOs need at least one packet slot)");
   }
+  // The run is warmup_cycles + measure_cycles long, and a wormhole flit
+  // keeps its injection cycle in 32 bits (flit.hpp). Checked without
+  // forming the sum, which could wrap.
+  constexpr std::uint64_t kMaxRunCycles = std::uint64_t{1} << 32;
+  if (warmup_cycles > kMaxRunCycles ||
+      measure_cycles > kMaxRunCycles - warmup_cycles) {
+    throw std::invalid_argument(
+        "SimConfig: warmup_cycles + measure_cycles must be <= 2^32 (flits "
+        "carry 32-bit injection cycles), got warmup_cycles " +
+        std::to_string(warmup_cycles) + " + measure_cycles " +
+        std::to_string(measure_cycles));
+  }
   if (lanes == 0) {
     throw std::invalid_argument(
         "SimConfig: lanes must be positive (wormhole ports need at least "

@@ -221,8 +221,9 @@ struct SimConfig {
   /// offending field and value: lanes, lane_depth, packet_length and
   /// queue_capacity must be positive (regardless of mode, so a config is
   /// valid or not independently of the discipline that runs it),
-  /// injection_rate must be finite and within [0, 1], the burst
-  /// probabilities must be within (0, 1], sim_threads must be within
+  /// injection_rate must be finite and within [0, 1], warmup_cycles +
+  /// measure_cycles must be at most 2^32 (the 32-bit flit clock), the
+  /// burst probabilities must be within (0, 1], sim_threads must be within
   /// [1, kMaxSimThreads], an enabled credit config must pass
   /// CreditConfig::validate against this mode and lane count, and the
   /// workload spec must pass workload::Spec::validate.

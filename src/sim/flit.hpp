@@ -21,8 +21,9 @@ namespace mineq::sim {
 /// (see SimConfig::credits), the observability layer can attribute
 /// delivered latency to its (source, destination) flow, and the
 /// closed-loop workload can tell a delivered request from a reply
-/// (workload::kTagRequest / kTagReply). 32 cycle bits bound runs at 2^32
-/// cycles, 22 source bits at 2^22 terminals — both far past anything the
+/// (workload::kTagRequest / kTagReply). 32 cycle bits hold every cycle
+/// of the longest run SimConfig::validate accepts (2^32 cycles); 22
+/// source bits bound fabrics at 2^22 terminals, far past anything the
 /// simulators accept.
 struct Flit {
   std::uint32_t packet_id = 0;     ///< unique per injected packet

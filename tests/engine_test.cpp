@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "min/baseline.hpp"
 #include "min/networks.hpp"
@@ -102,6 +106,35 @@ TEST(EngineTest, InvalidRateRejected) {
   SimConfig config = quick_config();
   config.injection_rate = 1.5;
   EXPECT_THROW((void)engine.run(Pattern::kUniform, config), std::invalid_argument);
+}
+
+// warmup_cycles + measure_cycles must fit the 32-bit flit clock: a sum
+// that wraps 64 bits used to run 4 cycles and report zeros.
+TEST(EngineTest, UnrepresentableRunLengthRejected) {
+  const Engine engine(min::baseline_network(3));
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint64_t kHalf = std::uint64_t{1} << 31;
+  const std::pair<std::uint64_t, std::uint64_t> lengths[] = {
+      {kMax, 5}, {5, kMax}, {kHalf, kHalf + 1}};
+  for (const auto& [warmup, measure] : lengths) {
+    SimConfig config = quick_config();
+    config.warmup_cycles = warmup;
+    config.measure_cycles = measure;
+    EXPECT_THROW((void)engine.run(Pattern::kUniform, config),
+                 std::invalid_argument);
+    try {
+      config.validate();
+      ADD_FAILURE() << "expected invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("warmup_cycles"), std::string::npos);
+      EXPECT_NE(message.find("measure_cycles"), std::string::npos);
+    }
+  }
+  SimConfig longest = quick_config();
+  longest.warmup_cycles = kHalf;
+  longest.measure_cycles = kHalf;
+  EXPECT_NO_THROW(longest.validate());  // exactly 2^32 cycles
 }
 
 TEST(EngineTest, IsomorphicNetworksSimilarUniformThroughput) {
