@@ -483,10 +483,7 @@ class StoreAndForwardPolicy
       if constexpr (kMultiPath) {
         packet = core_.draw(cycle, static_cast<std::uint32_t>(t));
         bool accepted = false;
-        if (planes() == 1) {
-          q = queue_index(0, inject_port(t, 0));
-          accepted = !queues_.full(q);
-        } else if (path_policy_ == PathPolicy::kAdaptive) {
+        if (path_policy_ == PathPolicy::kAdaptive) {
           std::uint32_t best = 0;
           for (unsigned plane = 0; plane < planes(); ++plane) {
             const std::size_t candidate = queue_index(0, inject_port(t, plane));
@@ -918,15 +915,7 @@ class StoreAndForwardPolicy
     const unsigned r = radix();
     const PathGroup group = path_group(dest, route);
     reroute_kind = 0;
-    if (group.count == 1) {
-      if constexpr (kFaulted) {
-        const int port = usable_port(mask, arc_base + x * r, group.base);
-        if (port != static_cast<int>(group.base)) reroute_kind = 2;
-        return port;
-      }
-      return static_cast<int>(group.base);
-    }
-    if (path_policy_ == PathPolicy::kAdaptive) {
+    if (group.count > 1 && path_policy_ == PathPolicy::kAdaptive) {
       // Least-occupancy: the group member with the emptiest downstream
       // FIFO (ties to the lowest port). Masked arcs are simply not
       // candidates — adaptivity subsumes in-group re-selection.
@@ -945,7 +934,7 @@ class StoreAndForwardPolicy
         }
       }
       if (chosen >= 0) return chosen;
-    } else {
+    } else if (group.count > 1) {
       unsigned desired;
       if (route.settings != nullptr) {
         desired = route.settings[static_cast<std::size_t>(x) * lradix() + slot];
@@ -970,11 +959,12 @@ class StoreAndForwardPolicy
         return static_cast<int>(desired);
       }
     }
-    // Whole group masked: out-of-group detour through any surviving
-    // port, exactly the unipath degraded mode.
+    // A singleton group's scheduled port while its arc survives; else
+    // (or with the whole group masked) the out-of-group detour through
+    // the next surviving port.
     if constexpr (kFaulted) {
       const int port = usable_port(mask, arc_base + x * r, group.base);
-      if (port >= 0) reroute_kind = 2;
+      if (port != static_cast<int>(group.base)) reroute_kind = 2;
       return port;
     }
     return static_cast<int>(group.base);

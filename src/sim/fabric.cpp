@@ -256,13 +256,12 @@ FabricCore::FabricCore(const Engine& engine, Pattern pattern,
              engine.wiring().cells_per_stage()),
       arbiters_(static_cast<std::size_t>(stages_) * ports_,
                 RoundRobin(arbiter_candidates)) {
-  if (engine.planes() > 1) {
-    // A replicated fabric's logical terminal ejects from every plane.
-    std::fill(arbiters_.end() - static_cast<std::ptrdiff_t>(ports_),
-              arbiters_.end(),
-              RoundRobin(static_cast<unsigned>(engine.planes()) *
-                         arbiter_candidates));
-  }
+  // The last stage's arbiters eject: a logical terminal picks among the
+  // matching buffers of every plane.
+  std::fill(arbiters_.end() - static_cast<std::ptrdiff_t>(ports_),
+            arbiters_.end(),
+            RoundRobin(static_cast<unsigned>(engine.planes()) *
+                       arbiter_candidates));
   // Injection is delegated to a workload source (src/workload/). The
   // historic RNG stream layout — split 0 feeds the traffic source,
   // split 1 the injection gate, split 2 the bursty modulator — now

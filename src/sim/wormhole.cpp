@@ -164,10 +164,7 @@ class WormholePolicy
       int lane = -1;
       if constexpr (kMultiPath) {
         packet = core_.draw(cycle, static_cast<std::uint32_t>(t));
-        if (planes() == 1) {
-          port = inject_port(t, 0);
-          lane = pool_.find_idle_lane(lane_index(0, port, 0), lanes_);
-        } else if (path_policy_ == PathPolicy::kAdaptive) {
+        if (path_policy_ == PathPolicy::kAdaptive) {
           std::size_t best = 0;
           for (unsigned plane = 0; plane < planes(); ++plane) {
             const std::size_t candidate = inject_port(t, plane);
