@@ -12,9 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "fault/fault_mask.hpp"
 #include "fault/fault_model.hpp"
+#include "min/kary.hpp"
 #include "min/networks.hpp"
 #include "multipath/multipath_wiring.hpp"
 #include "sim/engine.hpp"
@@ -313,6 +315,101 @@ SimResult run_benes_hash_faulted(SwitchingMode mode) {
   return engine.run(Pattern::kUniform, config, &mask);
 }
 
+/// The credit counters a credit-run golden pins on top of Pins: the
+/// zero-credit stall count, the conservation audit (always clean) and
+/// each service level's mean latency.
+void expect_credit_pins(const SimResult& r, std::uint64_t credit_stall_cycles,
+                        const std::vector<double>& sl_latency_means) {
+  EXPECT_EQ(r.credit_stall_cycles, credit_stall_cycles);
+  EXPECT_EQ(r.credit_violations, 0U);
+  ASSERT_EQ(r.sl_latency.size(), sl_latency_means.size());
+  for (std::size_t sl = 0; sl < sl_latency_means.size(); ++sl) {
+    EXPECT_DOUBLE_EQ(r.sl_latency[sl].mean(), sl_latency_means[sl]);
+  }
+}
+
+/// omega n = 5, hotspot, store-and-forward: weighted arbitration over two
+/// service levels with a 3-cycle credit return.
+SimResult run_saf_weighted_credits() {
+  const Engine engine(min::build_network(min::NetworkKind::kOmega, 5));
+  SimConfig config;
+  config.injection_rate = 0.7;
+  config.packet_length = 2;
+  config.queue_capacity = 4;
+  config.warmup_cycles = 100;
+  config.measure_cycles = 400;
+  config.seed = 37;
+  config.credits.enabled = true;
+  config.credits.return_latency = 3;
+  config.credits.arbitration = ArbitrationPolicy::kWeighted;
+  config.credits.sl_map = {0, 1};
+  config.credits.weights = {4, 1};
+  return engine.run(Pattern::kHotSpot, config);
+}
+
+/// omega n = 5, wormhole, 2 lanes: strict priority over two service
+/// levels pinned to their own lanes, 2-cycle credit return.
+SimResult run_wormhole_priority_credits() {
+  const Engine engine(min::build_network(min::NetworkKind::kOmega, 5));
+  SimConfig config;
+  config.mode = SwitchingMode::kWormhole;
+  config.injection_rate = 0.6;
+  config.packet_length = 4;
+  config.lanes = 2;
+  config.lane_depth = 2;
+  config.warmup_cycles = 100;
+  config.measure_cycles = 400;
+  config.seed = 41;
+  config.credits.enabled = true;
+  config.credits.return_latency = 2;
+  config.credits.arbitration = ArbitrationPolicy::kPriority;
+  config.credits.sl_map = {0, 1};
+  config.credits.weights = {3, 1};
+  return engine.run(Pattern::kUniform, config);
+}
+
+/// Radix-3 baseline n = 3, store-and-forward, with all three run features
+/// at once: 2-cycle credits, 10% switch kills, probes and trace sampling.
+SimResult run_kary_all_features() {
+  const Engine engine(
+      min::build_kary_network(min::NetworkKind::kBaseline, 3, 3));
+  fault::FaultSpec spec;
+  spec.kind = fault::FaultKind::kSwitchKills;
+  spec.rate = 0.1;
+  spec.seed = 7;
+  const fault::FaultMask mask = fault::build_fault_mask(engine.wiring(), spec);
+  SimConfig config;
+  config.injection_rate = 0.6;
+  config.packet_length = 2;
+  config.queue_capacity = 3;
+  config.warmup_cycles = 100;
+  config.measure_cycles = 400;
+  config.seed = 43;
+  config.credits.enabled = true;
+  config.credits.return_latency = 2;
+  config.obs.probe_stride = 50;
+  config.obs.trace_sample = 4;
+  return engine.run(Pattern::kUniform, config, &mask);
+}
+
+/// Radix-4 omega n = 3, wormhole, pristine, probes and flow statistics.
+SimResult run_radix4_wormhole_observed() {
+  const Engine engine(
+      min::build_kary_network(min::NetworkKind::kOmega, 3, 4));
+  SimConfig config;
+  config.mode = SwitchingMode::kWormhole;
+  config.injection_rate = 0.5;
+  config.packet_length = 4;
+  config.lanes = 2;
+  config.lane_depth = 4;
+  config.warmup_cycles = 100;
+  config.measure_cycles = 400;
+  config.seed = 47;
+  config.obs.probe_stride = 50;
+  config.obs.flow_stats = true;
+  return engine.run(Pattern::kUniform, config);
+}
+
 // Multipath and faulted pins, captured from the simulators as they stood
 // before the unipath and multipath kernels were merged: every path
 // policy, both disciplines, general radix, fault masks and the
@@ -374,6 +471,48 @@ TEST(GoldenSimTest, BenesHashPathReroutesUnderLinkFaults) {
               {3437, 687, 622, 1374, 1247, 126, 21591, 284, 185, 0, 163,
                {4215, 0, 17376, 0, 0}, 36.274919614147898, 126, 124,
                0.21601562499999999, 0.14442801339285707});
+}
+
+// Feature-combination pins, captured from the simulator as it stood when
+// faults, credits and observers were each a separate policy
+// instantiation: credits with non-neutral arbitration in both
+// disciplines, all three features in one run, and a pristine observed
+// general-radix run.
+
+TEST(GoldenSimTest, SafWeightedCreditsHotspot) {
+  const SimResult r = run_saf_weighted_credits();
+  expect_pins(r, {8485, 784, 548, 1568, 1096, 472, 22951, 0, 0, 0, 0,
+                  {0, 0, 0, 0, 0}, 90.284671532846744, 385, 294, 0.1228125,
+                  0.36910937500000018});
+  expect_credit_pins(r, 17148, {78.993377483443609, 144.12631578947375});
+}
+
+TEST(GoldenSimTest, WormholePriorityCredits) {
+  const SimResult r = run_wormhole_priority_credits();
+  expect_pins(r, {3858, 1038, 988, 4160, 3980, 148, 20419, 0, 0, 0, 0,
+                  {0, 0, 0, 0, 0}, 20.067813765182184, 117, 87,
+                  0.32417968749999998, 0.21962499999999982});
+  expect_credit_pins(r, 10649, {14.952517985611523, 32.2013651877133});
+}
+
+TEST(GoldenSimTest, KaryBaselineCreditsFaultsAndObservers) {
+  const SimResult r = run_kary_all_features();
+  expect_pins(r, {5016, 2415, 1870, 4830, 3740, 194, 11066, 0, 421, 448, 416,
+                  {7422, 0, 0, 1810, 1834}, 20.373796791443837, 82, 63,
+                  0.36319444444444443, 0.39081275720164571});
+  expect_credit_pins(r, 4437, {20.373796791443837});
+  EXPECT_EQ(r.trace.size(), 6569U);
+  EXPECT_EQ(r.probes.samples, 8U);
+}
+
+TEST(GoldenSimTest, Radix4WormholeObserved) {
+  const SimResult r = run_radix4_wormhole_observed();
+  expect_pins(r, {7146, 3724, 3539, 14877, 14295, 530, 57484, 0, 0, 0, 0,
+                  {33623, 0, 23861, 0, 0}, 20.545634359988735, 93, 63,
+                  0.58193359374999998, 0.35804524739583343});
+  EXPECT_EQ(r.probes.samples, 8U);
+  EXPECT_EQ(r.flows.flows.size(), 2374U);
+  EXPECT_DOUBLE_EQ(r.flows.worst_p99, 94.0);
 }
 
 }  // namespace
