@@ -370,46 +370,47 @@ namespace {
 /// packet of L flits serializes over each link for L cycles, and a packet
 /// must have fully arrived (arrival_complete) before it may advance. The
 /// template switches and the shared plumbing are PolicyBase's
-/// (policy.hpp); what they mean here:
-///  - kFaulted: masked arcs accept nothing, packets reroute via the next
-///    surviving port, and dead switches drain their queues into
+/// (policy.hpp); what the run's features mean here, each tested at run
+/// time on the featured instantiation:
+///  - a fault mask: masked arcs accept nothing, packets reroute via the
+///    next surviving port, and dead switches drain their queues into
 ///    packets_dropped_faulted;
-///  - kCredits: one credit per downstream FIFO slot, consumed per push,
+///  - credits: one credit per downstream FIFO slot, consumed per push,
 ///    returned per pop with the configured latency, plus round-robin /
 ///    quantum-weighted / strict-priority arbitration over the SL->VL
 ///    classes packets carry;
-///  - kMultiPath: the route step (select_port) chooses within a hop's
-///    equivalent-path group by the configured PathPolicy (deterministic
-///    hash, least-occupancy adaptive, or looping-precomputed Benes
-///    settings), injection picks a plane on replicated fabrics, and each
-///    logical terminal's eject arbiter spans planes * radix physical
-///    buffers. Faulted runs re-select within the surviving group members
-///    first (path_reroutes) before falling back to the unipath
-///    out-of-group detour (packets_rerouted). Unipath instantiations run
-///    the same kernels with one plane and singleton groups;
-///  - kObs: per-stage probe counters and trace events go to the
+///  - an observer: per-stage probe counters and trace events go to the
 ///    per-worker WorkerLogs (order-independent sums / (cycle, phase) sort
 ///    keys keep sharded runs byte-identical to serial), flow records ride
 ///    the worker-0 eject replay, and every HOL-blocked head-cycle is
 ///    attributed to exactly one StallCause.
-template <bool kFaulted, bool kBinary, bool kCredits, bool kMultiPath,
-          bool kObs>
+/// kMultiPath: the route step (select_port) chooses within a hop's
+/// equivalent-path group by the configured PathPolicy (deterministic
+/// hash, least-occupancy adaptive, or looping-precomputed Benes
+/// settings), injection picks a plane on replicated fabrics, and each
+/// logical terminal's eject arbiter spans planes * radix physical
+/// buffers. Faulted runs re-select within the surviving group members
+/// first (path_reroutes) before falling back to the unipath out-of-group
+/// detour (packets_rerouted). Unipath instantiations run the same kernels
+/// with one plane and singleton groups.
+template <bool kBinary, bool kMultiPath, bool kFeatures>
 class StoreAndForwardPolicy
     : public PolicyBase<
-          StoreAndForwardPolicy<kFaulted, kBinary, kCredits, kMultiPath, kObs>,
-          kFaulted, kBinary, kCredits, kMultiPath, kObs> {
-  using Base = PolicyBase<StoreAndForwardPolicy, kFaulted, kBinary, kCredits,
-                          kMultiPath, kObs>;
+          StoreAndForwardPolicy<kBinary, kMultiPath, kFeatures>, kBinary,
+          kMultiPath, kFeatures> {
+  using Base =
+      PolicyBase<StoreAndForwardPolicy, kBinary, kMultiPath, kFeatures>;
   friend Base;
   using Base::core_, Base::length_, Base::link_counter_,
-      Base::shard_pool_delta_, Base::total_slots_, Base::faulted_,
-      Base::credit_config_, Base::credits_, Base::service_levels_,
-      Base::path_policy_, Base::obs_, Base::stall_cause_, Base::radix,
-      Base::planes, Base::lradix, Base::lcells, Base::inject_port,
-      Base::stage_route, Base::path_group, Base::arb_candidate,
-      Base::arb_grant, Base::commit_probe_window, Base::kEjectPhase,
-      Base::eject_stall_phase, Base::drain_phase, Base::advance_phase,
-      Base::stall_phase, Base::inject_phase;
+      Base::shard_pool_delta_, Base::total_slots_, Base::credit_config_,
+      Base::service_levels_, Base::path_policy_, Base::stall_cause_,
+      Base::fault_mask, Base::credit_ledger, Base::observer, Base::arbitrates,
+      Base::radix, Base::planes, Base::lradix, Base::lcells,
+      Base::inject_port, Base::stage_route, Base::path_group,
+      Base::arb_candidate, Base::arb_grant, Base::usable_port,
+      Base::commit_probe_window, Base::kEjectPhase, Base::eject_stall_phase,
+      Base::drain_phase, Base::advance_phase, Base::stall_phase,
+      Base::inject_phase;
   using StageRoute = typename Base::StageRoute;
   using PathGroup = typename Base::PathGroup;
 
@@ -425,11 +426,12 @@ class StoreAndForwardPolicy
         source_busy_until_(core.terminals(), 0),
         eject_busy_until_(core.ports(), 0),
         queue_moved_(core.ports(), 0) {
-    if constexpr (kFaulted) {
+    if (const fault::FaultMask* const mask = fault_mask()) {
+      const fault::FaultedWiring view(core.wiring(), *mask);
       dead_cells_.resize(static_cast<std::size_t>(core.stages() - 1));
       for (int s = 0; s + 1 < core.stages(); ++s) {
         for (std::uint32_t x = 0; x < core.cells(); ++x) {
-          if (faulted_.dead_switch(s, x)) {
+          if (view.dead_switch(s, x)) {
             dead_cells_[static_cast<std::size_t>(s)].push_back(x);
           }
         }
@@ -455,15 +457,14 @@ class StoreAndForwardPolicy
     const double packets = static_cast<double>(
         static_cast<std::int64_t>(queues_.total_packets()) + delta);
     core_.result.lane_occupancy.add(packets / total_slots_);
-    if constexpr (kCredits) {
+    if (credit_ledger() != nullptr) {
       if (core_.result.vl_occupancy.empty()) {
         core_.result.vl_occupancy.resize(1);
       }
       core_.result.vl_occupancy[0].add(packets / total_slots_);
     }
-    if constexpr (kObs) {
-      if (obs_->want_probe(cycle)) commit_probe_window(cycle);
-    }
+    obs::Observer* const obs = observer();
+    if (obs != nullptr && obs->want_probe(cycle)) commit_probe_window(cycle);
   }
 
   /// Injection: logical terminal t feeds the first arc of port t % lr of
@@ -474,6 +475,8 @@ class StoreAndForwardPolicy
   /// packet; multipath runs draw first, because the hashed plane pick
   /// keys on the destination, and a refused attempt discards its draw.
   void inject(std::uint64_t cycle, bool measuring) {
+    CreditLedger* const credits = credit_ledger();
+    obs::Observer* const obs = observer();
     for (std::uint64_t t = 0; t < core_.terminals(); ++t) {
       if (!core_.attempt(cycle, static_cast<std::uint32_t>(t))) continue;
       if (source_busy_until_[t] > cycle) continue;  // still serializing
@@ -503,27 +506,27 @@ class StoreAndForwardPolicy
         if (!accepted) continue;  // dropped at source
       } else {
         q = queue_index(0, t);
-        if constexpr (kCredits) {
+        if (credits != nullptr) {
           // The terminal's injection link runs the same credit handshake
           // as the internal links: no credit, no attempt consumed.
-          if (!credits_->available(q)) {
+          if (!credits->available(q)) {
             if (measuring) {
               ++core_.result.credit_stall_cycles;
-              if constexpr (kObs) ++obs_->log(0).credit[0];
+              if (obs != nullptr) ++obs->log(0).credit[0];
             }
             continue;
           }
-        } else {
-          if (queues_.full(q)) continue;  // dropped at source
+        } else if (queues_.full(q)) {
+          continue;  // dropped at source
         }
         packet = core_.draw(cycle, static_cast<std::uint32_t>(t));
       }
       const std::uint32_t dest = packet.dest;
       const auto src = static_cast<std::uint32_t>(t);
-      if constexpr (kCredits) {
+      if (credits != nullptr) {
         queues_.push(q, dest, src, cycle, cycle + length_,
                      static_cast<unsigned>(t % service_levels_), packet.tag);
-        credits_->consume(q);
+        credits->consume(q);
       } else {
         queues_.push(q, dest, src, cycle, cycle + length_, 0, packet.tag);
       }
@@ -532,17 +535,15 @@ class StoreAndForwardPolicy
       if (measuring) {
         ++core_.result.injected;
         core_.result.flits_injected += length_;
-        if constexpr (kObs) {
-          // Injection is always a serial phase: log 0 is the sink in
-          // both drivers, keeping trace bytes thread-count invariant.
-          if (obs_->traced(src, cycle)) {
-            trace_push<false>(obs_, nullptr, cycle, cycle, src, dest,
-                              obs::TraceEventKind::kPacketBegin, 0, 0,
-                              inject_phase());
-            trace_push<false>(obs_, nullptr, cycle, cycle, src, dest,
-                              obs::TraceEventKind::kStageBegin, 0, 0,
-                              inject_phase());
-          }
+        // Injection is always a serial phase: log 0 is the sink in both
+        // drivers, keeping trace bytes thread-count invariant.
+        if (obs != nullptr && obs->traced(src, cycle)) {
+          trace_push<false>(obs, nullptr, cycle, cycle, src, dest,
+                            obs::TraceEventKind::kPacketBegin, 0, 0,
+                            inject_phase());
+          trace_push<false>(obs, nullptr, cycle, cycle, src, dest,
+                            obs::TraceEventKind::kStageBegin, 0, 0,
+                            inject_phase());
         }
       }
     }
@@ -567,6 +568,11 @@ class StoreAndForwardPolicy
   void eject_impl(std::uint64_t cycle, bool measuring, std::uint32_t lx0,
                   std::uint32_t lx1, [[maybe_unused]] ShardWorker* wk) {
     [[maybe_unused]] SimResult& res = shard_result<kShard>(core_, wk);
+    const fault::FaultMask* const mask = fault_mask();
+    CreditLedger* const credits = credit_ledger();
+    obs::Observer* const obs = observer();
+    const bool weighted = arbitrates(ArbitrationPolicy::kWeighted);
+    const bool priority = arbitrates(ArbitrationPolicy::kPriority);
     const int last = core_.stages() - 1;
     const unsigned r = radix();
     const unsigned lr = lradix();
@@ -576,7 +582,7 @@ class StoreAndForwardPolicy
       std::fill(queue_moved_.begin() + run + static_cast<std::size_t>(lx0) * r,
                 queue_moved_.begin() + run + static_cast<std::size_t>(lx1) * r,
                 0);
-      if constexpr (kObs) {
+      if (obs != nullptr) {
         // Stall causes default to lost-arbitration; the probe loops below
         // overwrite the specific causes they detect.
         std::fill(stall_cause_.begin() + queue_index(last, run + lx0 * r),
@@ -589,32 +595,30 @@ class StoreAndForwardPolicy
         if (eject_busy_until_[term] > cycle) continue;
         // Strict priority scans the ready candidates first: only a
         // head of the highest ready weight class may win this cycle.
-        [[maybe_unused]] unsigned need_weight = 0;
-        if constexpr (kCredits) {
-          if (credit_config_->arbitration == ArbitrationPolicy::kPriority) {
-            for (unsigned c = 0; c < candidates; ++c) {
-              const std::size_t q = queue_index(last, eject_port(lx, c));
-              if (queues_.empty(q) || queues_.front_arrival(q) > cycle ||
-                  (queues_.front_dest(q) % lr) != j) {
-                continue;
-              }
-              need_weight = std::max(need_weight, front_weight(q));
+        unsigned need_weight = 0;
+        if (priority) {
+          for (unsigned c = 0; c < candidates; ++c) {
+            const std::size_t q = queue_index(last, eject_port(lx, c));
+            if (queues_.empty(q) || queues_.front_arrival(q) > cycle ||
+                (queues_.front_dest(q) % lr) != j) {
+              continue;
             }
+            need_weight = std::max(need_weight, front_weight(q));
           }
         }
         for (unsigned probe = 0; probe < candidates; ++probe) {
-          const unsigned c = arb_candidate(last, term, probe);
+          const unsigned c = arb_candidate(last, term, probe, weighted);
           const std::size_t port_index = eject_port(lx, c);
           const std::size_t q = queue_index(last, port_index);
           if (queues_.empty(q)) continue;
           if (queues_.front_arrival(q) > cycle) continue;
           if ((queues_.front_dest(q) % lr) != j) continue;
-          [[maybe_unused]] unsigned vl = 0;
-          if constexpr (kCredits) {
-            vl = credit_config_->vl_of_sl(queues_.front_sl(q));
-            if (credit_config_->arbitration ==
-                    ArbitrationPolicy::kPriority &&
-                credit_config_->weight(vl) != need_weight) {
+          unsigned vl = 0;
+          unsigned sl = 0;
+          if (credits != nullptr) {
+            sl = queues_.front_sl(q);
+            vl = credit_config_->vl_of_sl(sl);
+            if (priority && credit_config_->weight(vl) != need_weight) {
               continue;
             }
           }
@@ -622,12 +626,10 @@ class StoreAndForwardPolicy
           const std::uint64_t inject_cycle = queues_.front_inject(q);
           const std::uint32_t src = queues_.front_src(q);
           const unsigned tag = queues_.front_tag(q);
-          [[maybe_unused]] unsigned sl = 0;
-          if constexpr (kCredits) sl = queues_.front_sl(q);
           shard_pop<kShard>(q, wk);
-          if constexpr (kCredits) credits_->give_back(q, cycle);
+          if (credits != nullptr) credits->give_back(q, cycle);
           eject_busy_until_[term] = cycle + length_;
-          arb_grant(last, term, c, vl);
+          arb_grant(last, term, c, vl, weighted);
           queue_moved_[port_index] = 1;
           if (core_.wants_deliveries()) {
             // Every delivery feeds the source, warmup included (see
@@ -643,18 +645,18 @@ class StoreAndForwardPolicy
               core_.workload_delivered(delivery);
             }
           }
-          if constexpr (kObs) {
+          if (obs != nullptr) {
             if (measuring) {
-              obs_log<kShard>(obs_, wk).hops[static_cast<std::size_t>(last)] +=
+              obs_log<kShard>(obs, wk).hops[static_cast<std::size_t>(last)] +=
                   length_;
             }
             if (inject_cycle >= core_.config().warmup_cycles &&
-                obs_->traced(src, inject_cycle)) {
-              trace_push<kShard>(obs_, wk, cycle, inject_cycle, src, dest,
+                obs->traced(src, inject_cycle)) {
+              trace_push<kShard>(obs, wk, cycle, inject_cycle, src, dest,
                                  obs::TraceEventKind::kStageEnd,
                                  static_cast<std::uint8_t>(last), 0,
                                  kEjectPhase);
-              trace_push<kShard>(obs_, wk, cycle, inject_cycle, src, dest,
+              trace_push<kShard>(obs, wk, cycle, inject_cycle, src, dest,
                                  obs::TraceEventKind::kPacketEnd, 0, 0,
                                  kEjectPhase);
             }
@@ -667,19 +669,17 @@ class StoreAndForwardPolicy
               wk->saf_events.push_back(SafEjectEvent{latency, sl, src, dest});
             } else {
               core_.record_packet_delivered(latency);
-              if constexpr (kCredits) {
+              if (credits != nullptr) {
                 core_.result.sl_latency[sl].add(latency);
               }
-              if constexpr (kObs) {
-                if (obs_->flows_on()) {
-                  obs_->record_flow(src, dest, sl, latency);
-                }
+              if (obs != nullptr && obs->flows_on()) {
+                obs->record_flow(src, dest, sl, latency);
               }
             }
-            if constexpr (kFaulted) {
-              // A detoured packet ejects at whatever terminal the
-              // surviving route reached; count the miss.
-              if ((dest / lr) != lx) ++res.packets_misdelivered;
+            // A detoured packet ejects at whatever terminal the surviving
+            // route reached; count the miss.
+            if (mask != nullptr && (dest / lr) != lx) {
+              ++res.packets_misdelivered;
             }
           }
           break;
@@ -719,25 +719,26 @@ class StoreAndForwardPolicy
                           std::uint32_t x0, std::uint32_t x1,
                           [[maybe_unused]] ShardWorker* wk) {
     [[maybe_unused]] SimResult& res = shard_result<kShard>(core_, wk);
+    const fault::FaultMask* const mask = fault_mask();
+    CreditLedger* const credits = credit_ledger();
+    obs::Observer* const obs = observer();
+    const bool weighted = arbitrates(ArbitrationPolicy::kWeighted);
+    const bool priority = arbitrates(ArbitrationPolicy::kPriority);
     const unsigned r = radix();
     const auto down = core_.wiring().down_stage(s);
+    // One index per out-arc of the stage: the link pacing slot, and the
+    // arc's mask bit (FaultMask::arc_index's layout, computed with the
+    // policy's folded radix so binary instantiations keep shift indexing).
     const std::size_t link_base =
         static_cast<std::size_t>(s) * core_.ports();
     // Interior stages only — the last stage ejects, in eject().
     const StageRoute route = stage_route(s);
-    // Faulted: arc bit index = stage base + the record's array offset
-    // (FaultMask::arc_index's layout), computed with the policy's folded
-    // radix so binary instantiations keep shift indexing.
-    [[maybe_unused]] std::size_t arc_base = 0;
-    [[maybe_unused]] const fault::FaultMask* mask = nullptr;
-    if constexpr (kFaulted) {
+    if (mask != nullptr) {
       drain_dead_switches<kShard>(s, cycle, measuring, x0, x1, wk);
-      arc_base = static_cast<std::size_t>(s) * core_.ports();
-      mask = &faulted_.mask();
     }
     std::fill(queue_moved_.begin() + static_cast<std::size_t>(x0) * r,
               queue_moved_.begin() + static_cast<std::size_t>(x1) * r, 0);
-    if constexpr (kObs) {
+    if (obs != nullptr) {
       // Stall causes default to lost-arbitration; the probe loops below
       // overwrite the specific causes they detect.
       std::fill(stall_cause_.begin() + queue_index(s, x0 * r),
@@ -745,53 +746,47 @@ class StoreAndForwardPolicy
     }
     for (std::uint32_t x = x0; x < x1; ++x) {
       for (unsigned port = 0; port < r; ++port) {
-        if constexpr (kFaulted) {
-          if (mask->faulted_index(arc_base + x * r + port)) {
-            continue;  // dead link
-          }
+        if (mask != nullptr && mask->faulted_index(link_base + x * r + port)) {
+          continue;  // dead link
         }
         if (link_busy_until_[link_base + x * r + port] > cycle) {
           continue;  // still serializing the previous packet
         }
         // Strict priority scans the ready candidates first: only a
         // head of the highest weight class routed here may win.
-        [[maybe_unused]] unsigned need_weight = 0;
-        if constexpr (kCredits) {
-          if (credit_config_->arbitration == ArbitrationPolicy::kPriority) {
-            for (unsigned slot = 0; slot < r; ++slot) {
-              const std::size_t q = queue_index(s, x * r + slot);
-              if (queues_.empty(q) || queues_.front_arrival(q) > cycle) {
-                continue;
-              }
-              int reroute_kind = 0;
-              if (select_port(s, x, slot, queues_.front_dest(q),
-                              queues_.front_inject(q), route, down.data(),
-                              mask, arc_base, reroute_kind) !=
-                  static_cast<int>(port)) {
-                continue;
-              }
-              need_weight = std::max(need_weight, front_weight(q));
+        unsigned need_weight = 0;
+        if (priority) {
+          for (unsigned slot = 0; slot < r; ++slot) {
+            const std::size_t q = queue_index(s, x * r + slot);
+            if (queues_.empty(q) || queues_.front_arrival(q) > cycle) {
+              continue;
             }
+            int reroute_kind = 0;
+            if (select_port(s, x, slot, queues_.front_dest(q),
+                            queues_.front_inject(q), route, down.data(), mask,
+                            link_base, reroute_kind) !=
+                static_cast<int>(port)) {
+              continue;
+            }
+            need_weight = std::max(need_weight, front_weight(q));
           }
         }
         for (unsigned probe = 0; probe < r; ++probe) {
-          const unsigned slot = arb_candidate(s, x * r + port, probe);
+          const unsigned slot = arb_candidate(s, x * r + port, probe, weighted);
           const std::size_t q = queue_index(s, x * r + slot);
           if (queues_.empty(q)) continue;
           if (queues_.front_arrival(q) > cycle) continue;
           const std::uint32_t dest = queues_.front_dest(q);
           int reroute_kind = 0;
           if (select_port(s, x, slot, dest, queues_.front_inject(q), route,
-                          down.data(), mask, arc_base, reroute_kind) !=
+                          down.data(), mask, link_base, reroute_kind) !=
               static_cast<int>(port)) {
             continue;
           }
-          [[maybe_unused]] unsigned vl = 0;
-          if constexpr (kCredits) {
+          unsigned vl = 0;
+          if (credits != nullptr) {
             vl = credit_config_->vl_of_sl(queues_.front_sl(q));
-            if (credit_config_->arbitration ==
-                    ArbitrationPolicy::kPriority &&
-                credit_config_->weight(vl) != need_weight) {
+            if (priority && credit_config_->weight(vl) != need_weight) {
               continue;
             }
           }
@@ -800,84 +795,76 @@ class StoreAndForwardPolicy
           // port-slot index (the identity the packing was chosen for).
           const std::uint32_t record = down[x * r + port];
           const std::size_t target = queue_index(s + 1, record);
-          if constexpr (kCredits) {
+          if (credits != nullptr) {
             // Credit handshake in place of the occupancy probe. Every
             // candidate at this output port sends into the same
             // downstream FIFO, so zero credits stalls the port outright
             // (conservation guarantees credits <= free slots; the push
             // below can never overflow).
-            if (!credits_->available(target)) {
+            if (!credits->available(target)) {
               if (measuring) ++res.credit_stall_cycles;
-              if constexpr (kObs) {
+              if (obs != nullptr) {
                 stall_cause_[q] = static_cast<std::uint8_t>(
                     obs::StallCause::kZeroCredits);
                 if (measuring) {
-                  ++obs_log<kShard>(obs_, wk)
+                  ++obs_log<kShard>(obs, wk)
                         .credit[static_cast<std::size_t>(s)];
                 }
               }
               break;
             }
-          } else {
-            if (queues_.full(target)) {
-              if constexpr (kObs) {
-                stall_cause_[q] = static_cast<std::uint8_t>(
-                    obs::StallCause::kDownstreamFull);
-              }
-              continue;
+          } else if (queues_.full(target)) {
+            if (obs != nullptr) {
+              stall_cause_[q] = static_cast<std::uint8_t>(
+                  obs::StallCause::kDownstreamFull);
             }
+            continue;
           }
           const std::uint64_t inject_cycle = queues_.front_inject(q);
           const std::uint32_t src = queues_.front_src(q);
           const unsigned tag = queues_.front_tag(q);
-          if constexpr (kCredits) {
-            shard_push<kShard>(target, dest, src, inject_cycle,
-                               cycle + length_, queues_.front_sl(q), tag, wk);
-            credits_->consume(target);
-            shard_pop<kShard>(q, wk);
-            credits_->give_back(q, cycle);
-          } else {
-            shard_push<kShard>(target, dest, src, inject_cycle,
-                               cycle + length_, 0, tag, wk);
-            shard_pop<kShard>(q, wk);
+          shard_push<kShard>(target, dest, src, inject_cycle, cycle + length_,
+                             credits != nullptr ? queues_.front_sl(q) : 0U,
+                             tag, wk);
+          shard_pop<kShard>(q, wk);
+          if (credits != nullptr) {
+            credits->consume(target);
+            credits->give_back(q, cycle);
           }
           queue_moved_[x * r + slot] = 1;
           link_busy_until_[link_base + x * r + port] = cycle + length_;
-          arb_grant(s, x * r + port, slot, vl);
-          if constexpr (kObs) {
+          arb_grant(s, x * r + port, slot, vl, weighted);
+          if (obs != nullptr) {
             if (measuring) {
-              obs_log<kShard>(obs_, wk)
-                  .hops[static_cast<std::size_t>(s)] += length_;
+              obs_log<kShard>(obs, wk).hops[static_cast<std::size_t>(s)] +=
+                  length_;
             }
             if (inject_cycle >= core_.config().warmup_cycles &&
-                obs_->traced(src, inject_cycle)) {
-              trace_push<kShard>(obs_, wk, cycle, inject_cycle, src, dest,
+                obs->traced(src, inject_cycle)) {
+              trace_push<kShard>(obs, wk, cycle, inject_cycle, src, dest,
                                  obs::TraceEventKind::kStageEnd,
                                  static_cast<std::uint8_t>(s), 0,
                                  advance_phase(s));
-              trace_push<kShard>(obs_, wk, cycle, inject_cycle, src, dest,
+              trace_push<kShard>(obs, wk, cycle, inject_cycle, src, dest,
                                  obs::TraceEventKind::kStageBegin,
                                  static_cast<std::uint8_t>(s + 1), 0,
                                  advance_phase(s));
             }
           }
-          if constexpr (kFaulted) {
-            if (reroute_kind != 0 && measuring &&
-                inject_cycle >= core_.config().warmup_cycles) {
-              if (reroute_kind == 1) {
-                ++res.path_reroutes;
-              } else {
-                ++res.packets_rerouted;
-              }
-              if constexpr (kObs) {
-                ++obs_log<kShard>(obs_, wk)
-                      .reroute[static_cast<std::size_t>(s)];
-                if (obs_->traced(src, inject_cycle)) {
-                  trace_push<kShard>(obs_, wk, cycle, inject_cycle, src, dest,
-                                     obs::TraceEventKind::kReroute,
-                                     static_cast<std::uint8_t>(s), 0,
-                                     advance_phase(s));
-                }
+          if (reroute_kind != 0 && measuring &&
+              inject_cycle >= core_.config().warmup_cycles) {
+            if (reroute_kind == 1) {
+              ++res.path_reroutes;
+            } else {
+              ++res.packets_rerouted;
+            }
+            if (obs != nullptr) {
+              ++obs_log<kShard>(obs, wk).reroute[static_cast<std::size_t>(s)];
+              if (obs->traced(src, inject_cycle)) {
+                trace_push<kShard>(obs, wk, cycle, inject_cycle, src, dest,
+                                   obs::TraceEventKind::kReroute,
+                                   static_cast<std::uint8_t>(s), 0,
+                                   advance_phase(s));
               }
             }
           }
@@ -886,10 +873,10 @@ class StoreAndForwardPolicy
       }
     }
     if (measuring) {
-      if constexpr (kObs && kFaulted) {
+      if (obs != nullptr && mask != nullptr) {
         refine_masked_arc_stalls(s, cycle, static_cast<std::size_t>(x0) * r,
                                  static_cast<std::size_t>(x1) * r, mask,
-                                 arc_base, route);
+                                 link_base, route);
       }
       account_blocking<kShard>(s, cycle, static_cast<std::size_t>(x0) * r,
                                static_cast<std::size_t>(x1) * r, wk,
@@ -901,18 +888,18 @@ class StoreAndForwardPolicy
   /// slot \p slot) of stage \p s takes, or -1 at a dead switch. A
   /// singleton group — every hop of a unipath fabric — takes its
   /// scheduled port. A wider group chooses by the configured PathPolicy;
-  /// faulted, a masked choice re-selects among the surviving group
-  /// members (\p reroute_kind = 1). A fully-masked group takes the unipath
-  /// out-of-group detour through the next surviving port (\p reroute_kind
-  /// = 2).
+  /// with a fault \p mask, a masked choice re-selects among the surviving
+  /// group members (\p reroute_kind = 1), and a fully-masked group takes
+  /// the unipath out-of-group detour through the next surviving port
+  /// (\p reroute_kind = 2).
   [[nodiscard]] int select_port(int s, std::uint32_t x, unsigned slot,
                                 std::uint32_t dest, std::uint64_t inject_cycle,
                                 const StageRoute& route,
                                 const std::uint32_t* down,
-                                [[maybe_unused]] const fault::FaultMask* mask,
-                                [[maybe_unused]] std::size_t arc_base,
-                                int& reroute_kind) {
+                                const fault::FaultMask* mask,
+                                std::size_t link_base, int& reroute_kind) {
     const unsigned r = radix();
+    const std::size_t arc_row = link_base + x * r;
     const PathGroup group = path_group(dest, route);
     reroute_kind = 0;
     if (group.count > 1 && path_policy_ == PathPolicy::kAdaptive) {
@@ -923,9 +910,7 @@ class StoreAndForwardPolicy
       std::uint32_t best = 0;
       for (unsigned k = 0; k < group.count; ++k) {
         const unsigned p = group.base + k;
-        if constexpr (kFaulted) {
-          if (mask->faulted_index(arc_base + x * r + p)) continue;
-        }
+        if (mask != nullptr && mask->faulted_index(arc_row + p)) continue;
         const std::uint32_t occupancy =
             queues_.count(queue_index(s + 1, down[x * r + p]));
         if (chosen < 0 || occupancy < best) {
@@ -945,25 +930,21 @@ class StoreAndForwardPolicy
                                static_cast<std::uint64_t>(s)) %
                       group.count);
       }
-      if constexpr (kFaulted) {
-        if (!mask->faulted_index(arc_base + x * r + desired)) {
-          return static_cast<int>(desired);
-        }
-        const int member = surviving_group_member(
-            *mask, arc_base + x * r, group.base, group.count, desired);
-        if (member >= 0) {
-          reroute_kind = 1;
-          return member;
-        }
-      } else {
+      if (mask == nullptr || !mask->faulted_index(arc_row + desired)) {
         return static_cast<int>(desired);
+      }
+      const int member = surviving_group_member(*mask, arc_row, group.base,
+                                                group.count, desired);
+      if (member >= 0) {
+        reroute_kind = 1;
+        return member;
       }
     }
     // A singleton group's scheduled port while its arc survives; else
     // (or with the whole group masked) the out-of-group detour through
     // the next surviving port.
-    if constexpr (kFaulted) {
-      const int port = usable_port(mask, arc_base + x * r, group.base);
+    if (mask != nullptr) {
+      const int port = usable_port(mask, arc_row, group.base);
       if (port != static_cast<int>(group.base)) reroute_kind = 2;
       return port;
     }
@@ -991,15 +972,15 @@ class StoreAndForwardPolicy
       core_.result.lane_occupancy.add(
           static_cast<double>(queues_.total_packets()) / total_slots_);
     }
-    if constexpr (kCredits) {
+    if (const CreditLedger* const credits = credit_ledger()) {
       const std::size_t links =
           static_cast<std::size_t>(core_.stages()) * core_.ports();
       const auto [q0, q1] = shard_range(links, w, n);
-      const std::uint64_t capacity = credits_->capacity();
+      const std::uint64_t capacity = credits->capacity();
       for (std::size_t q = q0; q < q1; ++q) {
-        const std::uint64_t held = credits_->credits(q);
+        const std::uint64_t held = credits->credits(q);
         if (held > capacity ||
-            held + credits_->in_flight(q) + queues_.count(q) != capacity) {
+            held + credits->in_flight(q) + queues_.count(q) != capacity) {
           ++res.credit_violations;
         }
       }
@@ -1013,8 +994,9 @@ class StoreAndForwardPolicy
             static_cast<double>(queues_.total_packets()) / total_slots_);
       }
     }
-    if constexpr (kObs && !kShard) {
-      if (obs_->want_probe(cycle)) commit_probe_window(cycle);
+    if constexpr (!kShard) {
+      obs::Observer* const obs = observer();
+      if (obs != nullptr && obs->want_probe(cycle)) commit_probe_window(cycle);
     }
   }
 
@@ -1022,15 +1004,13 @@ class StoreAndForwardPolicy
   /// serial phase, in ascending-worker = serial order).
   void replay_ejects(std::uint64_t /*cycle*/, bool /*measuring*/,
                      ShardWorker& wk) {
+    const bool credits = credit_ledger() != nullptr;
+    obs::Observer* const obs = observer();
     for (const SafEjectEvent& event : wk.saf_events) {
       core_.record_packet_delivered(event.latency);
-      if constexpr (kCredits) {
-        core_.result.sl_latency[event.sl].add(event.latency);
-      }
-      if constexpr (kObs) {
-        if (obs_->flows_on()) {
-          obs_->record_flow(event.src, event.dst, event.sl, event.latency);
-        }
+      if (credits) core_.result.sl_latency[event.sl].add(event.latency);
+      if (obs != nullptr && obs->flows_on()) {
+        obs->record_flow(event.src, event.dst, event.sl, event.latency);
       }
     }
     wk.saf_events.clear();
@@ -1071,33 +1051,11 @@ class StoreAndForwardPolicy
     return static_cast<std::size_t>(s) * core_.ports() + i;
   }
 
-  /// Weight class of the packet at the head of queue \p q (kCredits
+  /// Weight class of the packet at the head of queue \p q (credit runs
   /// only: resolves SL -> VL -> weight through the config tables).
   [[nodiscard]] unsigned front_weight(std::size_t q) const {
     return credit_config_->weight(
         credit_config_->vl_of_sl(queues_.front_sl(q)));
-  }
-
-  /// fault::FaultedWiring::usable_port with the policy's folded radix:
-  /// \p arc_row is the mask bit index of the switch's port-0 out-arc
-  /// (FaultMask::arc_index layout). Returns the scheduled port while its
-  /// arc survives, else the next surviving port, else -1.
-  [[nodiscard]] int usable_port(const fault::FaultMask* mask,
-                                std::size_t arc_row,
-                                unsigned desired) const {
-    if (!mask->faulted_index(arc_row + desired)) {
-      return static_cast<int>(desired);
-    }
-    const unsigned r = radix();
-    unsigned port = desired;
-    for (unsigned step = 1; step < r; ++step) {
-      ++port;
-      if (port >= r) port -= r;
-      if (!mask->faulted_index(arc_row + port)) {
-        return static_cast<int>(port);
-      }
-    }
-    return -1;
   }
 
   /// Discard every fully-arrived packet queued at a dead switch of stage
@@ -1108,6 +1066,8 @@ class StoreAndForwardPolicy
   void drain_dead_switches(int s, std::uint64_t cycle, bool measuring,
                            std::uint32_t x0, std::uint32_t x1,
                            ShardWorker* wk) {
+    CreditLedger* const credits = credit_ledger();
+    obs::Observer* const obs = observer();
     const unsigned r = radix();
     [[maybe_unused]] SimResult& res = shard_result<kShard>(core_, wk);
     for (const std::uint32_t x : dead_cells_[static_cast<std::size_t>(s)]) {
@@ -1116,28 +1076,26 @@ class StoreAndForwardPolicy
         const std::size_t q = queue_index(s, x * r + slot);
         while (!queues_.empty(q) && queues_.front_arrival(q) <= cycle) {
           const std::uint64_t inject_cycle = queues_.front_inject(q);
-          if constexpr (kObs) {
-            if (inject_cycle >= core_.config().warmup_cycles) {
-              const std::uint32_t src = queues_.front_src(q);
-              if (obs_->traced(src, inject_cycle)) {
-                const std::uint32_t dest = queues_.front_dest(q);
-                const std::uint8_t phase = drain_phase(s);
-                trace_push<kShard>(obs_, wk, cycle, inject_cycle, src, dest,
-                                   obs::TraceEventKind::kDrop,
-                                   static_cast<std::uint8_t>(s), 0, phase);
-                trace_push<kShard>(obs_, wk, cycle, inject_cycle, src, dest,
-                                   obs::TraceEventKind::kStageEnd,
-                                   static_cast<std::uint8_t>(s), 0, phase);
-                trace_push<kShard>(obs_, wk, cycle, inject_cycle, src, dest,
-                                   obs::TraceEventKind::kPacketEnd, 0, 0,
-                                   phase);
-              }
+          if (obs != nullptr && inject_cycle >= core_.config().warmup_cycles) {
+            const std::uint32_t src = queues_.front_src(q);
+            if (obs->traced(src, inject_cycle)) {
+              const std::uint32_t dest = queues_.front_dest(q);
+              const std::uint8_t phase = drain_phase(s);
+              trace_push<kShard>(obs, wk, cycle, inject_cycle, src, dest,
+                                 obs::TraceEventKind::kDrop,
+                                 static_cast<std::uint8_t>(s), 0, phase);
+              trace_push<kShard>(obs, wk, cycle, inject_cycle, src, dest,
+                                 obs::TraceEventKind::kStageEnd,
+                                 static_cast<std::uint8_t>(s), 0, phase);
+              trace_push<kShard>(obs, wk, cycle, inject_cycle, src, dest,
+                                 obs::TraceEventKind::kPacketEnd, 0, 0,
+                                 phase);
             }
           }
           shard_pop<kShard>(q, wk);
           // A drained slot returns its credit like any other pop, so
           // the ledger closes exactly even across dead switches.
-          if constexpr (kCredits) credits_->give_back(q, cycle);
+          if (credits != nullptr) credits->give_back(q, cycle);
           if (measuring && inject_cycle >= core_.config().warmup_cycles) {
             ++res.packets_dropped_faulted;
             res.flits_dropped_faulted += length_;
@@ -1150,35 +1108,35 @@ class StoreAndForwardPolicy
   /// Head-of-line blocking: a fully-arrived head in [p0, p1) that did
   /// not move. The port range always matches the caller's writer
   /// partition of queue_moved_, so sharded totals equal the serial scan.
-  /// kObs: the same scan charges each blocked head to its recorded
-  /// StallCause, so the per-cause counters partition
+  /// With an observer, the same scan charges each blocked head to its
+  /// recorded StallCause, so the per-cause counters partition
   /// hol_blocking_cycles exactly — no separate bookkeeping to drift.
   template <bool kShard>
   void account_blocking(int s, std::uint64_t cycle, std::size_t p0,
-                        std::size_t p1, ShardWorker* wk,
-                        [[maybe_unused]] std::uint8_t phase) {
+                        std::size_t p1, ShardWorker* wk, std::uint8_t phase) {
     SimResult& res = shard_result<kShard>(core_, wk);
+    const bool observed = observer() != nullptr;
     for (std::size_t i = p0; i < p1; ++i) {
       const std::size_t q = queue_index(s, i);
       if (!queues_.empty(q) && queues_.front_arrival(q) <= cycle &&
           queue_moved_[i] == 0) {
         ++res.hol_blocking_cycles;
-        if constexpr (kObs) {
+        if (observed) {
           this->template attribute_stall<kShard>(s, cycle, q, wk, phase);
         }
       }
     }
   }
 
-  /// kObs && kFaulted: re-attribute still-unexplained blocked heads whose
-  /// every route-group member is fault-masked — the scheduled arc on a
-  /// unipath hop — as masked-arc stalls: they wait on detour capacity,
-  /// which is a fault symptom, not plain congestion (a surviving member
-  /// would have been a normal candidate). Runs just before
-  /// account_blocking with the stage's hoisted routing registers.
+  /// Observed faulted runs: re-attribute still-unexplained blocked heads
+  /// whose every route-group member is fault-masked — the scheduled arc
+  /// on a unipath hop — as masked-arc stalls: they wait on detour
+  /// capacity, which is a fault symptom, not plain congestion (a
+  /// surviving member would have been a normal candidate). Runs just
+  /// before account_blocking with the stage's hoisted routing registers.
   void refine_masked_arc_stalls(int s, std::uint64_t cycle, std::size_t p0,
                                 std::size_t p1, const fault::FaultMask* mask,
-                                std::size_t arc_base,
+                                std::size_t link_base,
                                 const StageRoute& route) {
     const unsigned r = radix();
     for (std::size_t i = p0; i < p1; ++i) {
@@ -1188,7 +1146,7 @@ class StoreAndForwardPolicy
       const PathGroup group = path_group(queues_.front_dest(q), route);
       bool all_masked = true;
       for (unsigned k = 0; k < group.count; ++k) {
-        if (!mask->faulted_index(arc_base + (i / r) * r + group.base + k)) {
+        if (!mask->faulted_index(link_base + (i / r) * r + group.base + k)) {
           all_masked = false;
           break;
         }
@@ -1205,15 +1163,13 @@ class StoreAndForwardPolicy
   std::vector<std::uint64_t> source_busy_until_;
   std::vector<std::uint64_t> eject_busy_until_;
   std::vector<std::uint8_t> queue_moved_;
-  std::vector<std::vector<std::uint32_t>> dead_cells_;  // kFaulted only
+  std::vector<std::vector<std::uint32_t>> dead_cells_;  // faulted runs only
 };
 
 /// The discipline as the ladder's argument (see run_policy).
 struct StoreAndForward {
-  template <bool kFaulted, bool kBinary, bool kCredits, bool kMultiPath,
-            bool kObs>
-  using Policy =
-      StoreAndForwardPolicy<kFaulted, kBinary, kCredits, kMultiPath, kObs>;
+  template <bool kBinary, bool kMultiPath, bool kFeatures>
+  using Policy = StoreAndForwardPolicy<kBinary, kMultiPath, kFeatures>;
 };
 
 }  // namespace

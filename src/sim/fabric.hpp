@@ -458,11 +458,7 @@ class FabricCore {
   /// (measured 10-20% slower on small fabrics).
   [[gnu::always_inline]] void commit(std::uint64_t cycle, std::uint32_t t,
                                      const workload::Injection& injection) {
-    if (recording_) [[unlikely]] {
-      recorded_.push_back({cycle, t, injection.dest,
-                           static_cast<std::uint32_t>(config_.packet_length),
-                           injection.tag, 0});
-    }
+    if (recording_) [[unlikely]] record(cycle, t, injection);
     if (synthetic_ == nullptr) workload_->commit(cycle, t, injection);
   }
 
@@ -537,6 +533,16 @@ class FabricCore {
   /// Accepted injections captured when SimConfig::workload.record is set
   /// (moved into SimResult::workload_trace by finalize()).
   std::vector<workload::TraceRecord> recorded_;
+
+  /// commit's recording branch, kept out of line: inlined, the vector's
+  /// growth path lands in every policy's hot driver body.
+  [[gnu::cold, gnu::noinline]] void record(
+      std::uint64_t cycle, std::uint32_t t,
+      const workload::Injection& injection) {
+    recorded_.push_back({cycle, t, injection.dest,
+                         static_cast<std::uint32_t>(config_.packet_length),
+                         injection.tag, 0});
+  }
   std::vector<RoundRobin> arbiters_;
 };
 

@@ -19,6 +19,13 @@
 /// phase compiles to the unipath arithmetic there and to the multipath
 /// arithmetic on MultiPathWiring engines.
 ///
+/// Fault masks, credit flow control and observers are properties of a
+/// run, not of the topology, so they share one compile-time switch: a run
+/// with none of them takes the plain instantiation, where every feature
+/// test folds to false, and any other run takes the featured one, which
+/// tests the feature state at run time. Six instantiations per
+/// discipline: (binary, general radix, multipath) x (plain, featured).
+///
 /// Shared code never asks which discipline is calling: the differences
 /// arrive as data — the buffers behind each input port (one FIFO or
 /// `lanes` lanes) and each buffer's capacity — or through the Derived
@@ -44,7 +51,7 @@ namespace mineq::sim {
 /// What a run hands its policy beyond the core and the workspace.
 struct PolicyArgs {
   const fault::FaultMask* mask = nullptr;  ///< non-null on faulted runs only
-  obs::Observer* obs = nullptr;            ///< non-null on kObs runs only
+  obs::Observer* obs = nullptr;  ///< non-null when a collector is enabled
   /// Precomputed settings of a kLooping multipath run (else null).
   const multipath::LoopingSettings* looping = nullptr;
   /// Per-flit ejection hook (wormhole runs; empty otherwise).
@@ -116,25 +123,22 @@ struct BufferHead {
 ///   std::uint32_t buffer_count(b) const;  // units buffered in b
 /// plus buffered_flits() and shard_sample_reduce(cycle, workers).
 ///
-/// \tparam kFaulted the run routes through the fault::FaultedWiring view
-/// (the false instantiation is the byte-identical unmasked fast path).
 /// \tparam kBinary radix() folds to the literal 2, so / and % compile to
 /// the historic shift/mask code and a stage's route reads its scheduled
 /// digit and port_of_value[s][0] as a shift and an invert.
-/// \tparam kCredits link-level credit flow control over a CreditLedger
-/// plus the pluggable output-port arbitration.
 /// \tparam kMultiPath logical terminal addresses over a MultiPathWiring's
 /// physical fabric (always general-radix and credit-less). False folds
 /// the logical geometry to the physical one — planes() 1, dilation() 1,
 /// lradix() radix(), lcells() cells — and every route group to a
 /// singleton.
-/// \tparam kObs feeds an obs::Observer; the false instantiation carries
-/// no telemetry code at all.
-template <class Derived, bool kFaulted, bool kBinary, bool kCredits,
-          bool kMultiPath, bool kObs>
+/// \tparam kFeatures the run has a fault mask, credit flow control or an
+/// observer. False folds fault_mask(), credit_ledger() and observer() to
+/// null, so the plain instantiation carries no feature code at all; true
+/// reads each from the state the base owns, null meaning off.
+template <class Derived, bool kBinary, bool kMultiPath, bool kFeatures>
 class PolicyBase {
-  static_assert(!(kMultiPath && (kBinary || kCredits)),
-                "multipath instantiations are general-radix and credit-less");
+  static_assert(!(kMultiPath && kBinary),
+                "multipath instantiations are general-radix");
 
  public:
   // --- The serial driver interface (run_switched, fabric.hpp) ----------
@@ -142,13 +146,13 @@ class PolicyBase {
   /// Eject at the last stage. Eject runs first each cycle, so the credit
   /// ledger's start-of-cycle harvest lives here.
   void eject(std::uint64_t cycle, bool measuring) {
-    if constexpr (kCredits) credits_->deliver(cycle);
+    if (CreditLedger* const credits = credit_ledger()) credits->deliver(cycle);
     derived().template eject_impl<false>(cycle, measuring, 0, lcells(),
                                          nullptr);
   }
 
   /// Advance one switch stage. The kernels hoist the stage's routing
-  /// registers (stage_route) and, faulted, the mask probes.
+  /// registers (stage_route) and the run's features.
   void advance_stage(int s, std::uint64_t cycle, bool measuring) {
     derived().template advance_stage_impl<false>(s, cycle, measuring, 0,
                                                  core_.cells(), nullptr);
@@ -176,13 +180,13 @@ class PolicyBase {
   /// Credit runs harvest the return ring as a dedicated phase: give_back
   /// writes the very slot deliver reads for the same cycle, so harvest
   /// must finish fabric-wide before any kernel returns a credit.
-  static constexpr bool kShardNeedsDeliver = kCredits;
+  [[nodiscard]] bool shard_needs_deliver() const noexcept {
+    return credit_ledger() != nullptr;
+  }
 
   void shard_deliver(std::uint64_t cycle, std::size_t w, std::size_t n) {
-    if constexpr (kCredits) {
-      const auto [lo, hi] = shard_range(buffers(), w, n);
-      credits_->deliver_range(cycle, lo, hi);
-    }
+    const auto [lo, hi] = shard_range(buffers(), w, n);
+    credits_->deliver_range(cycle, lo, hi);
   }
 
   /// Ejection arbitrates per LOGICAL terminal across planes, so its
@@ -190,7 +194,7 @@ class PolicyBase {
   /// touches are disjoint per-plane runs.
   void shard_eject(std::uint64_t cycle, bool measuring, std::size_t w,
                    std::size_t n, ShardWorker& wk) {
-    if constexpr (kObs) wk.obs_log = &obs_->log(w);
+    if (obs::Observer* const obs = observer()) wk.obs_log = &obs->log(w);
     const auto [x0, x1] = shard_range(lcells(), w, n);
     derived().template eject_impl<true>(cycle, measuring,
                                         static_cast<std::uint32_t>(x0),
@@ -263,7 +267,9 @@ class PolicyBase {
         total_slots_(static_cast<double>(core.stages()) *
                      static_cast<double>(core.ports()) *
                      static_cast<double>(args.slots) *
-                     static_cast<double>(args.capacity)) {
+                     static_cast<double>(args.capacity)),
+        mask_(kFeatures ? args.mask : nullptr),
+        obs_(kFeatures ? args.obs : nullptr) {
     if constexpr (kMultiPath) {
       const Engine& engine = core.engine();
       lradix_ = static_cast<unsigned>(engine.logical_radix());
@@ -275,10 +281,7 @@ class PolicyBase {
       free_stage_ = engine.fabric().free_stage().data();
       core.result.paths_available = engine.fabric().paths_available();
     }
-    if constexpr (kFaulted) {
-      faulted_ = fault::FaultedWiring(core.wiring(), *args.mask);
-    }
-    if constexpr (kCredits) {
+    if (kFeatures && !kMultiPath && core.config().credits.enabled) {
       credit_config_ = &core.config().credits;
       service_levels_ = credit_config_->service_levels();
       credits_ = &workspace.credit_ledger(
@@ -292,8 +295,7 @@ class PolicyBase {
       }
       core.result.sl_latency.resize(service_levels_);
     }
-    if constexpr (kObs) {
-      obs_ = args.obs;
+    if (obs_ != nullptr) {
       // One StallCause slot per buffer; the kernels re-zero exactly the
       // ranges they probe each cycle.
       stall_cause_.assign(buffers(), 0);
@@ -301,6 +303,30 @@ class PolicyBase {
   }
 
   [[nodiscard]] Derived& derived() { return static_cast<Derived&>(*this); }
+
+  // --- The run's features, null when off (always, on plain runs) -------
+  // Each kernel reads these into locals at entry and hands the locals to
+  // the helpers its probe loops call: the pools' byte stores may alias
+  // the members, so a member read inside a probe loop would be reloaded
+  // on every probe.
+
+  /// The fault mask of a faulted run.
+  [[nodiscard]] const fault::FaultMask* fault_mask() const noexcept {
+    return kFeatures ? mask_ : nullptr;
+  }
+  /// The credit ledger of a credit run (multipath runs are credit-less).
+  [[nodiscard]] CreditLedger* credit_ledger() const noexcept {
+    return kFeatures && !kMultiPath ? credits_ : nullptr;
+  }
+  /// The observer of a run with any collector enabled.
+  [[nodiscard]] obs::Observer* observer() const noexcept {
+    return kFeatures ? obs_ : nullptr;
+  }
+  /// Does the output-port arbitration follow \p policy? Only credit runs
+  /// configure it; every other run arbitrates round-robin.
+  [[nodiscard]] bool arbitrates(ArbitrationPolicy policy) const noexcept {
+    return credit_ledger() != nullptr && credit_config_->arbitration == policy;
+  }
 
   /// The radix, folded to the literal 2 in the binary instantiations so
   /// / and % compile to the historic shift/mask code.
@@ -426,31 +452,25 @@ class PolicyBase {
     }
   }
 
-  // --- The arbitration seam (kCredits only varies it) ------------------
+  // --- The arbitration seam (only credit runs vary it) -----------------
   // Round-robin and strict priority keep the core's RoundRobin pointer
   // state — priority filters candidates before the pointer ever moves,
   // so uniform weights degrade to plain round-robin byte for byte —
   // while the weighted policy swaps in the quantum WRR state. Candidates
-  // index the radix * slots input buffers of an output port.
+  // index the radix * slots input buffers of an output port. \p weighted
+  // is the kernel's hoisted arbitrates(ArbitrationPolicy::kWeighted).
 
-  [[nodiscard]] unsigned arb_candidate(int s, std::size_t out,
-                                       unsigned probe) {
-    if constexpr (kCredits) {
-      if (credit_config_->arbitration == ArbitrationPolicy::kWeighted) {
-        return weighted_.candidate(arb_index(s, out), probe);
-      }
-    }
+  [[nodiscard]] unsigned arb_candidate(int s, std::size_t out, unsigned probe,
+                                       bool weighted) {
+    if (weighted) return weighted_.candidate(arb_index(s, out), probe);
     return core_.arbiter(s, out).candidate(probe);
   }
 
-  void arb_grant(int s, std::size_t out, unsigned winner,
-                 [[maybe_unused]] unsigned vl) {
-    if constexpr (kCredits) {
-      if (credit_config_->arbitration == ArbitrationPolicy::kWeighted) {
-        weighted_.grant(arb_index(s, out), winner,
-                        credit_config_->weight(vl));
-        return;
-      }
+  void arb_grant(int s, std::size_t out, unsigned winner, unsigned vl,
+                 bool weighted) {
+    if (weighted) {
+      weighted_.grant(arb_index(s, out), winner, credit_config_->weight(vl));
+      return;
     }
     core_.arbiter(s, out).grant(winner);
   }
@@ -459,7 +479,30 @@ class PolicyBase {
     return static_cast<std::size_t>(s) * core_.ports() + out;
   }
 
-  // --- Observability (kObs instantiations only) ------------------------
+  /// The degraded-mode route step (fault::FaultedWiring::usable_port with
+  /// the policy's folded radix): \p arc_row is the mask bit index of the
+  /// switch's port-0 out-arc (FaultMask::arc_index layout). Returns the
+  /// scheduled port while its arc survives, else the next surviving port,
+  /// else -1 (a dead switch).
+  [[nodiscard]] int usable_port(const fault::FaultMask* mask,
+                                std::size_t arc_row,
+                                unsigned desired) const {
+    if (!mask->faulted_index(arc_row + desired)) {
+      return static_cast<int>(desired);
+    }
+    const unsigned r = radix();
+    unsigned port = desired;
+    for (unsigned step = 1; step < r; ++step) {
+      ++port;
+      if (port >= r) port -= r;
+      if (!mask->faulted_index(arc_row + port)) {
+        return static_cast<int>(port);
+      }
+    }
+    return -1;
+  }
+
+  // --- Observability (runs with an observer only) ----------------------
 
   /// One blocked head-cycle of buffer \p b: the per-cause SimResult
   /// counter, the per-stage probe counter, and a stall instant for traced
@@ -554,11 +597,11 @@ class PolicyBase {
   /// Sharded kernels bypass the pool-wide counter (it would be a data
   /// race); shard_finish folds the per-worker deltas back in here.
   std::int64_t shard_pool_delta_ = 0;
-  fault::FaultedWiring faulted_;                         // kFaulted only
-  const CreditConfig* credit_config_ = nullptr;          // kCredits only
-  CreditLedger* credits_ = nullptr;                      // kCredits only
-  WeightedRoundRobin weighted_;                          // kCredits only
-  std::size_t service_levels_ = 1;                       // kCredits only
+  const fault::FaultMask* mask_;                         // faulted runs
+  const CreditConfig* credit_config_ = nullptr;          // credit runs
+  CreditLedger* credits_ = nullptr;                      // credit runs
+  WeightedRoundRobin weighted_;                          // credit runs
+  std::size_t service_levels_ = 1;                       // credit runs
   unsigned lradix_ = 2;                                  // kMultiPath only
   std::uint32_t lcells_ = 1;                             // kMultiPath only
   unsigned planes_ = 1;                                  // kMultiPath only
@@ -566,10 +609,10 @@ class PolicyBase {
   PathPolicy path_policy_ = PathPolicy::kHash;           // kMultiPath only
   const multipath::LoopingSettings* looping_ = nullptr;  // kMultiPath only
   const std::uint8_t* free_stage_ = nullptr;             // kMultiPath only
-  obs::Observer* obs_ = nullptr;                         // kObs only
+  obs::Observer* obs_;                                   // observed runs
   /// Per-buffer StallCause scratch, written by the probe loops and read
   /// by the blocking scans — same writer partition as the buffers.
-  std::vector<std::uint8_t> stall_cause_;  // kObs only
+  std::vector<std::uint8_t> stall_cause_;  // observed runs
 };
 
 // The ladder below takes a discipline as a class whose member template
@@ -582,85 +625,59 @@ class PolicyBase {
 /// the instantiations into the ladder lets the compiler cross-jump the
 /// twin hot loops into shared blocks, costing the binary instantiation
 /// measurable time.
-template <class Discipline, bool kFaulted, bool kBinary, bool kCredits,
-          bool kMultiPath, bool kObs>
+template <class Discipline, bool kBinary, bool kMultiPath, bool kFeatures>
 #if defined(__GNUC__)
 [[gnu::noinline]]
 #endif
 SimResult
 run_policy(FabricCore& core, SimWorkspace& workspace,
            const PolicyArgs& args) {
-  typename Discipline::template Policy<kFaulted, kBinary, kCredits,
-                                       kMultiPath, kObs>
-      policy(core, workspace, args);
-  if constexpr (kObs) {
+  typename Discipline::template Policy<kBinary, kMultiPath, kFeatures> policy(
+      core, workspace, args);
+  obs::Observer* const obs = args.obs;
+  if (obs != nullptr) {
     // Closed-loop sources route request->reply latencies into the flow
     // recorder's service channel (null and ignored when flows are off).
-    core.set_service_recorder(args.obs->flow_recorder());
+    core.set_service_recorder(obs->flow_recorder());
   }
   const std::size_t threads = core.config().sim_threads;
   SimResult result = threads > 1 ? run_switched_sharded(core, policy, threads)
                                  : run_switched(core, policy);
-  if constexpr (kObs) {
-    result.probes = args.obs->take_probes();
-    if (args.obs->flows_on()) result.flows = args.obs->flow_summary();
-    result.trace = args.obs->take_trace();
+  if (obs != nullptr) {
+    result.probes = obs->take_probes();
+    if (obs->flows_on()) result.flows = obs->flow_summary();
+    result.trace = obs->take_trace();
   }
   return result;
 }
 
-/// The obs fork: an absent observer dispatches to the kObs=false
-/// instantiation — byte for byte the pre-observability policy, the same
-/// pattern the kFaulted/kCredits fast paths use.
-template <class Discipline, bool kFaulted, bool kBinary, bool kCredits,
-          bool kMultiPath>
-SimResult run_observed(FabricCore& core, SimWorkspace& workspace,
-                       const PolicyArgs& args) {
-  if (args.obs != nullptr) {
-    return run_policy<Discipline, kFaulted, kBinary, kCredits, kMultiPath,
-                      true>(core, workspace, args);
-  }
-  return run_policy<Discipline, kFaulted, kBinary, kCredits, kMultiPath,
-                    false>(core, workspace, args);
-}
-
-/// The instantiation ladder of one discipline: faulted x binary x
-/// credits over unipath engines, faulted over multipath ones — 20
-/// instantiations with the obs fork.
+/// The instantiation ladder of one discipline: (binary, general radix,
+/// multipath) x (plain, featured) — 6 instantiations. A run with no fault
+/// mask, no credits and no observer takes the plain one.
 template <class Discipline>
 SimResult run_discipline(FabricCore& core, SimWorkspace& workspace,
                          const PolicyArgs& args) {
-  const bool faulted = args.mask != nullptr;
+  const bool features = args.mask != nullptr ||
+                        core.config().credits.enabled || args.obs != nullptr;
   if (core.engine().multipath()) {
-    return faulted ? run_observed<Discipline, true, false, false, true>(
-                         core, workspace, args)
-                   : run_observed<Discipline, false, false, false, true>(
-                         core, workspace, args);
+    return features
+               ? run_policy<Discipline, false, true, true>(core, workspace,
+                                                           args)
+               : run_policy<Discipline, false, true, false>(core, workspace,
+                                                            args);
   }
-  const bool binary = core.engine().radix() == 2;
-  const bool credits = core.config().credits.enabled;
-  if (faulted) {
-    if (credits) {
-      return binary ? run_observed<Discipline, true, true, true, false>(
-                          core, workspace, args)
-                    : run_observed<Discipline, true, false, true, false>(
-                          core, workspace, args);
-    }
-    return binary ? run_observed<Discipline, true, true, false, false>(
-                        core, workspace, args)
-                  : run_observed<Discipline, true, false, false, false>(
-                        core, workspace, args);
+  if (core.engine().radix() == 2) {
+    return features
+               ? run_policy<Discipline, true, false, true>(core, workspace,
+                                                           args)
+               : run_policy<Discipline, true, false, false>(core, workspace,
+                                                            args);
   }
-  if (credits) {
-    return binary ? run_observed<Discipline, false, true, true, false>(
-                        core, workspace, args)
-                  : run_observed<Discipline, false, false, true, false>(
-                        core, workspace, args);
-  }
-  return binary ? run_observed<Discipline, false, true, false, false>(
-                      core, workspace, args)
-                : run_observed<Discipline, false, false, false, false>(
-                      core, workspace, args);
+  return features
+             ? run_policy<Discipline, false, false, true>(core, workspace,
+                                                          args)
+             : run_policy<Discipline, false, false, false>(core, workspace,
+                                                           args);
 }
 
 /// The disciplines' ladders (engine.cpp, wormhole.cpp).

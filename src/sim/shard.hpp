@@ -50,8 +50,8 @@ namespace mineq::sim {
 struct SafEjectEvent {
   double latency = 0.0;
   unsigned sl = 0;  ///< service level (0 outside credit runs)
-  /// Flow identity for the observability recorders (0 when obs is off;
-  /// the replay only reads them on kObs instantiations).
+  /// Flow identity for the observability recorders (the replay reads
+  /// them only on runs with an observer).
   std::uint32_t src = 0;
   std::uint32_t dst = 0;
 };
@@ -83,9 +83,9 @@ struct alignas(64) ShardWorker {
   std::vector<workload::Delivery> wl_events;
   /// Wormhole per-VL buffered-flit partial (sample phase).
   std::vector<std::uint64_t> vl_flits;
-  /// This worker's observability sink (kObs instantiations only): set by
-  /// the policy's shard_eject each cycle, so the kernels never need the
-  /// worker index threaded through.
+  /// This worker's observability sink (runs with an observer only): set
+  /// by the policy's shard_eject each cycle, so the kernels never need
+  /// the worker index threaded through.
   obs::WorkerLog* obs_log = nullptr;
 };
 
@@ -109,8 +109,8 @@ inline util::ThreadPool& sim_team_pool() {
 
 /// The sharded counterpart of run_switched. A Policy implements, in
 /// addition to its serial phases:
-///   static constexpr bool kShardNeedsDeliver;  // credit harvest phase?
-///   void shard_deliver(cycle, w, n);           // credit runs only
+///   bool shard_needs_deliver() const;  // a credit harvest phase?
+///   void shard_deliver(cycle, w, n);   // when shard_needs_deliver()
 ///   void shard_eject(cycle, measuring, w, n, ShardWorker&);
 ///   void shard_advance(s, cycle, measuring, w, n, ShardWorker&);
 ///   void shard_serial(cycle, measuring, workers);   // worker 0 only:
@@ -137,11 +137,12 @@ template <class Policy>
   util::SpinBarrier barrier(threads);
   const std::uint64_t warmup = core.config().warmup_cycles;
   const std::uint64_t total = core.total_cycles();
+  const bool deliver = policy.shard_needs_deliver();
   sim_team_pool().run_team(threads, [&](std::size_t w, std::size_t n) {
     ShardWorker& wk = workers[w];
     for (std::uint64_t cycle = 0; cycle < total; ++cycle) {
       const bool measuring = cycle >= warmup;
-      if constexpr (Policy::kShardNeedsDeliver) {
+      if (deliver) {
         policy.shard_deliver(cycle, w, n);
         barrier.arrive_and_wait();
       }

@@ -18,47 +18,46 @@ namespace {
 /// as soon as it wins output-port arbitration; body and tail flits follow
 /// through the reserved lane; the tail releases each lane as it passes.
 /// One flit crosses each link per cycle. The template switches and the
-/// shared plumbing are PolicyBase's (policy.hpp); what they mean here:
-///  - kFaulted: every worm's out-port resolves through the
-///    fault::FaultedWiring view when its head is accepted — following the
-///    schedule while its arc survives, detouring through the next
-///    surviving port otherwise, and marking the lane *dropping* when the
-///    switch is dead so the worm (and every flit still following its
-///    reservation) drains into the dropped-at-fault counters instead of
-///    wedging the buffer;
-///  - kCredits: one credit per downstream lane slot, consumed per flit
+/// shared plumbing are PolicyBase's (policy.hpp); what the run's features
+/// mean here, each tested at run time on the featured instantiation:
+///  - a fault mask: every worm's out-port resolves through the degraded
+///    route step (PolicyBase::usable_port) when its head is accepted —
+///    following the schedule while its arc survives, detouring through
+///    the next surviving port otherwise, and marking the lane *dropping*
+///    when the switch is dead so the worm (and every flit still following
+///    its reservation) drains into the dropped-at-fault counters instead
+///    of wedging the buffer;
+///  - credits: one credit per downstream lane slot, consumed per flit
 ///    accepted, returned per flit popped with the configured latency.
 ///    With a non-empty SL->VL map, worms travel in their fixed virtual
 ///    lane vl_of_sl(sl) at every hop instead of claiming the first idle
 ///    lane;
-///  - kMultiPath: a head's route step (select_next_port) chooses its next
-///    out-port within the fabric's equivalent-path group (free Benes
-///    connection, dilation group) under the configured PathPolicy,
-///    injection picks a plane on replicated fabrics, and each logical
-///    terminal's eject arbiter spans planes * radix * lanes candidate
-///    lanes. Unipath instantiations run the same kernels with one plane
-///    and singleton groups;
-///  - kObs: per-stage probe counters (per-flit hops here), trace events
-///    keyed by (cycle, intra-cycle phase), flow records at tail ejection,
-///    and a StallCause per blocked lane-cycle.
-template <bool kFaulted, bool kBinary, bool kCredits, bool kMultiPath,
-          bool kObs>
+///  - an observer: per-stage probe counters (per-flit hops here), trace
+///    events keyed by (cycle, intra-cycle phase), flow records at tail
+///    ejection, and a StallCause per blocked lane-cycle.
+/// kMultiPath: a head's route step (select_next_port) chooses its next
+/// out-port within the fabric's equivalent-path group (free Benes
+/// connection, dilation group) under the configured PathPolicy,
+/// injection picks a plane on replicated fabrics, and each logical
+/// terminal's eject arbiter spans planes * radix * lanes candidate lanes.
+/// Unipath instantiations run the same kernels with one plane and
+/// singleton groups.
+template <bool kBinary, bool kMultiPath, bool kFeatures>
 class WormholePolicy
-    : public PolicyBase<
-          WormholePolicy<kFaulted, kBinary, kCredits, kMultiPath, kObs>,
-          kFaulted, kBinary, kCredits, kMultiPath, kObs> {
-  using Base = PolicyBase<WormholePolicy, kFaulted, kBinary, kCredits,
-                          kMultiPath, kObs>;
+    : public PolicyBase<WormholePolicy<kBinary, kMultiPath, kFeatures>,
+                        kBinary, kMultiPath, kFeatures> {
+  using Base = PolicyBase<WormholePolicy, kBinary, kMultiPath, kFeatures>;
   friend Base;
   using Base::core_, Base::length_, Base::link_counter_,
-      Base::shard_pool_delta_, Base::total_slots_, Base::faulted_,
-      Base::credit_config_, Base::credits_, Base::service_levels_,
-      Base::path_policy_, Base::obs_, Base::stall_cause_, Base::radix,
-      Base::planes, Base::lradix, Base::lcells, Base::inject_port,
-      Base::stage_route, Base::path_group, Base::arb_candidate,
-      Base::arb_grant, Base::commit_probe_window, Base::kEjectPhase,
-      Base::eject_stall_phase, Base::drain_phase, Base::advance_phase,
-      Base::stall_phase, Base::inject_phase;
+      Base::shard_pool_delta_, Base::total_slots_, Base::credit_config_,
+      Base::service_levels_, Base::path_policy_, Base::stall_cause_,
+      Base::fault_mask, Base::credit_ledger, Base::observer, Base::arbitrates,
+      Base::radix, Base::planes, Base::lradix, Base::lcells,
+      Base::inject_port, Base::stage_route, Base::path_group,
+      Base::arb_candidate, Base::arb_grant, Base::usable_port,
+      Base::commit_probe_window, Base::kEjectPhase, Base::eject_stall_phase,
+      Base::drain_phase, Base::advance_phase, Base::stall_phase,
+      Base::inject_phase;
   using StageRoute = typename Base::StageRoute;
   using PathGroup = typename Base::PathGroup;
 
@@ -72,7 +71,7 @@ class WormholePolicy
             static_cast<std::size_t>(core.stages()) * core.ports() * lanes_,
             core.config().lane_depth)),
         sources_(core.terminals()) {
-    if constexpr (kFaulted) {
+    if (fault_mask() != nullptr) {
       dropping_.assign(
           static_cast<std::size_t>(core.stages()) * core.ports() * lanes_, 0);
     }
@@ -86,7 +85,7 @@ class WormholePolicy
 
   /// Worker 0 only: the order-sensitive occupancy adds over pool-wide
   /// totals reconciled from the workers' deltas and per-VL counts.
-  void shard_sample_reduce([[maybe_unused]] std::uint64_t cycle,
+  void shard_sample_reduce(std::uint64_t cycle,
                            std::vector<ShardWorker>& workers) {
     std::int64_t delta = 0;
     for (const ShardWorker& wk : workers) delta += wk.pool_delta;
@@ -94,7 +93,7 @@ class WormholePolicy
         static_cast<double>(
             static_cast<std::int64_t>(pool_.occupied_flits()) + delta) /
         total_slots_);
-    if constexpr (kCredits) {
+    if (credit_ledger() != nullptr) {
       if (core_.result.vl_occupancy.empty()) {
         core_.result.vl_occupancy.resize(lanes_);
       }
@@ -106,9 +105,8 @@ class WormholePolicy
                                           slots_per_vl);
       }
     }
-    if constexpr (kObs) {
-      if (obs_->want_probe(cycle)) commit_probe_window(cycle);
-    }
+    obs::Observer* const obs = observer();
+    if (obs != nullptr && obs->want_probe(cycle)) commit_probe_window(cycle);
   }
 
   /// Injection, at most one flit per terminal per cycle: logical terminal
@@ -123,23 +121,24 @@ class WormholePolicy
   /// multipath runs draw first, because the hashed plane pick keys on the
   /// destination, and a refused attempt discards its draw.
   void inject(std::uint64_t cycle, bool measuring) {
+    const fault::FaultMask* const mask = fault_mask();
+    CreditLedger* const credits = credit_ledger();
+    obs::Observer* const obs = observer();
     const unsigned r = radix();
     const StageRoute route = stage_route(0);
     const std::uint32_t* down_next =
         route.ejects ? nullptr : core_.wiring().down_stage(0).data();
-    [[maybe_unused]] const fault::FaultMask* mask = nullptr;
-    if constexpr (kFaulted) mask = &faulted_.mask();
     for (std::uint64_t t = 0; t < core_.terminals(); ++t) {
       SourceState& src = sources_[t];
       if (src.remaining > 0) {
         const std::size_t l =
             lane_index(0, src.port, static_cast<std::size_t>(src.lane));
         bool room;
-        if constexpr (kCredits) {
-          room = credits_->available(l);
+        if (credits != nullptr) {
+          room = credits->available(l);
           if (!room && measuring) {
             ++core_.result.credit_stall_cycles;
-            if constexpr (kObs) ++obs_->log(0).credit[0];
+            if (obs != nullptr) ++obs->log(0).credit[0];
           }
         } else {
           room = pool_.has_space(l);
@@ -149,7 +148,7 @@ class WormholePolicy
                                     static_cast<std::uint32_t>(t),
                                     src.inject_cycle, src.next_index, length_,
                                     src.sl, src.tag));
-          if constexpr (kCredits) credits_->consume(l);
+          if (credits != nullptr) credits->consume(l);
           ++src.next_index;
           --src.remaining;
           if (measuring) ++core_.result.flits_injected;
@@ -158,7 +157,7 @@ class WormholePolicy
       }
       if (!core_.attempt(cycle, static_cast<std::uint32_t>(t))) continue;
       if (measuring) ++core_.result.offered;
-      [[maybe_unused]] unsigned sl = 0;
+      unsigned sl = 0;
       workload::Injection packet;
       std::size_t port = t;
       int lane = -1;
@@ -189,7 +188,7 @@ class WormholePolicy
         }
         if (lane < 0) continue;  // refused at source
       } else {
-        if constexpr (kCredits) {
+        if (credits != nullptr) {
           sl = static_cast<unsigned>(t % service_levels_);
           if (!credit_config_->sl_map.empty()) {
             // Fixed virtual lane per service level.
@@ -201,11 +200,11 @@ class WormholePolicy
             lane = pool_.find_idle_lane(lane_index(0, t, 0), lanes_);
             if (lane < 0) continue;  // refused at source
           }
-          if (!credits_->available(
+          if (!credits->available(
                   lane_index(0, t, static_cast<std::size_t>(lane)))) {
             if (measuring) {
               ++core_.result.credit_stall_cycles;
-              if constexpr (kObs) ++obs_->log(0).credit[0];
+              if (obs != nullptr) ++obs->log(0).credit[0];
             }
             continue;  // lane free, credits not returned yet
           }
@@ -225,23 +224,21 @@ class WormholePolicy
           l, head, 0, static_cast<std::uint32_t>(port / r),
           select_next_port(route, 0, static_cast<std::uint32_t>(port), head,
                            down_next, mask, reroute_kind),
-          measuring, nullptr, cycle, inject_phase());
-      if constexpr (kFaulted) {
-        if (reroute_kind == 1 && measuring &&
-            cycle >= core_.config().warmup_cycles) {
-          ++core_.result.path_reroutes;
-          if constexpr (kObs) {
-            ++obs_->log(0).reroute[0];
-            if (obs_->traced(static_cast<std::uint32_t>(t), cycle)) {
-              trace_push<false>(obs_, nullptr, cycle, cycle,
-                                static_cast<std::uint32_t>(t), dest,
-                                obs::TraceEventKind::kReroute, 0, 0,
-                                inject_phase());
-            }
+          measuring, nullptr, cycle, inject_phase(), mask, obs);
+      if (reroute_kind == 1 && measuring &&
+          cycle >= core_.config().warmup_cycles) {
+        ++core_.result.path_reroutes;
+        if (obs != nullptr) {
+          ++obs->log(0).reroute[0];
+          if (obs->traced(static_cast<std::uint32_t>(t), cycle)) {
+            trace_push<false>(obs, nullptr, cycle, cycle,
+                              static_cast<std::uint32_t>(t), dest,
+                              obs::TraceEventKind::kReroute, 0, 0,
+                              inject_phase());
           }
         }
       }
-      if constexpr (kCredits) credits_->consume(l);
+      if (credits != nullptr) credits->consume(l);
       core_.commit(cycle, static_cast<std::uint32_t>(t), packet);
       src.dest = dest;
       src.id = id;
@@ -255,19 +252,17 @@ class WormholePolicy
       if (measuring) {
         ++core_.result.injected;
         ++core_.result.flits_injected;
-        if constexpr (kObs) {
-          // Injection is always a serial phase: log 0 is the sink in
-          // both drivers, keeping trace bytes thread-count invariant.
-          if (obs_->traced(static_cast<std::uint32_t>(t), cycle)) {
-            trace_push<false>(obs_, nullptr, cycle, cycle,
-                              static_cast<std::uint32_t>(t), dest,
-                              obs::TraceEventKind::kPacketBegin, 0, 0,
-                              inject_phase());
-            trace_push<false>(obs_, nullptr, cycle, cycle,
-                              static_cast<std::uint32_t>(t), dest,
-                              obs::TraceEventKind::kStageBegin, 0, 0,
-                              inject_phase());
-          }
+        // Injection is always a serial phase: log 0 is the sink in both
+        // drivers, keeping trace bytes thread-count invariant.
+        if (obs != nullptr && obs->traced(static_cast<std::uint32_t>(t), cycle)) {
+          trace_push<false>(obs, nullptr, cycle, cycle,
+                            static_cast<std::uint32_t>(t), dest,
+                            obs::TraceEventKind::kPacketBegin, 0, 0,
+                            inject_phase());
+          trace_push<false>(obs, nullptr, cycle, cycle,
+                            static_cast<std::uint32_t>(t), dest,
+                            obs::TraceEventKind::kStageBegin, 0, 0,
+                            inject_phase());
         }
       }
     }
@@ -289,6 +284,11 @@ class WormholePolicy
   template <bool kShard>
   void eject_impl(std::uint64_t cycle, bool measuring, std::uint32_t lx0,
                   std::uint32_t lx1, ShardWorker* wk) {
+    const fault::FaultMask* const mask = fault_mask();
+    CreditLedger* const credits = credit_ledger();
+    obs::Observer* const obs = observer();
+    const bool weighted = arbitrates(ArbitrationPolicy::kWeighted);
+    const bool priority = arbitrates(ArbitrationPolicy::kPriority);
     const int last = core_.stages() - 1;
     const unsigned r = radix();
     const unsigned lr = lradix();
@@ -317,47 +317,43 @@ class WormholePolicy
         const std::uint32_t term = lx * lr + j;
         // Strict priority scans the ready candidates first: only a worm
         // of the highest ready weight class may win this cycle.
-        [[maybe_unused]] unsigned need_weight = 0;
-        if constexpr (kCredits) {
-          if (credit_config_->arbitration == ArbitrationPolicy::kPriority) {
-            for (unsigned c = 0; c < candidates; ++c) {
-              const std::size_t l = eject_lane(lx, c);
-              if (pool_.empty(l) || pool_.out_port(l) != j) continue;
-              need_weight = std::max(need_weight, flit_weight(l));
-            }
+        unsigned need_weight = 0;
+        if (priority) {
+          for (unsigned c = 0; c < candidates; ++c) {
+            const std::size_t l = eject_lane(lx, c);
+            if (pool_.empty(l) || pool_.out_port(l) != j) continue;
+            need_weight = std::max(need_weight, flit_weight(l));
           }
         }
         for (unsigned probe = 0; probe < candidates; ++probe) {
-          const unsigned c = arb_candidate(last, term, probe);
+          const unsigned c = arb_candidate(last, term, probe, weighted);
           const std::size_t l = eject_lane(lx, c);
           if (pool_.empty(l) || pool_.out_port(l) != j) continue;
-          [[maybe_unused]] unsigned vl = 0;
-          if constexpr (kCredits) {
+          unsigned vl = 0;
+          if (credits != nullptr) {
             vl = credit_config_->vl_of_sl(
                 static_cast<unsigned>(pool_.front(l).sl));
-            if (credit_config_->arbitration ==
-                    ArbitrationPolicy::kPriority &&
-                credit_config_->weight(vl) != need_weight) {
+            if (priority && credit_config_->weight(vl) != need_weight) {
               continue;
             }
           }
           const Flit flit = shard_pop<kShard>(l, wk);
-          if constexpr (kCredits) credits_->give_back(l, cycle);
-          arb_grant(last, term, c, vl);
+          if (credits != nullptr) credits->give_back(l, cycle);
+          arb_grant(last, term, c, vl, weighted);
           const bool counted =
               measuring && flit.inject_cycle >= core_.config().warmup_cycles;
           if (counted) ++res.flits_delivered;
-          if constexpr (kObs) {
+          if (obs != nullptr) {
             if (measuring) {
-              ++obs_log<kShard>(obs_, wk).hops[static_cast<std::size_t>(last)];
+              ++obs_log<kShard>(obs, wk).hops[static_cast<std::size_t>(last)];
             }
             if (flit.inject_cycle >= core_.config().warmup_cycles &&
-                obs_->traced(static_cast<std::uint32_t>(flit.src),
-                             flit.inject_cycle)) {
+                obs->traced(static_cast<std::uint32_t>(flit.src),
+                            flit.inject_cycle)) {
               // Follow the head: its eject closes the last stage slice;
               // the tail's eject completes the packet.
               if (flit.is_head()) {
-                trace_push<kShard>(obs_, wk, cycle, flit.inject_cycle,
+                trace_push<kShard>(obs, wk, cycle, flit.inject_cycle,
                                    static_cast<std::uint32_t>(flit.src),
                                    flit.dest_terminal,
                                    obs::TraceEventKind::kStageEnd,
@@ -365,7 +361,7 @@ class WormholePolicy
                                    kEjectPhase);
               }
               if (flit.is_tail()) {
-                trace_push<kShard>(obs_, wk, cycle, flit.inject_cycle,
+                trace_push<kShard>(obs, wk, cycle, flit.inject_cycle,
                                    static_cast<std::uint32_t>(flit.src),
                                    flit.dest_terminal,
                                    obs::TraceEventKind::kPacketEnd, 0, 0,
@@ -373,12 +369,11 @@ class WormholePolicy
               }
             }
           }
-          if constexpr (kFaulted) {
-            // A detoured worm ejects at whatever terminal the surviving
-            // route reached; count the miss.
-            if (counted && flit.is_tail() && (flit.dest_terminal / lr) != lx) {
-              ++res.packets_misdelivered;
-            }
+          // A detoured worm ejects at whatever terminal the surviving
+          // route reached; count the miss.
+          if (mask != nullptr && counted && flit.is_tail() &&
+              (flit.dest_terminal / lr) != lx) {
+            ++res.packets_misdelivered;
           }
           if (flit.is_tail() && core_.wants_deliveries()) {
             // Tail ejection completes the packet: feed the workload
@@ -407,16 +402,14 @@ class WormholePolicy
               const double latency =
                   static_cast<double>(cycle - flit.inject_cycle + 1);
               core_.record_packet_delivered(latency);
-              if constexpr (kCredits) {
+              if (credits != nullptr) {
                 core_.result.sl_latency[static_cast<unsigned>(flit.sl)].add(
                     latency);
               }
-              if constexpr (kObs) {
-                if (obs_->flows_on()) {
-                  obs_->record_flow(static_cast<std::uint32_t>(flit.src),
-                                    flit.dest_terminal,
-                                    static_cast<unsigned>(flit.sl), latency);
-                }
+              if (obs != nullptr && obs->flows_on()) {
+                obs->record_flow(static_cast<std::uint32_t>(flit.src),
+                                 flit.dest_terminal,
+                                 static_cast<unsigned>(flit.sl), latency);
               }
             }
           }
@@ -445,9 +438,17 @@ class WormholePolicy
   /// property makes each of those lanes single-writer for the whole
   /// phase.
   template <bool kShard>
-  void advance_stage_impl(int s, [[maybe_unused]] std::uint64_t cycle,
-                          bool measuring, std::uint32_t x0, std::uint32_t x1,
+  void advance_stage_impl(int s, std::uint64_t cycle, bool measuring,
+                          std::uint32_t x0, std::uint32_t x1,
                           ShardWorker* wk) {
+    const fault::FaultMask* const mask = fault_mask();
+    CreditLedger* const credits = credit_ledger();
+    obs::Observer* const obs = observer();
+    const bool weighted = arbitrates(ArbitrationPolicy::kWeighted);
+    const bool priority = arbitrates(ArbitrationPolicy::kPriority);
+    // Credit runs with an SL->VL map pin each worm to its virtual lane.
+    const bool fixed_lanes =
+        credits != nullptr && !credit_config_->sl_map.empty();
     const unsigned r = radix();
     [[maybe_unused]] SimResult& res = shard_result<kShard>(core_, wk);
     const auto down = core_.wiring().down_stage(s);
@@ -457,16 +458,13 @@ class WormholePolicy
     const StageRoute route = stage_route(s + 1);
     const std::uint32_t* down_next =
         route.ejects ? nullptr : core_.wiring().down_stage(s + 1).data();
-    // Faulted: arc bit index = stage base + the record's array offset
-    // (FaultMask::arc_index's layout), with the policy's folded radix.
-    [[maybe_unused]] std::size_t arc_base = 0;
-    [[maybe_unused]] const fault::FaultMask* mask = nullptr;
-    if constexpr (kFaulted) {
+    // The mask bit of this stage's out-arc x * r + port (FaultMask::
+    // arc_index's layout, with the policy's folded radix).
+    const std::size_t arc_base = static_cast<std::size_t>(s) * core_.ports();
+    if (mask != nullptr) {
       drain_dropping<kShard>(s, cycle, measuring, x0, x1, wk);
-      arc_base = static_cast<std::size_t>(s) * core_.ports();
-      mask = &faulted_.mask();
     }
-    if constexpr (kObs) {
+    if (obs != nullptr) {
       // Stall causes default to lost-arbitration; the probe loop below
       // overwrites the specific causes it detects.
       const std::size_t sfirst = lane_index(s, 0, 0);
@@ -481,35 +479,31 @@ class WormholePolicy
         static_cast<unsigned>(static_cast<std::size_t>(r) * lanes_);
     for (std::uint32_t x = x0; x < x1; ++x) {
       for (unsigned port = 0; port < r; ++port) {
-        if constexpr (kFaulted) {
-          // A dead link transmits nothing (no worm ever resolves its
-          // out-port onto a masked arc, so this is just a fast skip).
-          if (mask->faulted_index(arc_base + x * r + port)) continue;
+        // A dead link transmits nothing (no worm ever resolves its
+        // out-port onto a masked arc, so this is just a fast skip).
+        if (mask != nullptr && mask->faulted_index(arc_base + x * r + port)) {
+          continue;
         }
         // Strict priority scans the ready candidates first: only a worm
         // of the highest ready weight class may win this cycle.
-        [[maybe_unused]] unsigned need_weight = 0;
-        if constexpr (kCredits) {
-          if (credit_config_->arbitration == ArbitrationPolicy::kPriority) {
-            for (unsigned c = 0; c < candidates; ++c) {
-              const std::size_t l =
-                  lane_index(s, x * r + c / lanes_, c % lanes_);
-              if (pool_.empty(l) || pool_.out_port(l) != port) continue;
-              need_weight = std::max(need_weight, flit_weight(l));
-            }
+        unsigned need_weight = 0;
+        if (priority) {
+          for (unsigned c = 0; c < candidates; ++c) {
+            const std::size_t l =
+                lane_index(s, x * r + c / lanes_, c % lanes_);
+            if (pool_.empty(l) || pool_.out_port(l) != port) continue;
+            need_weight = std::max(need_weight, flit_weight(l));
           }
         }
         for (unsigned probe = 0; probe < candidates; ++probe) {
-          const unsigned c = arb_candidate(s, x * r + port, probe);
+          const unsigned c = arb_candidate(s, x * r + port, probe, weighted);
           const std::size_t l = lane_index(s, x * r + c / lanes_, c % lanes_);
           if (pool_.empty(l) || pool_.out_port(l) != port) continue;
-          [[maybe_unused]] unsigned vl = 0;
-          if constexpr (kCredits) {
+          unsigned vl = 0;
+          if (credits != nullptr) {
             vl = credit_config_->vl_of_sl(
                 static_cast<unsigned>(pool_.front(l).sl));
-            if (credit_config_->arbitration ==
-                    ArbitrationPolicy::kPriority &&
-                credit_config_->weight(vl) != need_weight) {
+            if (priority && credit_config_->weight(vl) != need_weight) {
               continue;
             }
           }
@@ -523,55 +517,31 @@ class WormholePolicy
             // when an SL->VL map is configured, the first idle lane
             // otherwise.
             int down_lane;
-            if constexpr (kCredits) {
-              if (!credit_config_->sl_map.empty()) {
-                down_lane = static_cast<int>(vl);
-                if (!pool_.idle(target_first +
-                                static_cast<std::size_t>(down_lane))) {
-                  if constexpr (kObs) {
-                    stall_cause_[l] = static_cast<std::uint8_t>(
-                        obs::StallCause::kNoFreeLane);
-                  }
-                  continue;  // blocked: its lane is held by another worm
-                }
-              } else {
-                down_lane = pool_.find_idle_lane(target_first, lanes_);
-                if (down_lane < 0) {
-                  if constexpr (kObs) {
-                    stall_cause_[l] = static_cast<std::uint8_t>(
-                        obs::StallCause::kNoFreeLane);
-                  }
-                  continue;  // blocked: no free lane
-                }
-              }
-              if (!credits_->available(
-                      target_first + static_cast<std::size_t>(down_lane))) {
-                // Lane is free but its credits have not returned yet.
-                if (measuring) {
-                  ++res.credit_stall_cycles;
-                  if constexpr (kObs) {
-                    ++obs_log<kShard>(obs_, wk)
-                          .credit[static_cast<std::size_t>(s)];
-                  }
-                }
-                if constexpr (kObs) {
-                  stall_cause_[l] = static_cast<std::uint8_t>(
-                      obs::StallCause::kZeroCredits);
-                }
-                continue;
+            if (fixed_lanes) {
+              down_lane = static_cast<int>(vl);
+              if (!pool_.idle(target_first +
+                              static_cast<std::size_t>(down_lane))) {
+                down_lane = -1;  // blocked: its lane is held by another worm
               }
             } else {
               down_lane = pool_.find_idle_lane(target_first, lanes_);
-              if (down_lane < 0) {
-                if constexpr (kObs) {
-                  stall_cause_[l] = static_cast<std::uint8_t>(
-                      obs::StallCause::kNoFreeLane);
-                }
-                continue;  // blocked: no free lane
+            }
+            if (down_lane < 0) {
+              if (obs != nullptr) {
+                stall_cause_[l] =
+                    static_cast<std::uint8_t>(obs::StallCause::kNoFreeLane);
               }
+              continue;  // blocked: no free lane
+            }
+            if (credits != nullptr &&
+                !credits->available(target_first +
+                                    static_cast<std::size_t>(down_lane))) {
+              // Lane is free but its credits have not returned yet.
+              stall_on_credits<kShard>(s, l, measuring, obs, wk);
+              continue;
             }
             const Flit flit = shard_pop<kShard>(l, wk);
-            if constexpr (kCredits) credits_->give_back(l, cycle);
+            if (credits != nullptr) credits->give_back(l, cycle);
             if (!flit.is_tail()) pool_.set_downstream(l, down_lane);
             int reroute_kind = 0;
             accept_head<kShard>(
@@ -579,86 +549,72 @@ class WormholePolicy
                 s + 1, record / r,
                 select_next_port(route, s + 1, record, flit, down_next, mask,
                                  reroute_kind),
-                measuring, wk, cycle, advance_phase(s));
-            if constexpr (kObs) {
-              if (flit.inject_cycle >= core_.config().warmup_cycles &&
-                  obs_->traced(static_cast<std::uint32_t>(flit.src),
-                               flit.inject_cycle)) {
-                trace_push<kShard>(obs_, wk, cycle, flit.inject_cycle,
-                                   static_cast<std::uint32_t>(flit.src),
-                                   flit.dest_terminal,
-                                   obs::TraceEventKind::kStageEnd,
-                                   static_cast<std::uint8_t>(s), 0,
-                                   advance_phase(s));
-                trace_push<kShard>(obs_, wk, cycle, flit.inject_cycle,
-                                   static_cast<std::uint32_t>(flit.src),
-                                   flit.dest_terminal,
-                                   obs::TraceEventKind::kStageBegin,
-                                   static_cast<std::uint8_t>(s + 1), 0,
-                                   advance_phase(s));
-              }
+                measuring, wk, cycle, advance_phase(s), mask, obs);
+            if (obs != nullptr &&
+                flit.inject_cycle >= core_.config().warmup_cycles &&
+                obs->traced(static_cast<std::uint32_t>(flit.src),
+                            flit.inject_cycle)) {
+              trace_push<kShard>(obs, wk, cycle, flit.inject_cycle,
+                                 static_cast<std::uint32_t>(flit.src),
+                                 flit.dest_terminal,
+                                 obs::TraceEventKind::kStageEnd,
+                                 static_cast<std::uint8_t>(s), 0,
+                                 advance_phase(s));
+              trace_push<kShard>(obs, wk, cycle, flit.inject_cycle,
+                                 static_cast<std::uint32_t>(flit.src),
+                                 flit.dest_terminal,
+                                 obs::TraceEventKind::kStageBegin,
+                                 static_cast<std::uint8_t>(s + 1), 0,
+                                 advance_phase(s));
             }
-            if constexpr (kFaulted) {
-              if (reroute_kind == 1 && measuring &&
-                  flit.inject_cycle >= core_.config().warmup_cycles) {
-                ++res.path_reroutes;
-                if constexpr (kObs) {
-                  ++obs_log<kShard>(obs_, wk)
-                        .reroute[static_cast<std::size_t>(s)];
-                  if (obs_->traced(static_cast<std::uint32_t>(flit.src),
-                                   flit.inject_cycle)) {
-                    trace_push<kShard>(obs_, wk, cycle, flit.inject_cycle,
-                                       static_cast<std::uint32_t>(flit.src),
-                                       flit.dest_terminal,
-                                       obs::TraceEventKind::kReroute,
-                                       static_cast<std::uint8_t>(s), 0,
-                                       advance_phase(s));
-                  }
+            if (reroute_kind == 1 && measuring &&
+                flit.inject_cycle >= core_.config().warmup_cycles) {
+              ++res.path_reroutes;
+              if (obs != nullptr) {
+                ++obs_log<kShard>(obs, wk)
+                      .reroute[static_cast<std::size_t>(s)];
+                if (obs->traced(static_cast<std::uint32_t>(flit.src),
+                                flit.inject_cycle)) {
+                  trace_push<kShard>(obs, wk, cycle, flit.inject_cycle,
+                                     static_cast<std::uint32_t>(flit.src),
+                                     flit.dest_terminal,
+                                     obs::TraceEventKind::kReroute,
+                                     static_cast<std::uint8_t>(s), 0,
+                                     advance_phase(s));
                 }
               }
             }
-            if constexpr (kCredits) {
-              credits_->consume(target_first +
-                                static_cast<std::size_t>(down_lane));
+            if (credits != nullptr) {
+              credits->consume(target_first +
+                               static_cast<std::size_t>(down_lane));
             }
           } else {
             // Body/tail flits follow through the reserved lane.
             const std::size_t down_l =
                 target_first + static_cast<std::size_t>(pool_.downstream(l));
-            if constexpr (kCredits) {
-              if (!credits_->available(down_l)) {
-                if (measuring) {
-                  ++res.credit_stall_cycles;
-                  if constexpr (kObs) {
-                    ++obs_log<kShard>(obs_, wk)
-                          .credit[static_cast<std::size_t>(s)];
-                  }
-                }
-                if constexpr (kObs) {
-                  stall_cause_[l] = static_cast<std::uint8_t>(
-                      obs::StallCause::kZeroCredits);
-                }
+            if (credits != nullptr) {
+              if (!credits->available(down_l)) {
+                stall_on_credits<kShard>(s, l, measuring, obs, wk);
                 continue;
               }
-              shard_accept<kShard>(down_l, shard_pop<kShard>(l, wk), wk);
-              credits_->give_back(l, cycle);
-              credits_->consume(down_l);
-            } else {
-              if (!pool_.has_space(down_l)) {
-                if constexpr (kObs) {
-                  stall_cause_[l] = static_cast<std::uint8_t>(
-                      obs::StallCause::kDownstreamFull);
-                }
-                continue;  // blocked: full
+            } else if (!pool_.has_space(down_l)) {
+              if (obs != nullptr) {
+                stall_cause_[l] = static_cast<std::uint8_t>(
+                    obs::StallCause::kDownstreamFull);
               }
-              shard_accept<kShard>(down_l, shard_pop<kShard>(l, wk), wk);
+              continue;  // blocked: full
+            }
+            shard_accept<kShard>(down_l, shard_pop<kShard>(l, wk), wk);
+            if (credits != nullptr) {
+              credits->give_back(l, cycle);
+              credits->consume(down_l);
             }
           }
-          arb_grant(s, x * r + port, c, vl);
+          arb_grant(s, x * r + port, c, vl, weighted);
           if (measuring) {
             shard_link_counter<kShard>(wk);
-            if constexpr (kObs) {
-              ++obs_log<kShard>(obs_, wk).hops[static_cast<std::size_t>(s)];
+            if (obs != nullptr) {
+              ++obs_log<kShard>(obs, wk).hops[static_cast<std::size_t>(s)];
             }
           }
           break;
@@ -672,19 +628,38 @@ class WormholePolicy
                           wk, s, stall_phase(s));
   }
 
+  /// A candidate of stage \p s whose downstream lane \p l's sender is out
+  /// of credits: one credit stall, and its cause when observed.
+  template <bool kShard>
+  void stall_on_credits(int s, std::size_t l, bool measuring,
+                        obs::Observer* obs, ShardWorker* wk) {
+    if (measuring) {
+      ++shard_result<kShard>(core_, wk).credit_stall_cycles;
+      if (obs != nullptr) {
+        ++obs_log<kShard>(obs, wk).credit[static_cast<std::size_t>(s)];
+      }
+    }
+    if (obs != nullptr) {
+      stall_cause_[l] =
+          static_cast<std::uint8_t>(obs::StallCause::kZeroCredits);
+    }
+  }
+
   /// The route step: the out-port the head entering stage \p next_s on
   /// record \p record (cell * r + input slot) will take — the terminal's
   /// low digit at the ejection stage, the scheduled port of a singleton
   /// group (every hop of a unipath fabric), else a member of the
-  /// equivalent-path group chosen by the configured policy. Faulted, a
-  /// masked choice re-selects among the surviving group members
-  /// (\p reroute_kind = 1); a fully-masked group returns its scheduled
-  /// base and lets accept_head run the unipath out-of-group detour (or
-  /// the dead-switch drop).
-  [[nodiscard]] unsigned select_next_port(
-      const StageRoute& route, int next_s, std::uint32_t record,
-      const Flit& flit, const std::uint32_t* down_next,
-      [[maybe_unused]] const fault::FaultMask* mask, int& reroute_kind) {
+  /// equivalent-path group chosen by the configured policy. With a fault
+  /// \p mask, a masked choice re-selects among the surviving group
+  /// members (\p reroute_kind = 1); a fully-masked group returns its
+  /// scheduled base and lets accept_head run the unipath out-of-group
+  /// detour (or the dead-switch drop).
+  [[nodiscard]] unsigned select_next_port(const StageRoute& route,
+                                          int next_s, std::uint32_t record,
+                                          const Flit& flit,
+                                          const std::uint32_t* down_next,
+                                          const fault::FaultMask* mask,
+                                          int& reroute_kind) {
     reroute_kind = 0;
     if (route.ejects) return flit.dest_terminal % lradix();
     const PathGroup group = path_group(flit.dest_terminal, route);
@@ -701,9 +676,7 @@ class WormholePolicy
       std::size_t best = 0;
       for (unsigned k = 0; k < group.count; ++k) {
         const unsigned p = group.base + k;
-        if constexpr (kFaulted) {
-          if (mask->faulted_index(arc_row + p)) continue;
-        }
+        if (mask != nullptr && mask->faulted_index(arc_row + p)) continue;
         std::size_t occupancy = 0;
         const std::size_t down_first =
             lane_index(next_s + 1, down_next[y * r + p], 0);
@@ -729,14 +702,12 @@ class WormholePolicy
                              static_cast<std::uint64_t>(next_s)) %
                     group.count);
     }
-    if constexpr (kFaulted) {
-      if (mask->faulted_index(arc_row + desired)) {
-        const int member = surviving_group_member(*mask, arc_row, group.base,
-                                                  group.count, desired);
-        if (member >= 0) {
-          reroute_kind = 1;
-          return static_cast<unsigned>(member);
-        }
+    if (mask != nullptr && mask->faulted_index(arc_row + desired)) {
+      const int member = surviving_group_member(*mask, arc_row, group.base,
+                                                group.count, desired);
+      if (member >= 0) {
+        reroute_kind = 1;
+        return static_cast<unsigned>(member);
       }
     }
     return desired;
@@ -756,10 +727,10 @@ class WormholePolicy
       core_.result.lane_occupancy.add(
           static_cast<double>(pool_.occupied_flits()) / total_slots_);
     }
-    if constexpr (kCredits) {
+    if (const CreditLedger* const credits = credit_ledger()) {
       const std::size_t lane_links =
           static_cast<std::size_t>(core_.stages()) * core_.ports() * lanes_;
-      const std::uint64_t depth = credits_->capacity();
+      const std::uint64_t depth = credits->capacity();
       if constexpr (!kShard) {
         // Sharded runs defer this lazy resize to shard_sample_reduce —
         // a shared-vector write has no place in a parallel phase.
@@ -779,9 +750,9 @@ class WormholePolicy
       SimResult& res = shard_result<kShard>(core_, wk);
       vl_flits->assign(lanes_, 0);
       for (std::size_t l = lo; l < hi; ++l) {
-        const std::uint64_t held = credits_->credits(l);
+        const std::uint64_t held = credits->credits(l);
         if (held > depth ||
-            held + credits_->in_flight(l) + pool_.count(l) != depth) {
+            held + credits->in_flight(l) + pool_.count(l) != depth) {
           ++res.credit_violations;
         }
         (*vl_flits)[l % lanes_] += pool_.count(l);
@@ -795,8 +766,9 @@ class WormholePolicy
         }
       }
     }
-    if constexpr (kObs && !kShard) {
-      if (obs_->want_probe(cycle)) commit_probe_window(cycle);
+    if constexpr (!kShard) {
+      obs::Observer* const obs = observer();
+      if (obs != nullptr && obs->want_probe(cycle)) commit_probe_window(cycle);
     }
   }
 
@@ -805,6 +777,8 @@ class WormholePolicy
   /// order-sensitive latency adds of every tail that completes a
   /// measured delivery.
   void replay_ejects(std::uint64_t cycle, bool measuring, ShardWorker& wk) {
+    const bool credits = credit_ledger() != nullptr;
+    obs::Observer* const obs = observer();
     for (const Flit& flit : wk.wh_events) {
       if (observer_) observer_(flit, cycle);
       if (measuring && flit.inject_cycle >= core_.config().warmup_cycles &&
@@ -812,16 +786,14 @@ class WormholePolicy
         const double latency =
             static_cast<double>(cycle - flit.inject_cycle + 1);
         core_.record_packet_delivered(latency);
-        if constexpr (kCredits) {
+        if (credits) {
           core_.result.sl_latency[static_cast<unsigned>(flit.sl)].add(
               latency);
         }
-        if constexpr (kObs) {
-          if (obs_->flows_on()) {
-            obs_->record_flow(static_cast<std::uint32_t>(flit.src),
-                              flit.dest_terminal,
-                              static_cast<unsigned>(flit.sl), latency);
-          }
+        if (obs != nullptr && obs->flows_on()) {
+          obs->record_flow(static_cast<std::uint32_t>(flit.src),
+                           flit.dest_terminal,
+                           static_cast<unsigned>(flit.sl), latency);
         }
       }
     }
@@ -903,7 +875,7 @@ class WormholePolicy
            lane;
   }
 
-  /// Weight class of the worm at the head of lane \p l (kCredits only).
+  /// Weight class of the worm at the head of lane \p l (credit runs only).
   [[nodiscard]] unsigned flit_weight(std::size_t l) const {
     return credit_config_->weight(credit_config_->vl_of_sl(
         static_cast<unsigned>(pool_.front(l).sl)));
@@ -911,48 +883,49 @@ class WormholePolicy
 
   /// Accept \p head into lane \p l of cell \p y at stage \p s with the
   /// caller-resolved scheduled out-port \p desired (callers hoist the
-  /// schedule reads per stage). Unfaulted: the port is taken as is.
-  /// Faulted interior stages route through the FaultedWiring view —
+  /// schedule reads per stage). Without a fault \p mask the port is taken
+  /// as is. With one, interior stages take the degraded route step —
   /// scheduled port, next surviving port (counted as a reroute), or a
-  /// dead switch, which puts the lane in dropping mode so the worm
-  /// drains into the fault counters. Last-stage out-ports are ejection
-  /// ports and cannot fault.
+  /// dead switch, which puts the lane in dropping mode so the worm drains
+  /// into the fault counters. Last-stage out-ports are ejection ports and
+  /// cannot fault.
   template <bool kShard>
   void accept_head(std::size_t l, const Flit& head, int s, std::uint32_t y,
-                   unsigned desired, [[maybe_unused]] bool measuring,
-                   [[maybe_unused]] ShardWorker* wk,
-                   [[maybe_unused]] std::uint64_t cycle,
-                   [[maybe_unused]] std::uint8_t phase) {
-    if constexpr (kFaulted) {
-      if (s + 1 < core_.stages()) {
-        const int port = faulted_.usable_port(s, y, desired);
-        if (port < 0) {
-          // Dead switch: park the worm in dropping mode; drain_dropping
-          // discards it (and its following flits) next cycle.
-          shard_accept_head<kShard>(l, head, 0, wk);
-          dropping_[l] = 1;
-          return;
-        }
-        if (static_cast<unsigned>(port) != desired && measuring &&
-            head.inject_cycle >= core_.config().warmup_cycles) {
-          ++shard_result<kShard>(core_, wk).packets_rerouted;
-          if constexpr (kObs) {
-            // Charged to the stage whose out-port detoured (the one the
-            // head just entered); the trace event carries the same stage.
-            ++obs_log<kShard>(obs_, wk).reroute[static_cast<std::size_t>(s)];
-            if (obs_->traced(static_cast<std::uint32_t>(head.src),
-                             head.inject_cycle)) {
-              trace_push<kShard>(obs_, wk, cycle, head.inject_cycle,
-                                 static_cast<std::uint32_t>(head.src),
-                                 head.dest_terminal,
-                                 obs::TraceEventKind::kReroute,
-                                 static_cast<std::uint8_t>(s), 0, phase);
-            }
-          }
-        }
-        shard_accept_head<kShard>(l, head, static_cast<unsigned>(port), wk);
+                   unsigned desired, bool measuring, ShardWorker* wk,
+                   std::uint64_t cycle, std::uint8_t phase,
+                   const fault::FaultMask* mask, obs::Observer* obs) {
+    if (mask != nullptr && s + 1 < core_.stages()) {
+      const int port = usable_port(
+          mask,
+          static_cast<std::size_t>(s) * core_.ports() +
+              static_cast<std::size_t>(y) * radix(),
+          desired);
+      if (port < 0) {
+        // Dead switch: park the worm in dropping mode; drain_dropping
+        // discards it (and its following flits) next cycle.
+        shard_accept_head<kShard>(l, head, 0, wk);
+        dropping_[l] = 1;
         return;
       }
+      if (static_cast<unsigned>(port) != desired && measuring &&
+          head.inject_cycle >= core_.config().warmup_cycles) {
+        ++shard_result<kShard>(core_, wk).packets_rerouted;
+        if (obs != nullptr) {
+          // Charged to the stage whose out-port detoured (the one the
+          // head just entered); the trace event carries the same stage.
+          ++obs_log<kShard>(obs, wk).reroute[static_cast<std::size_t>(s)];
+          if (obs->traced(static_cast<std::uint32_t>(head.src),
+                          head.inject_cycle)) {
+            trace_push<kShard>(obs, wk, cycle, head.inject_cycle,
+                               static_cast<std::uint32_t>(head.src),
+                               head.dest_terminal,
+                               obs::TraceEventKind::kReroute,
+                               static_cast<std::uint8_t>(s), 0, phase);
+          }
+        }
+      }
+      shard_accept_head<kShard>(l, head, static_cast<unsigned>(port), wk);
+      return;
     }
     shard_accept_head<kShard>(l, head, desired, wk);
   }
@@ -965,9 +938,10 @@ class WormholePolicy
   /// arc's owner in an earlier (barriered) phase and cleared here by the
   /// lane's owner, so sharding never races on them.
   template <bool kShard>
-  void drain_dropping(int s, [[maybe_unused]] std::uint64_t cycle,
-                      bool measuring, std::uint32_t x0, std::uint32_t x1,
-                      ShardWorker* wk) {
+  void drain_dropping(int s, std::uint64_t cycle, bool measuring,
+                      std::uint32_t x0, std::uint32_t x1, ShardWorker* wk) {
+    CreditLedger* const credits = credit_ledger();
+    obs::Observer* const obs = observer();
     const std::size_t first = lane_index(s, 0, 0);
     const std::size_t lo = first + static_cast<std::size_t>(x0) * radix() *
                                        lanes_;
@@ -980,29 +954,25 @@ class WormholePolicy
         const Flit flit = shard_pop<kShard>(l, wk);
         // A drained flit returns its credit like any other pop, so the
         // ledger closes exactly even across dead switches.
-        if constexpr (kCredits) credits_->give_back(l, cycle);
+        if (credits != nullptr) credits->give_back(l, cycle);
         if (measuring && flit.inject_cycle >= core_.config().warmup_cycles) {
           ++res.flits_dropped_faulted;
           if (flit.is_head()) ++res.packets_dropped_faulted;
-          if constexpr (kObs) {
-            if (flit.is_head() &&
-                obs_->traced(static_cast<std::uint32_t>(flit.src),
-                             flit.inject_cycle)) {
-              const std::uint8_t phase = drain_phase(s);
-              const auto src = static_cast<std::uint32_t>(flit.src);
-              trace_push<kShard>(obs_, wk, cycle, flit.inject_cycle, src,
-                                 flit.dest_terminal,
-                                 obs::TraceEventKind::kStageEnd,
-                                 static_cast<std::uint8_t>(s), 0, phase);
-              trace_push<kShard>(obs_, wk, cycle, flit.inject_cycle, src,
-                                 flit.dest_terminal,
-                                 obs::TraceEventKind::kDrop,
-                                 static_cast<std::uint8_t>(s), 0, phase);
-              trace_push<kShard>(obs_, wk, cycle, flit.inject_cycle, src,
-                                 flit.dest_terminal,
-                                 obs::TraceEventKind::kPacketEnd, 0, 0,
-                                 phase);
-            }
+          if (obs != nullptr && flit.is_head() &&
+              obs->traced(static_cast<std::uint32_t>(flit.src),
+                          flit.inject_cycle)) {
+            const std::uint8_t phase = drain_phase(s);
+            const auto src = static_cast<std::uint32_t>(flit.src);
+            trace_push<kShard>(obs, wk, cycle, flit.inject_cycle, src,
+                               flit.dest_terminal,
+                               obs::TraceEventKind::kStageEnd,
+                               static_cast<std::uint8_t>(s), 0, phase);
+            trace_push<kShard>(obs, wk, cycle, flit.inject_cycle, src,
+                               flit.dest_terminal, obs::TraceEventKind::kDrop,
+                               static_cast<std::uint8_t>(s), 0, phase);
+            trace_push<kShard>(obs, wk, cycle, flit.inject_cycle, src,
+                               flit.dest_terminal,
+                               obs::TraceEventKind::kPacketEnd, 0, 0, phase);
           }
         }
         if (flit.is_tail()) dropping_[l] = 0;
@@ -1014,19 +984,19 @@ class WormholePolicy
   /// per-cycle movement flags. Called right after the stage had its
   /// switching (or ejection) opportunity, before upstream pushes refill
   /// it; sharded callers pass exactly their writer partition.
-  /// kObs: the same scan charges each stalled lane-cycle to its recorded
-  /// StallCause, so the per-cause counters partition hol_blocking_cycles
-  /// exactly — no separate bookkeeping to drift.
+  /// With an observer, the same scan charges each stalled lane-cycle to
+  /// its recorded StallCause, so the per-cause counters partition
+  /// hol_blocking_cycles exactly — no separate bookkeeping to drift.
   template <bool kShard>
-  void account_stage([[maybe_unused]] std::uint64_t cycle, bool measuring,
-                     std::size_t lo, std::size_t hi, ShardWorker* wk,
-                     [[maybe_unused]] int stage,
-                     [[maybe_unused]] std::uint8_t phase) {
+  void account_stage(std::uint64_t cycle, bool measuring, std::size_t lo,
+                     std::size_t hi, ShardWorker* wk, int stage,
+                     std::uint8_t phase) {
     SimResult& res = shard_result<kShard>(core_, wk);
+    const bool observed = observer() != nullptr;
     for (std::size_t l = lo; l < hi; ++l) {
       if (measuring && !pool_.empty(l) && !pool_.moved(l)) {
         ++res.hol_blocking_cycles;
-        if constexpr (kObs) {
+        if (observed) {
           this->template attribute_stall<kShard>(stage, cycle, l, wk, phase);
         }
       }
@@ -1039,15 +1009,14 @@ class WormholePolicy
   LanePool& pool_;
   std::vector<SourceState> sources_;
   std::uint32_t next_packet_id_ = 0;
-  std::vector<std::uint8_t> dropping_;   // kFaulted only
-  std::vector<std::uint64_t> vl_flits_;  // kCredits only (scratch)
+  std::vector<std::uint8_t> dropping_;   // faulted runs only
+  std::vector<std::uint64_t> vl_flits_;  // credit runs only (scratch)
 };
 
 /// The discipline as the ladder's argument (see run_policy).
 struct Wormhole {
-  template <bool kFaulted, bool kBinary, bool kCredits, bool kMultiPath,
-            bool kObs>
-  using Policy = WormholePolicy<kFaulted, kBinary, kCredits, kMultiPath, kObs>;
+  template <bool kBinary, bool kMultiPath, bool kFeatures>
+  using Policy = WormholePolicy<kBinary, kMultiPath, kFeatures>;
 };
 
 }  // namespace
