@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -247,6 +248,29 @@ std::uint64_t parse_u64(const std::string& text, const std::string& what) {
     fail("cannot parse " + what + " \"" + text + '"');
   }
   return value;
+}
+
+/// parse_u64 for a flag whose target type is narrower: a value outside
+/// T's range is rejected, naming the flag and the value, instead of
+/// wrapping into range.
+template <class T>
+T parse_narrow(const std::string& text, const std::string& what,
+               std::string_view flag) {
+  constexpr auto kMax =
+      static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+  const std::uint64_t value = parse_u64(text, what);
+  if (value > kMax) {
+    std::string message(flag);
+    message += ' ';
+    message += text;
+    message += ": ";
+    message += what;
+    message += " out of range (at most ";
+    message += std::to_string(kMax);
+    message += ')';
+    fail(message);
+  }
+  return static_cast<T>(value);
 }
 
 double parse_double(const std::string& text, const std::string& what) {
@@ -520,17 +544,17 @@ int main(int argc, char** argv) {
         vl_weights.clear();
         for (const std::string& item : split_list(next_value(i), ',')) {
           vl_weights.push_back(
-              static_cast<unsigned>(parse_u64(item, "VL weight")));
+              parse_narrow<unsigned>(item, "VL weight", arg));
         }
       } else if (arg == "--sl-map") {
         credits_requested = true;
         sl_map.clear();
         for (const std::string& item : split_list(next_value(i), ',')) {
           sl_map.push_back(
-              static_cast<unsigned>(parse_u64(item, "SL->VL entry")));
+              parse_narrow<unsigned>(item, "SL->VL entry", arg));
         }
       } else if (arg == "--stages") {
-        grid.stages = static_cast<int>(parse_u64(next_value(i), "stages"));
+        grid.stages = parse_narrow<int>(next_value(i), "stages", arg);
       } else if (arg == "--packet-length") {
         grid.base.packet_length = parse_u64(next_value(i), "packet length");
       } else if (arg == "--lane-depth") {
@@ -554,8 +578,8 @@ int main(int argc, char** argv) {
           workload_kinds.push_back(mineq::workload::parse_kind(item));
         }
       } else if (arg == "--rr-window") {
-        rr_window = static_cast<unsigned>(
-            parse_u64(next_value(i), "request-reply window"));
+        rr_window =
+            parse_narrow<unsigned>(next_value(i), "request-reply window", arg);
       } else if (arg == "--time-compression") {
         time_compression =
             parse_u64(next_value(i), "trace time-compression factor");
