@@ -10,10 +10,12 @@
 #include <cstdint>
 #include <map>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "fault/fault_model.hpp"
+#include "min/kary.hpp"
 #include "min/networks.hpp"
 #include "multipath/multipath_wiring.hpp"
 #include "obs/obs.hpp"
@@ -119,36 +121,106 @@ TEST(ObsStallTest, DominantCauseTokenIsRegistered) {
 
 // ------------------------------------------------------------- passivity
 
+/// Every outcome counter of two runs of one config, obs on and off (the
+/// stall-cause split exists only with obs on, so it is not compared).
+void expect_same_outcome(const SimResult& a, const SimResult& b) {
+  EXPECT_EQ(a.offered, b.offered);
+  EXPECT_EQ(a.injected, b.injected);
+  EXPECT_EQ(a.delivered, b.delivered);
+  EXPECT_EQ(a.flits_injected, b.flits_injected);
+  EXPECT_EQ(a.flits_delivered, b.flits_delivered);
+  EXPECT_EQ(a.flits_in_flight, b.flits_in_flight);
+  EXPECT_EQ(a.hol_blocking_cycles, b.hol_blocking_cycles);
+  EXPECT_EQ(a.credit_stall_cycles, b.credit_stall_cycles);
+  EXPECT_EQ(a.credit_violations, b.credit_violations);
+  EXPECT_EQ(a.path_reroutes, b.path_reroutes);
+  EXPECT_EQ(a.packets_rerouted, b.packets_rerouted);
+  EXPECT_EQ(a.packets_dropped_faulted, b.packets_dropped_faulted);
+  EXPECT_EQ(a.flits_dropped_faulted, b.flits_dropped_faulted);
+  EXPECT_EQ(a.packets_misdelivered, b.packets_misdelivered);
+  EXPECT_EQ(a.latency.count(), b.latency.count());
+  EXPECT_EQ(a.latency.mean(), b.latency.mean());
+  EXPECT_EQ(a.latency.max(), b.latency.max());
+  EXPECT_EQ(a.latency_histogram.quantile(0.99),
+            b.latency_histogram.quantile(0.99));
+  EXPECT_EQ(a.link_utilization, b.link_utilization);
+  EXPECT_EQ(a.lane_occupancy.mean(), b.lane_occupancy.mean());
+  ASSERT_EQ(a.sl_latency.size(), b.sl_latency.size());
+  for (std::size_t sl = 0; sl < a.sl_latency.size(); ++sl) {
+    EXPECT_EQ(a.sl_latency[sl].count(), b.sl_latency[sl].count());
+    EXPECT_EQ(a.sl_latency[sl].mean(), b.sl_latency[sl].mean());
+  }
+}
+
+/// Credits with a 3-cycle return and two service levels weighted 3:1.
+void two_level_credits(SimConfig& config, ArbitrationPolicy policy) {
+  config.credits.enabled = true;
+  config.credits.return_latency = 3;
+  config.credits.arbitration = policy;
+  config.credits.sl_map = {0, 1};
+  config.credits.weights = {3, 1};
+}
+
 /// Enabling every collector must not change any simulation outcome: the
-/// instrumented instantiations produce the same counters, latencies and
-/// RNG draws as the uninstrumented fast path.
+/// instrumented runs produce the same counters, latencies and RNG draws
+/// as the uninstrumented ones. A pristine, credit-less run with obs off
+/// takes the plain policy instantiation and with obs on the featured one,
+/// so the pristine cases are also the plain-vs-featured differential; the
+/// credit, multipath, faulted and general-radix cases pin that an
+/// observer never perturbs the other features' runtime branches. Every
+/// case runs serially and sharded.
 TEST(ObsPassivityTest, CollectorsNeverPerturbResults) {
   const Engine omega(min::build_network(NetworkKind::kOmega, 5));
-  const FaultMask mask = fault::build_fault_mask(
+  const Engine benes{MultiPathWiring::benes(4, 2)};
+  const Engine replicated{
+      MultiPathWiring::replicated(NetworkKind::kOmega, 4, 2, 2)};
+  const Engine kary(min::build_kary_network(NetworkKind::kBaseline, 3, 3));
+  const FaultMask killed = fault::build_fault_mask(
       omega.wiring(), FaultSpec{FaultKind::kSwitchKills, 0.08, 3});
-  for (const SwitchingMode mode :
-       {SwitchingMode::kStoreAndForward, SwitchingMode::kWormhole}) {
-    SCOPED_TRACE(switching_mode_name(mode));
-    SimConfig plain = base_config(mode);
-    SimConfig instrumented = plain;
-    instrumented.obs = all_collectors();
-    for (const FaultMask* m : {static_cast<const FaultMask*>(nullptr), &mask}) {
-      const SimResult a = omega.run(Pattern::kBitReversal, plain, m);
-      const SimResult b = omega.run(Pattern::kBitReversal, instrumented, m);
-      EXPECT_EQ(a.offered, b.offered);
-      EXPECT_EQ(a.injected, b.injected);
-      EXPECT_EQ(a.delivered, b.delivered);
-      EXPECT_EQ(a.flits_injected, b.flits_injected);
-      EXPECT_EQ(a.flits_delivered, b.flits_delivered);
-      EXPECT_EQ(a.flits_in_flight, b.flits_in_flight);
-      EXPECT_EQ(a.hol_blocking_cycles, b.hol_blocking_cycles);
-      EXPECT_EQ(a.credit_stall_cycles, b.credit_stall_cycles);
-      EXPECT_EQ(a.packets_dropped_faulted, b.packets_dropped_faulted);
-      EXPECT_EQ(a.packets_rerouted, b.packets_rerouted);
-      EXPECT_EQ(a.latency.count(), b.latency.count());
-      EXPECT_EQ(a.latency.mean(), b.latency.mean());
-      EXPECT_EQ(a.latency.max(), b.latency.max());
-      EXPECT_EQ(a.link_utilization, b.link_utilization);
+  const FaultMask links = fault::build_fault_mask(
+      replicated.wiring(), FaultSpec{FaultKind::kRandomLinks, 0.1, 5});
+  struct Case {
+    const char* name;
+    const Engine* engine;
+    Pattern pattern;
+    const FaultMask* mask;
+    void (*setup)(SimConfig&);
+  };
+  const auto no_setup = [](SimConfig&) {};
+  const Case cases[] = {
+      {"omega pristine", &omega, Pattern::kBitReversal, nullptr, no_setup},
+      {"omega switch kills", &omega, Pattern::kBitReversal, &killed,
+       no_setup},
+      {"omega weighted credits", &omega, Pattern::kHotSpot, nullptr,
+       [](SimConfig& c) {
+         two_level_credits(c, ArbitrationPolicy::kWeighted);
+       }},
+      {"omega priority credits", &omega, Pattern::kUniform, nullptr,
+       [](SimConfig& c) {
+         two_level_credits(c, ArbitrationPolicy::kPriority);
+       }},
+      {"benes adaptive", &benes, Pattern::kUniform, nullptr,
+       [](SimConfig& c) { c.path_policy = PathPolicy::kAdaptive; }},
+      {"replicated hash link faults", &replicated, Pattern::kUniform,
+       &links, [](SimConfig& c) { c.path_policy = PathPolicy::kHash; }},
+      {"radix-3 baseline", &kary, Pattern::kUniform, nullptr, no_setup},
+  };
+  for (const Case& c : cases) {
+    for (const SwitchingMode mode :
+         {SwitchingMode::kStoreAndForward, SwitchingMode::kWormhole}) {
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+        SCOPED_TRACE(std::string(c.name) + ", " + switching_mode_name(mode) +
+                     ", sim_threads " + std::to_string(threads));
+        SimConfig plain = base_config(mode);
+        plain.sim_threads = threads;
+        c.setup(plain);
+        SimConfig instrumented = plain;
+        instrumented.obs = all_collectors();
+        const SimResult a = c.engine->run(c.pattern, plain, c.mask);
+        const SimResult b = c.engine->run(c.pattern, instrumented, c.mask);
+        expect_same_outcome(a, b);
+        EXPECT_EQ(b.stall_attributed(), b.hol_blocking_cycles);
+      }
     }
   }
 }
