@@ -100,7 +100,7 @@ std::vector<std::pair<std::string, std::string>> point_fields(
       {"survivor_banyan", p.survivor.banyan ? "1" : "0"},
       {"surviving_arcs", std::to_string(p.survivor.surviving_arcs)},
       // Observability outputs. The stall split sums exactly to
-      // hol_blocking_cycles on kObs runs and is all-zero otherwise;
+      // hol_blocking_cycles on observed runs and is all-zero otherwise;
       // stall_top_cause is a cause token (never numeric, so the JSON
       // emitter quotes it without an exception entry; "top", not
       // "dominant" — that word contains the literal "nan" the artifact

@@ -105,9 +105,11 @@ class FaultMask {
   std::vector<std::uint64_t> words_;
 };
 
-/// The degraded-mode routing view over (wiring, mask) that both switching
-/// policies consume in advance_stage. Default construction gives the
-/// null view used by the unfaulted policy instantiations.
+/// The degraded-mode routing view over (wiring, mask): the reference for
+/// the switching policies' folded-radix route step
+/// (sim::PolicyBase::usable_port), and the dead-switch test the
+/// store-and-forward policy builds its drain list with. Default
+/// construction gives a null view.
 class FaultedWiring {
  public:
   FaultedWiring() = default;

@@ -2,13 +2,15 @@
 /// \brief Observability configuration and the stall-cause taxonomy.
 ///
 /// The obs:: layer is a passive telemetry subsystem threaded through both
-/// switching disciplines as a compile-time policy parameter (kObs): when
-/// every collector is disabled the simulators dispatch to the kObs=false
-/// instantiations, which are byte-for-byte the pre-observability code —
-/// the same pattern kFaulted and kCredits use, pinned by the golden
-/// tests. When enabled, the collectors are strictly read-only over the
-/// simulation state: enabling observability never changes a counter,
-/// a latency or an RNG draw.
+/// switching disciplines as one of the run features that select the
+/// featured policy instantiation (sim/policy.hpp): a run with every
+/// collector disabled, no fault mask and no credits takes the plain
+/// instantiation, where every telemetry hook folds away, and any other
+/// run tests the observer pointer at run time. When enabled, the
+/// collectors are strictly read-only over the simulation state: enabling
+/// observability never changes a counter, a latency or an RNG draw
+/// (ObsPassivityTest compares obs on against obs off on every feature
+/// path).
 ///
 /// Three collectors, each independently switchable (ObsConfig):
 ///   - probes (probe.hpp): per-stage time series + occupancy heatmap,
@@ -56,7 +58,8 @@ inline constexpr std::size_t kStallCauseCount = 5;
 inline constexpr std::uint32_t kMaxFlowTerminals = 256;
 
 /// Which collectors run. The all-defaults config means "observability
-/// off" and dispatches to the kObs=false simulator instantiations.
+/// off": the run builds no observer, and without a fault mask or credits
+/// it takes the plain simulator instantiation.
 struct ObsConfig {
   /// Probe sampling stride in measured cycles; 0 disables the probes.
   /// Each stride window ends with one sample (the first sample lands at

@@ -1184,9 +1184,9 @@ SimResult run_fabric(const Engine& engine, SwitchingMode mode,
                      const fault::FaultMask* mask, SimWorkspace* workspace,
                      const EjectObserver& eject_observer) {
   config.validate();
-  // The fast-path test: an absent or all-clear mask runs the exact
-  // unfaulted policy instantiation, so fault support costs the pristine
-  // hot loop nothing.
+  // An absent or all-clear mask is no mask: without credits or an
+  // observer too, the run takes the plain policy instantiation, so fault
+  // support costs the pristine hot loop nothing.
   const bool faulted = mask != nullptr && !mask->none();
   const min::FlatWiring& wiring = engine.wiring();
   if (faulted && !mask->matches(wiring)) {

@@ -24,12 +24,17 @@
 ///    pipeline across stages through multi-lane (virtual-channel) input
 ///    buffers (wormhole.cpp, flit.hpp).
 ///
-/// Each policy is additionally instantiated per "is the radix 2": the
-/// binary instantiation folds the radix to the literal 2 and reads a
-/// stage's scheduled digit and port_of_value[s][0] as a shift and an
-/// invert, so the historic binary hot loops keep their shift/mask code
-/// generation, while the general instantiation divides by the runtime
-/// radix.
+/// Each policy is instantiated per fabric geometry — radix 2, general
+/// radix, multipath — and per "does the run use a feature". The binary
+/// instantiation folds the radix to the literal 2 and reads a stage's
+/// scheduled digit and port_of_value[s][0] as a shift and an invert, so
+/// the historic binary hot loops keep their shift/mask code generation,
+/// while the general instantiation divides by the runtime radix. Fault
+/// masks, credit flow control and observers are properties of a run: a
+/// run with none of them takes the plain instantiation, where every
+/// feature test folds away, and any other run takes the featured one,
+/// which tests each at run time. That is six instantiations per
+/// discipline (policy.hpp).
 
 #pragma once
 
@@ -173,8 +178,8 @@ struct SimConfig {
   /// patterns ignore it); defaults reproduce mean burst 8 / idle 24.
   BurstParams burst;
   /// Link-level credit flow control + VL arbitration; disabled by
-  /// default, which dispatches to the historic occupancy-probe policy
-  /// instantiations byte for byte.
+  /// default, which runs the historic occupancy probes. Enabled, it is
+  /// one of the features that select the featured policy instantiation.
   CreditConfig credits;
   /// Path selection on multipath fabrics (ignored by unipath engines).
   PathPolicy path_policy = PathPolicy::kHash;
@@ -185,18 +190,17 @@ struct SimConfig {
   /// Worker threads sharding THIS simulation (megafabric mode): each
   /// cycle's phases run as range kernels over per-worker cell slices with
   /// barrier handoffs. Results are byte-identical at every value — 1
-  /// dispatches to the historic serial policy instantiations, > 1 to the
-  /// sharded driver. Thread counts above the stage's cell count are
+  /// runs the policy's serial driver, > 1 its sharded driver. Thread counts above the stage's cell count are
   /// clamped (extra workers would own empty ranges). Distinct from the
   /// sweep-level thread count: exp::run_sweep divides its own pool by
   /// this value so sweep x sim threads never oversubscribes.
   std::size_t sim_threads = 1;
-  /// Observability collectors (obs/obs.hpp). All-defaults means "off"
-  /// and dispatches to the kObs=false policy instantiations — byte for
-  /// byte the historic code, pinned by the golden tests. Enabling any
-  /// collector is passive: simulation results are bit-identical either
-  /// way; the run additionally carries probes/flows/trace payloads and
-  /// the stall-cause split of hol_blocking_cycles.
+  /// Observability collectors (obs/obs.hpp). All-defaults means "off":
+  /// no observer, and with no fault mask or credits either, the plain
+  /// policy instantiation. Enabling any collector is passive: simulation
+  /// results are bit-identical either way; the run additionally carries
+  /// probes/flows/trace payloads and the stall-cause split of
+  /// hol_blocking_cycles.
   obs::ObsConfig obs;
   /// The workload driving injection (workload/spec.hpp): the open-loop
   /// synthetic patterns (the default — byte-identical to the historic
@@ -461,9 +465,10 @@ class Engine {
   /// discipline selected by \p config.mode. With a non-null, non-empty
   /// \p mask the run is fault-degraded: masked arcs accept no payload,
   /// packets reroute through the next surviving port and drop at dead
-  /// switches (see fault/fault_mask.hpp). A null or all-clear mask takes
-  /// the unmasked fast path — the byte-identical policy instantiation the
-  /// two-argument form always ran. \p workspace, when given, supplies
+  /// switches (see fault/fault_mask.hpp). A null or all-clear mask runs
+  /// unmasked, byte-identical to the two-argument form: without credits
+  /// or observers it takes the plain policy instantiation, where fault
+  /// support costs nothing. \p workspace, when given, supplies
   /// reusable payload-pool allocations (sweep workers pass one per
   /// thread); it never changes results.
   /// \throws std::invalid_argument via SimConfig::validate(), or on a

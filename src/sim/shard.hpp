@@ -122,7 +122,7 @@ inline util::ThreadPool& sim_team_pool() {
 /// empty); threads <= 1 falls back to the serial driver.
 ///
 /// [[gnu::cold]] keeps this driver — and with it the kShard=true kernel
-/// instantiations it inlines — out of the serial instantiations' text
+/// bodies it inlines — out of the serial drivers' text
 /// placement: without it the doubled function count reshuffles the
 /// branch-dense serial loops across cache lines (the placement lottery
 /// the bench baselines document) for runs that never shard at all.

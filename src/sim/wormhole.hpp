@@ -42,7 +42,7 @@ class WormholeSimulator {
                 const EjectObserver& observer) const;
 
   /// Full form: optional fault mask (degraded-mode routing over the
-  /// surviving arcs; null or all-clear takes the unmasked fast path) and
+  /// surviving arcs; null or all-clear runs unmasked) and
   /// optional reusable payload-pool workspace. Semantics match
   /// Engine::run's four-argument form.
   SimResult run(Pattern pattern, const SimConfig& config,

@@ -198,8 +198,9 @@ Fixed parameters:
                       replay reproduces the run's delivered and
                       latency counters exactly)
 
-Observability (any flag enables the instrumented simulator
-  instantiations; all off = the uninstrumented fast path):
+Observability (any flag attaches an observer, which the simulator
+  tests at run time on its featured path, shared with fault masks and
+  credits; all off and no faults or credits = the plain fast path):
   --probe-stride N    sample per-stage occupancy / utilization /
                       stall / reroute time series every N measured
                       cycles (0 = off)                         [0]
