@@ -1010,7 +1010,7 @@ class WormholePolicy
   std::vector<SourceState> sources_;
   std::uint32_t next_packet_id_ = 0;
   std::vector<std::uint8_t> dropping_;   // faulted runs only
-  std::vector<std::uint64_t> vl_flits_;  // credit runs only (scratch)
+  std::vector<std::uint64_t> vl_flits_;  // credit runs only (sample buffer)
 };
 
 /// The discipline as the ladder's argument (see run_policy).
