@@ -410,6 +410,62 @@ SimResult run_radix4_wormhole_observed() {
   return engine.run(Pattern::kUniform, config);
 }
 
+/// The workload counters a closed-loop golden pins on top of Pins: the
+/// window stalls, orphaned exchanges, request->reply latency, the rate
+/// the clients actually offered, and the recorded injection trace.
+struct ClosedLoopPins {
+  std::uint64_t window_stall_cycles, reply_orphans;
+  double reply_latency_mean;
+  std::uint64_t reply_latency_count;
+  double offered_rate_effective;
+  std::size_t workload_trace_size;
+};
+
+void expect_closed_loop_pins(const SimResult& r, const ClosedLoopPins& p) {
+  EXPECT_EQ(r.window_stall_cycles, p.window_stall_cycles);
+  EXPECT_EQ(r.reply_orphans, p.reply_orphans);
+  EXPECT_DOUBLE_EQ(r.reply_latency.mean(), p.reply_latency_mean);
+  EXPECT_EQ(r.reply_latency.count(), p.reply_latency_count);
+  EXPECT_DOUBLE_EQ(r.offered_rate_effective, p.offered_rate_effective);
+  EXPECT_EQ(r.workload_trace.size(), p.workload_trace_size);
+}
+
+/// omega n = 5, store-and-forward, closed-loop clients with a 2-request
+/// window, recording every accepted injection.
+SimResult run_saf_closed_loop() {
+  const Engine engine(min::build_network(min::NetworkKind::kOmega, 5));
+  SimConfig config;
+  config.mode = SwitchingMode::kStoreAndForward;
+  config.injection_rate = 0.8;
+  config.packet_length = 2;
+  config.warmup_cycles = 100;
+  config.measure_cycles = 500;
+  config.seed = 11;
+  config.workload.kind = workload::Kind::kClosedLoop;
+  config.workload.rr_window = 2;
+  config.workload.record = true;
+  return engine.run(Pattern::kUniform, config);
+}
+
+/// baseline n = 5, wormhole, 2 lanes of depth 2, closed-loop clients
+/// with a 3-request window, recording every accepted injection.
+SimResult run_wormhole_closed_loop() {
+  const Engine engine(min::build_network(min::NetworkKind::kBaseline, 5));
+  SimConfig config;
+  config.mode = SwitchingMode::kWormhole;
+  config.injection_rate = 0.9;
+  config.packet_length = 3;
+  config.lanes = 2;
+  config.lane_depth = 2;
+  config.warmup_cycles = 100;
+  config.measure_cycles = 500;
+  config.seed = 12;
+  config.workload.kind = workload::Kind::kClosedLoop;
+  config.workload.rr_window = 3;
+  config.workload.record = true;
+  return engine.run(Pattern::kUniform, config);
+}
+
 // Multipath and faulted pins, captured from the simulators as they stood
 // before the unipath and multipath kernels were merged: every path
 // policy, both disciplines, general radix, fault masks and the
@@ -513,6 +569,28 @@ TEST(GoldenSimTest, Radix4WormholeObserved) {
   EXPECT_EQ(r.probes.samples, 8U);
   EXPECT_EQ(r.flows.flows.size(), 2374U);
   EXPECT_DOUBLE_EQ(r.flows.worst_p99, 94.0);
+}
+
+// Closed-loop pins, captured from the simulator as it stood when a serial
+// run fed each delivery back to its workload inline during eject: the one
+// path where a delivery changes what is injected next.
+
+TEST(GoldenSimTest, SafClosedLoopRecorded) {
+  const SimResult r = run_saf_closed_loop();
+  expect_pins(r, {2788, 2788, 2727, 5576, 5454, 122, 3172, 0, 0, 0, 0,
+                  {0, 0, 0, 0, 0}, 13.28639530619728, 23, 20,
+                  0.34876562500000002, 0.098396874999999967});
+  expect_closed_loop_pins(
+      r, {10196, 0, 24.620538965768358, 1373, 0.17424999999999999, 3365});
+}
+
+TEST(GoldenSimTest, WormholeClosedLoopRecorded) {
+  const SimResult r = run_wormhole_closed_loop();
+  expect_pins(r, {3090, 2950, 2868, 8844, 8648, 185, 28742, 0, 0, 0, 0,
+                  {0, 0, 0, 0, 0}, 14.55962343096232, 51, 33,
+                  0.55204687500000005, 0.28269062500000008});
+  expect_closed_loop_pins(
+      r, {4617, 0, 30.148328690807791, 1436, 0.19312499999999999, 3588});
 }
 
 }  // namespace
