@@ -1,9 +1,8 @@
 /// \file bench_megafabric.cpp
 /// \brief The sharded single-simulation engine (megafabric mode):
-/// serial-vs-sharded wall time and strong-scaling efficiency for both
-/// disciplines, plus the ThreadPool dispatch micro-bench comparing the
-/// persistent-team path (run_team) against the task-queue path
-/// (submit + wait_idle) that motivates it.
+/// one-worker-vs-sharded wall time and strong-scaling efficiency for
+/// both disciplines, plus the per-call dispatch cost of the persistent
+/// team (ThreadPool::run_team).
 
 #include <atomic>
 #include <chrono>
@@ -133,15 +132,13 @@ static void BM_MegafabricWormhole(benchmark::State& state) {
 BENCHMARK(BM_MegafabricWormhole)
     ->ArgsProduct({{10, 12, 14}, {1, 2, 8}});
 
-// Dispatch micro-bench: the per-cycle cost of waking a team. The sharded
-// driver calls into the team once per simulation (workers live across
-// cycles, rendezvousing on a SpinBarrier), but the honest comparison for
-// a task-queue alternative is one dispatch per cycle — which is exactly
-// what these two measure: one round-trip of handing N trivial work items
-// to N workers and getting control back.
+// Dispatch micro-bench: one round-trip of handing N trivial work items to
+// a team of N workers and getting control back. The driver calls into the
+// team once per simulation (workers live across cycles, rendezvousing on
+// a SpinBarrier); this is the cost it would pay per cycle instead.
 static void BM_DispatchRunTeam(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  mineq::util::ThreadPool pool(1);
+  mineq::util::ThreadPool pool;
   std::atomic<std::uint64_t> sink(0);
   for (auto _ : state) {
     pool.run_team(n, [&sink](std::size_t index, std::size_t) {
@@ -151,19 +148,3 @@ static void BM_DispatchRunTeam(benchmark::State& state) {
   benchmark::DoNotOptimize(sink.load());
 }
 BENCHMARK(BM_DispatchRunTeam)->Arg(2)->Arg(4)->Arg(8);
-
-static void BM_DispatchTaskQueue(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  mineq::util::ThreadPool pool(n);
-  std::atomic<std::uint64_t> sink(0);
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < n; ++i) {
-      pool.submit([&sink, i] {
-        sink.fetch_add(i + 1, std::memory_order_relaxed);
-      });
-    }
-    pool.wait_idle();
-  }
-  benchmark::DoNotOptimize(sink.load());
-}
-BENCHMARK(BM_DispatchTaskQueue)->Arg(2)->Arg(4)->Arg(8);

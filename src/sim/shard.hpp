@@ -103,7 +103,7 @@ struct alignas(64) ShardWorker {
 /// the team threads are spawned on first sharded run and reused for
 /// every subsequent cycle and run on this thread.
 inline util::ThreadPool& sim_team_pool() {
-  static thread_local util::ThreadPool pool(1);
+  static thread_local util::ThreadPool pool;
   return pool;
 }
 

@@ -5,43 +5,13 @@
 
 namespace mineq::util {
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
 ThreadPool::~ThreadPool() {
-  {
-    std::unique_lock lock(mutex_);
-    stopping_ = true;
-  }
-  work_available_.notify_all();
-  for (auto& worker : workers_) worker.join();
   {
     std::unique_lock lock(team_mutex_);
     team_stopping_ = true;
   }
   team_wake_.notify_all();
   for (auto& member : team_) member.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::unique_lock lock(mutex_);
-    queue_.push(std::move(task));
-    ++in_flight_;
-  }
-  work_available_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mutex_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::run_team(
@@ -103,25 +73,6 @@ void ThreadPool::team_member_loop(std::size_t index, std::uint64_t seen) {
       ++team_done_;
     }
     team_done_cv_.notify_one();
-  }
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock lock(mutex_);
-      work_available_.wait(lock,
-                           [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping_ and drained
-      task = std::move(queue_.front());
-      queue_.pop();
-    }
-    task();
-    {
-      std::unique_lock lock(mutex_);
-      if (--in_flight_ == 0) all_done_.notify_all();
-    }
   }
 }
 

@@ -2,7 +2,8 @@
 /// \brief Explicit, standard-library parallelism for bulk verification sweeps.
 ///
 /// Following the HPC house style (parallelism is explicit, portable and
-/// standard-based), this is a small fixed thread pool plus a blocking
+/// standard-based), this is a persistent worker team (ThreadPool), the
+/// barrier its members rendezvous on (SpinBarrier), and a blocking
 /// parallel_for. Randomized sweeps pass a task index to the body so each
 /// task can derive a deterministic RNG stream — results are identical
 /// regardless of thread count.
@@ -15,7 +16,6 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -79,59 +79,36 @@ class SpinBarrier {
   std::atomic<std::uint64_t> generation_{0};
 };
 
-/// A fixed-size pool of worker threads executing queued tasks.
-///
-/// The pool is created once and joined on destruction (RAII); tasks must not
-/// throw — exceptions escaping a task terminate the process by design, since
-/// the verification sweeps treat any failure as fatal.
+/// A persistent worker team. A new pool starts no thread; run_team
+/// spawns team threads as a call first needs them and keeps them parked
+/// between calls. The destructor joins them (RAII). A team body must not
+/// throw — an exception escaping it terminates the process by design.
 class ThreadPool {
  public:
-  /// Create \p threads workers. 0 means std::thread::hardware_concurrency().
-  explicit ThreadPool(std::size_t threads = 0);
+  ThreadPool() = default;
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Blocks until all queued tasks have finished, then joins the workers.
+  /// Wakes the parked team threads and joins them.
   ~ThreadPool();
 
-  /// Enqueue a task for asynchronous execution.
-  void submit(std::function<void()> task);
-
-  /// Block until every task submitted so far has completed.
-  void wait_idle();
-
-  /// Number of worker threads.
-  [[nodiscard]] std::size_t size() const { return workers_.size(); }
-
-  /// Persistent-team mode: run fn(worker, n) on n workers and block until
-  /// every invocation returns. The caller participates as worker 0; the
-  /// other n-1 run on dedicated team threads that are spawned lazily on
-  /// first use, kept parked on a condition variable between calls, and
-  /// reused verbatim on the next call — per-call cost is one wakeup, not
-  /// n-1 thread spawns or queue round-trips, which is what a per-cycle
-  /// dispatch needs (see bench_megafabric's dispatch micro-bench).
+  /// Run fn(worker, n) on n workers and block until every invocation
+  /// returns. The caller participates as worker 0; the other n-1 run on
+  /// dedicated team threads that are spawned lazily on first use, kept
+  /// parked on a condition variable between calls, and reused verbatim
+  /// on the next call — per-call cost is one wakeup, not n-1 thread
+  /// spawns, which is what a per-cycle dispatch needs (see
+  /// bench_megafabric's dispatch micro-bench).
   ///
-  /// The team is independent of the submit() task queue, so run_team can
-  /// never deadlock against queued tasks (and vice versa). n <= 1 runs
-  /// fn(0, 1) inline. Only one run_team call may be active per pool at a
-  /// time; concurrent callers must use distinct pools.
+  /// n <= 1 runs fn(0, 1) inline. Only one run_team call may be active
+  /// per pool at a time; concurrent callers must use distinct pools.
   void run_team(std::size_t n,
                 const std::function<void(std::size_t, std::size_t)>& fn);
 
  private:
-  void worker_loop();
   void team_member_loop(std::size_t index, std::uint64_t start_epoch);
 
-  std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> queue_;
-  std::mutex mutex_;
-  std::condition_variable work_available_;
-  std::condition_variable all_done_;
-  std::size_t in_flight_ = 0;
-  bool stopping_ = false;
-
-  // Persistent-team state (run_team); disjoint from the task queue above.
   std::vector<std::thread> team_;
   std::mutex team_mutex_;
   std::condition_variable team_wake_;

@@ -12,8 +12,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <filesystem>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "fault/fault_model.hpp"
@@ -374,6 +376,41 @@ TEST(MegafabricTest, ThreadCountAboveCellCountClamps) {
   config.sim_threads = 64;
   expect_identical(serial, engine.run(Pattern::kUniform, config));
 }
+
+#if defined(__linux__)
+/// Threads in this process, one /proc/self/task entry each.
+std::size_t process_threads() {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(MegafabricTest, RunStartsOnlyItsTeamThreads) {
+  // A T-worker run needs T - 1 team threads beside the calling thread,
+  // and a one-worker run needs none. Counted on a fresh thread, whose
+  // thread-local team starts empty.
+  const Engine engine(min::build_network(NetworkKind::kOmega, 4));
+  SimConfig config = base_config(SwitchingMode::kStoreAndForward);
+  std::size_t before = 0;
+  std::size_t after_one = 0;
+  std::size_t after_three = 0;
+  std::thread runner([&] {
+    before = process_threads();
+    config.sim_threads = 1;
+    (void)engine.run(Pattern::kUniform, config);
+    after_one = process_threads();
+    config.sim_threads = 3;
+    (void)engine.run(Pattern::kUniform, config);
+    after_three = process_threads();
+  });
+  runner.join();
+  EXPECT_EQ(after_one, before);
+  EXPECT_EQ(after_three, before + 2);
+}
+#endif
 
 }  // namespace
 }  // namespace mineq::sim
