@@ -88,8 +88,8 @@ void print_report() {
                "speedup needs real cores — see the baseline README)\n\n";
 }
 
-// One simulation, sharded: the headline serial-vs-sharded comparison.
-// range(0) = n, range(1) = sim_threads (1 is the serial policy loop).
+// One simulation, sharded: the headline one-worker-vs-sharded comparison.
+// range(0) = n, range(1) = sim_threads (1 runs the worker body inline).
 static void BM_MegafabricSaf(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const mineq::sim::Engine engine(

@@ -6,9 +6,9 @@
 /// (bucket width 1 cycle, the same resolution and quantile convention as
 /// sim::Histogram), so the summary's p50/p99/p999 columns are exact over
 /// the recorded population, not sketches. Flow adds are replayed by
-/// worker 0 in cell order on sharded runs — the same path the global
-/// latency accumulators use — so the summary is byte-identical at every
-/// thread count.
+/// worker 0 in cell order — the same path the global latency
+/// accumulators use — so the summary is byte-identical at every thread
+/// count.
 
 #pragma once
 

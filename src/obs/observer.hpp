@@ -3,9 +3,8 @@
 ///
 /// One Observer lives for one simulation run. The hot-path surface is
 /// deliberately small: per-worker WorkerLogs absorb order-independent
-/// per-stage counters and the worker's trace-event buffer, and the
-/// serial-phase owner (worker 0, or the whole run when serial) commits
-/// probe windows and flow records. Nothing in here reads back into the
+/// per-stage counters and the worker's trace-event buffer, and worker 0
+/// commits probe windows and flow records in its exclusive phases. Nothing in here reads back into the
 /// simulation: an Observer is write-only from the policies' point of
 /// view, which is what makes obs-on runs produce bit-identical
 /// simulation results to obs-off runs.
@@ -61,7 +60,7 @@ class Observer {
   }
 
   /// Worker \p w's sink (index < the workers count passed at
-  /// construction; serial runs use log(0)).
+  /// construction).
   [[nodiscard]] WorkerLog& log(std::size_t w) noexcept { return logs_[w]; }
 
   /// True on the measured cycle that closes a probe window (the sample
@@ -74,18 +73,18 @@ class Observer {
 
   /// Per-(stage, cell) occupancy scratch, zeroed; the committing policy
   /// fills slot [s * cells + x] with the buffered payload of cell x of
-  /// stage s, then calls commit_probe. Worker-0 / serial only.
+  /// stage s, then calls commit_probe. Worker 0 only.
   [[nodiscard]] std::vector<std::uint32_t>& occupancy_scratch() noexcept {
     return occ_scratch_;
   }
 
   /// Close the probe window ending at \p cycle: fold the scratch
   /// occupancy and the cross-worker counter deltas into the next ring
-  /// slot. Worker-0 / serial only.
+  /// slot. Worker 0 only.
   void commit_probe(std::uint64_t cycle);
 
-  /// Record one delivered measured packet. Worker-0 / serial only (the
-  /// eject replay path).
+  /// Record one delivered measured packet. Worker 0 only (the eject
+  /// replay path).
   void record_flow(std::uint32_t src, std::uint32_t dst, unsigned sl,
                    double latency) {
     recorder_.record(src, dst, sl, latency);
@@ -102,7 +101,7 @@ class Observer {
     return flows_on_ ? &recorder_ : nullptr;
   }
   /// Concatenate the per-worker trace buffers in worker order and
-  /// stable-sort by (cycle, phase) — the serial emission order.
+  /// stable-sort by (cycle, phase) — the one-worker emission order.
   [[nodiscard]] std::vector<TraceEvent> take_trace();
 
  private:

@@ -3,8 +3,7 @@
 ///
 /// A ProbeSeries is a set of preallocated ring buffers, one slot per
 /// probe window, written by worker 0 in the exclusive sample-reduce
-/// phase (serial runs sample in the same program order), so the series
-/// is byte-identical at every sim_threads. Capacity is fixed up front
+/// phase, so the series is byte-identical at every sim_threads. Capacity is fixed up front
 /// (measure_cycles / probe_stride windows); should a caller ever sample
 /// past it, the ring wraps and keeps the newest windows.
 

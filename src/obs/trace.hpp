@@ -8,7 +8,7 @@
 /// the fabric, and instant events mark stalls (with their StallCause),
 /// reroutes and drops. Events are appended to per-worker buffers tagged
 /// with their (cycle, intra-cycle phase); one stable sort on that key
-/// reproduces the serial emission order exactly, because within a
+/// reproduces the one-worker emission order exactly, because within a
 /// (cycle, phase) pair the per-worker buffers concatenate in ascending
 /// cell order — the megafabric replay invariant.
 
@@ -43,9 +43,9 @@ struct TraceEvent {
   TraceEventKind kind = TraceEventKind::kPacketBegin;
   std::uint8_t stage = 0;  ///< stage of stage/stall/reroute/drop events
   std::uint8_t cause = 0;  ///< StallCause payload of kStall events
-  /// Intra-cycle phase ordinal, the secondary sort key that makes the
-  /// sharded emission order equal the serial one. The policies number
-  /// the serial sub-phases of one cycle in execution order: eject moves
+  /// Intra-cycle phase ordinal, the secondary sort key that makes any
+  /// team's emission order equal the one-worker run's. The policies
+  /// number the sub-phases of one cycle in execution order: eject moves
   /// = 0, the eject HOL scan = 1 + plane (one ordinal per plane on
   /// multipath fabrics), then per advance stage s (descending) a
   /// dead-switch-drain / moves / HOL-scan triple, and injection last.
@@ -53,7 +53,7 @@ struct TraceEvent {
 };
 
 /// Stable-sort \p events by (cycle, phase): after concatenating the
-/// per-worker buffers in worker order this reproduces the serial
+/// per-worker buffers in worker order this reproduces the one-worker
 /// emission order byte for byte.
 void sort_trace(std::vector<TraceEvent>& events);
 

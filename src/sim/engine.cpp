@@ -201,7 +201,7 @@ void SimConfig::validate() const {
         "SimConfig: sim_threads must be <= " +
         std::to_string(kMaxSimThreads) + ", got " +
         std::to_string(sim_threads) +
-        " (the sharded driver clamps to the cell count, but a team this "
+        " (the driver clamps to the cell count, but a team this "
         "large is surely a typo)");
   }
   burst.validate();
@@ -381,8 +381,8 @@ namespace {
 ///    classes packets carry;
 ///  - an observer: per-stage probe counters and trace events go to the
 ///    per-worker WorkerLogs (order-independent sums / (cycle, phase) sort
-///    keys keep sharded runs byte-identical to serial), flow records ride
-///    the worker-0 eject replay, and every HOL-blocked head-cycle is
+///    keys keep every thread count byte-identical), flow records ride the
+///    worker-0 eject replay, and every HOL-blocked head-cycle is
 ///    attributed to exactly one StallCause.
 /// kMultiPath: the route step (select_port) chooses within a hop's
 /// equivalent-path group by the configured PathPolicy (deterministic
@@ -401,13 +401,13 @@ class StoreAndForwardPolicy
   using Base =
       PolicyBase<StoreAndForwardPolicy, kBinary, kMultiPath, kFeatures>;
   friend Base;
-  using Base::core_, Base::length_, Base::link_counter_,
-      Base::shard_pool_delta_, Base::total_slots_, Base::credit_config_,
-      Base::service_levels_, Base::path_policy_, Base::stall_cause_,
-      Base::fault_mask, Base::credit_ledger, Base::observer, Base::arbitrates,
-      Base::radix, Base::planes, Base::lradix, Base::lcells,
-      Base::inject_port, Base::stage_route, Base::path_group,
-      Base::arb_candidate, Base::arb_grant, Base::usable_port,
+  using Base::core_, Base::length_, Base::buffered_units_,
+      Base::total_slots_, Base::credit_config_, Base::service_levels_,
+      Base::path_policy_, Base::stall_cause_, Base::fault_mask,
+      Base::credit_ledger, Base::observer, Base::arbitrates, Base::radix,
+      Base::planes, Base::lradix, Base::lcells, Base::inject_port,
+      Base::stage_route, Base::path_group, Base::arb_candidate,
+      Base::arb_grant, Base::usable_port, Base::pooled_units,
       Base::commit_probe_window, Base::kEjectPhase, Base::eject_stall_phase,
       Base::drain_phase, Base::advance_phase, Base::stall_phase,
       Base::inject_phase;
@@ -440,22 +440,14 @@ class StoreAndForwardPolicy
   }
 
   [[nodiscard]] std::uint64_t buffered_flits() const {
-    // Sharded kernels bypass the pool-wide counter; serial runs keep the
-    // delta at 0.
-    return static_cast<std::uint64_t>(
-               static_cast<std::int64_t>(queues_.total_packets()) +
-               shard_pool_delta_) *
-           length_;
+    return static_cast<std::uint64_t>(buffered_units_) * length_;
   }
 
-  /// Worker 0 adds the pool-occupancy samples (they need the pool-wide
-  /// total, which sharded runs carry as counter + per-worker deltas).
+  /// Worker 0 adds the pool-occupancy samples: they need the pool-wide
+  /// total, the sum of the workers' deltas.
   void shard_sample_reduce(std::uint64_t cycle,
                            const std::vector<ShardWorker>& workers) {
-    std::int64_t delta = 0;
-    for (const ShardWorker& wk : workers) delta += wk.pool_delta;
-    const double packets = static_cast<double>(
-        static_cast<std::int64_t>(queues_.total_packets()) + delta);
+    const auto packets = static_cast<double>(pooled_units(workers));
     core_.result.lane_occupancy.add(packets / total_slots_);
     if (credit_ledger() != nullptr) {
       if (core_.result.vl_occupancy.empty()) {
@@ -474,7 +466,8 @@ class StoreAndForwardPolicy
   /// Unipath runs check the FIFO (or its credit) before drawing the
   /// packet; multipath runs draw first, because the hashed plane pick
   /// keys on the destination, and a refused attempt discards its draw.
-  void inject(std::uint64_t cycle, bool measuring) {
+  /// Runs on worker 0, \p wk.
+  void inject(std::uint64_t cycle, bool measuring, ShardWorker& wk) {
     CreditLedger* const credits = credit_ledger();
     obs::Observer* const obs = observer();
     for (std::uint64_t t = 0; t < core_.terminals(); ++t) {
@@ -512,7 +505,7 @@ class StoreAndForwardPolicy
           if (!credits->available(q)) {
             if (measuring) {
               ++core_.result.credit_stall_cycles;
-              if (obs != nullptr) ++obs->log(0).credit[0];
+              if (obs != nullptr) ++wk.obs_log->credit[0];
             }
             continue;
           }
@@ -524,26 +517,22 @@ class StoreAndForwardPolicy
       const std::uint32_t dest = packet.dest;
       const auto src = static_cast<std::uint32_t>(t);
       if (credits != nullptr) {
-        queues_.push(q, dest, src, cycle, cycle + length_,
-                     static_cast<unsigned>(t % service_levels_), packet.tag);
+        shard_push(q, dest, src, cycle, cycle + length_,
+                   static_cast<unsigned>(t % service_levels_), packet.tag, wk);
         credits->consume(q);
       } else {
-        queues_.push(q, dest, src, cycle, cycle + length_, 0, packet.tag);
+        shard_push(q, dest, src, cycle, cycle + length_, 0, packet.tag, wk);
       }
       core_.commit(cycle, static_cast<std::uint32_t>(t), packet);
       source_busy_until_[t] = cycle + length_;
       if (measuring) {
         ++core_.result.injected;
         core_.result.flits_injected += length_;
-        // Injection is always a serial phase: log 0 is the sink in both
-        // drivers, keeping trace bytes thread-count invariant.
         if (obs != nullptr && obs->traced(src, cycle)) {
-          trace_push<false>(obs, nullptr, cycle, cycle, src, dest,
-                            obs::TraceEventKind::kPacketBegin, 0, 0,
-                            inject_phase());
-          trace_push<false>(obs, nullptr, cycle, cycle, src, dest,
-                            obs::TraceEventKind::kStageBegin, 0, 0,
-                            inject_phase());
+          trace_push(wk, cycle, cycle, src, dest,
+                     obs::TraceEventKind::kPacketBegin, 0, 0, inject_phase());
+          trace_push(wk, cycle, cycle, src, dest,
+                     obs::TraceEventKind::kStageBegin, 0, 0, inject_phase());
         }
       }
     }
@@ -556,18 +545,16 @@ class StoreAndForwardPolicy
   /// logical cell (a packet may arrive on any arc of its dilation group
   /// and in any plane; on a unipath fabric, the r input slots of the
   /// cell). Ejection consumes no credits (terminals always sink), but
-  /// popping returns the slot's credit upstream. The serial instantiation
-  /// (kShard = false) runs the full range and mutates the core result
-  /// directly, and the sharded one accumulates order-independent counters
-  /// into \p wk's partial and defers the order-sensitive latency adds into
-  /// its event buffer for worker 0 to replay in range order. Every
-  /// structure touched is owned by the range: a logical-cell range owns
-  /// one contiguous physical run per plane (cells plane * lcells + [lx0,
-  /// lx1)), and eject pacing and arbiters index by terminal.
-  template <bool kShard>
+  /// popping returns the slot's credit upstream. Order-independent
+  /// counters accumulate into \p wk's partial; the order-sensitive latency
+  /// adds and workload deliveries defer into its event buffers for worker
+  /// 0 to replay in range order. Every structure touched is owned by the
+  /// range: a logical-cell range owns one contiguous physical run per
+  /// plane (cells plane * lcells + [lx0, lx1)), and eject pacing and
+  /// arbiters index by terminal.
   void eject_impl(std::uint64_t cycle, bool measuring, std::uint32_t lx0,
-                  std::uint32_t lx1, [[maybe_unused]] ShardWorker* wk) {
-    [[maybe_unused]] SimResult& res = shard_result<kShard>(core_, wk);
+                  std::uint32_t lx1, ShardWorker& wk) {
+    SimResult& res = wk.partial;
     const fault::FaultMask* const mask = fault_mask();
     CreditLedger* const credits = credit_ledger();
     obs::Observer* const obs = observer();
@@ -626,7 +613,7 @@ class StoreAndForwardPolicy
           const std::uint64_t inject_cycle = queues_.front_inject(q);
           const std::uint32_t src = queues_.front_src(q);
           const unsigned tag = queues_.front_tag(q);
-          shard_pop<kShard>(q, wk);
+          shard_pop(q, wk);
           if (credits != nullptr) credits->give_back(q, cycle);
           eject_busy_until_[term] = cycle + length_;
           arb_grant(last, term, c, vl, weighted);
@@ -639,43 +626,26 @@ class StoreAndForwardPolicy
                 src, dest, term, inject_cycle, cycle + length_,
                 static_cast<std::uint8_t>(tag),
                 measuring && inject_cycle >= core_.config().warmup_cycles};
-            if constexpr (kShard) {
-              wk->wl_events.push_back(delivery);
-            } else {
-              core_.workload_delivered(delivery);
-            }
+            wk.wl_events.push_back(delivery);
           }
           if (obs != nullptr) {
             if (measuring) {
-              obs_log<kShard>(obs, wk).hops[static_cast<std::size_t>(last)] +=
-                  length_;
+              wk.obs_log->hops[static_cast<std::size_t>(last)] += length_;
             }
             if (inject_cycle >= core_.config().warmup_cycles &&
                 obs->traced(src, inject_cycle)) {
-              trace_push<kShard>(obs, wk, cycle, inject_cycle, src, dest,
-                                 obs::TraceEventKind::kStageEnd,
-                                 static_cast<std::uint8_t>(last), 0,
-                                 kEjectPhase);
-              trace_push<kShard>(obs, wk, cycle, inject_cycle, src, dest,
-                                 obs::TraceEventKind::kPacketEnd, 0, 0,
-                                 kEjectPhase);
+              trace_push(wk, cycle, inject_cycle, src, dest,
+                         obs::TraceEventKind::kStageEnd,
+                         static_cast<std::uint8_t>(last), 0, kEjectPhase);
+              trace_push(wk, cycle, inject_cycle, src, dest,
+                         obs::TraceEventKind::kPacketEnd, 0, 0, kEjectPhase);
             }
           }
           if (measuring && inject_cycle >= core_.config().warmup_cycles) {
             res.flits_delivered += length_;
             const double latency =
                 static_cast<double>(cycle - inject_cycle + length_);
-            if constexpr (kShard) {
-              wk->saf_events.push_back(SafEjectEvent{latency, sl, src, dest});
-            } else {
-              core_.record_packet_delivered(latency);
-              if (credits != nullptr) {
-                core_.result.sl_latency[sl].add(latency);
-              }
-              if (obs != nullptr && obs->flows_on()) {
-                obs->record_flow(src, dest, sl, latency);
-              }
-            }
+            wk.saf_events.push_back(SafEjectEvent{latency, sl, src, dest});
             // A detoured packet ejects at whatever terminal the surviving
             // route reached; count the miss.
             if (mask != nullptr && (dest / lr) != lx) {
@@ -689,10 +659,9 @@ class StoreAndForwardPolicy
     if (measuring) {
       for (unsigned plane = 0; plane < planes(); ++plane) {
         const std::size_t run = static_cast<std::size_t>(plane) * lcells() * r;
-        account_blocking<kShard>(last, cycle,
-                                 run + static_cast<std::size_t>(lx0) * r,
-                                 run + static_cast<std::size_t>(lx1) * r, wk,
-                                 eject_stall_phase(plane));
+        account_blocking(last, cycle, run + static_cast<std::size_t>(lx0) * r,
+                         run + static_cast<std::size_t>(lx1) * r, wk,
+                         eject_stall_phase(plane));
       }
     }
   }
@@ -714,11 +683,10 @@ class StoreAndForwardPolicy
   /// reachable from exactly one upstream cell — single-writer without
   /// locks. Credit handshakes stay range-local too (consume/available
   /// index the pushed target, give_back the popped queue).
-  template <bool kShard>
   void advance_stage_impl(int s, std::uint64_t cycle, bool measuring,
                           std::uint32_t x0, std::uint32_t x1,
-                          [[maybe_unused]] ShardWorker* wk) {
-    [[maybe_unused]] SimResult& res = shard_result<kShard>(core_, wk);
+                          ShardWorker& wk) {
+    SimResult& res = wk.partial;
     const fault::FaultMask* const mask = fault_mask();
     CreditLedger* const credits = credit_ledger();
     obs::Observer* const obs = observer();
@@ -734,7 +702,7 @@ class StoreAndForwardPolicy
     // Interior stages only — the last stage ejects, in eject().
     const StageRoute route = stage_route(s);
     if (mask != nullptr) {
-      drain_dead_switches<kShard>(s, cycle, measuring, x0, x1, wk);
+      drain_dead_switches(s, cycle, measuring, x0, x1, wk);
     }
     std::fill(queue_moved_.begin() + static_cast<std::size_t>(x0) * r,
               queue_moved_.begin() + static_cast<std::size_t>(x1) * r, 0);
@@ -807,8 +775,7 @@ class StoreAndForwardPolicy
                 stall_cause_[q] = static_cast<std::uint8_t>(
                     obs::StallCause::kZeroCredits);
                 if (measuring) {
-                  ++obs_log<kShard>(obs, wk)
-                        .credit[static_cast<std::size_t>(s)];
+                  ++wk.obs_log->credit[static_cast<std::size_t>(s)];
                 }
               }
               break;
@@ -823,10 +790,9 @@ class StoreAndForwardPolicy
           const std::uint64_t inject_cycle = queues_.front_inject(q);
           const std::uint32_t src = queues_.front_src(q);
           const unsigned tag = queues_.front_tag(q);
-          shard_push<kShard>(target, dest, src, inject_cycle, cycle + length_,
-                             credits != nullptr ? queues_.front_sl(q) : 0U,
-                             tag, wk);
-          shard_pop<kShard>(q, wk);
+          shard_push(target, dest, src, inject_cycle, cycle + length_,
+                     credits != nullptr ? queues_.front_sl(q) : 0U, tag, wk);
+          shard_pop(q, wk);
           if (credits != nullptr) {
             credits->consume(target);
             credits->give_back(q, cycle);
@@ -836,19 +802,17 @@ class StoreAndForwardPolicy
           arb_grant(s, x * r + port, slot, vl, weighted);
           if (obs != nullptr) {
             if (measuring) {
-              obs_log<kShard>(obs, wk).hops[static_cast<std::size_t>(s)] +=
-                  length_;
+              wk.obs_log->hops[static_cast<std::size_t>(s)] += length_;
             }
             if (inject_cycle >= core_.config().warmup_cycles &&
                 obs->traced(src, inject_cycle)) {
-              trace_push<kShard>(obs, wk, cycle, inject_cycle, src, dest,
-                                 obs::TraceEventKind::kStageEnd,
-                                 static_cast<std::uint8_t>(s), 0,
-                                 advance_phase(s));
-              trace_push<kShard>(obs, wk, cycle, inject_cycle, src, dest,
-                                 obs::TraceEventKind::kStageBegin,
-                                 static_cast<std::uint8_t>(s + 1), 0,
-                                 advance_phase(s));
+              trace_push(wk, cycle, inject_cycle, src, dest,
+                         obs::TraceEventKind::kStageEnd,
+                         static_cast<std::uint8_t>(s), 0, advance_phase(s));
+              trace_push(wk, cycle, inject_cycle, src, dest,
+                         obs::TraceEventKind::kStageBegin,
+                         static_cast<std::uint8_t>(s + 1), 0,
+                         advance_phase(s));
             }
           }
           if (reroute_kind != 0 && measuring &&
@@ -859,12 +823,11 @@ class StoreAndForwardPolicy
               ++res.packets_rerouted;
             }
             if (obs != nullptr) {
-              ++obs_log<kShard>(obs, wk).reroute[static_cast<std::size_t>(s)];
+              ++wk.obs_log->reroute[static_cast<std::size_t>(s)];
               if (obs->traced(src, inject_cycle)) {
-                trace_push<kShard>(obs, wk, cycle, inject_cycle, src, dest,
-                                   obs::TraceEventKind::kReroute,
-                                   static_cast<std::uint8_t>(s), 0,
-                                   advance_phase(s));
+                trace_push(wk, cycle, inject_cycle, src, dest,
+                           obs::TraceEventKind::kReroute,
+                           static_cast<std::uint8_t>(s), 0, advance_phase(s));
               }
             }
           }
@@ -878,9 +841,8 @@ class StoreAndForwardPolicy
                                  static_cast<std::size_t>(x1) * r, mask,
                                  link_base, route);
       }
-      account_blocking<kShard>(s, cycle, static_cast<std::size_t>(x0) * r,
-                               static_cast<std::size_t>(x1) * r, wk,
-                               stall_phase(s));
+      account_blocking(s, cycle, static_cast<std::size_t>(x0) * r,
+                       static_cast<std::size_t>(x1) * r, wk, stall_phase(s));
     }
   }
 
@@ -951,27 +913,18 @@ class StoreAndForwardPolicy
     return static_cast<int>(group.base);
   }
 
-  /// The sample kernel: worker \p w of \p n audits its share of the
-  /// link-pacing array and (credit runs) the per-link conservation
-  /// invariant; the pool-occupancy series — which needs the pool-wide
-  /// total — is added by the serial instantiation here and by worker 0's
-  /// sample reduce in sharded runs.
-  template <bool kShard>
+  /// The sample kernel: worker \p w of \p n counts its share of the
+  /// busy links and (credit runs) audits its share of the per-link
+  /// conservation invariant. The pool-occupancy series needs the
+  /// pool-wide total, so worker 0's shard_sample_reduce adds it.
   void sample_impl(std::uint64_t cycle, std::size_t w, std::size_t n,
-                   [[maybe_unused]] ShardWorker* wk) {
-    [[maybe_unused]] SimResult& res = shard_result<kShard>(core_, wk);
+                   ShardWorker& wk) {
     const auto [l0, l1] = shard_range(link_busy_until_.size(), w, n);
     std::uint64_t busy = 0;
     for (std::size_t i = l0; i < l1; ++i) {
       if (link_busy_until_[i] > cycle) ++busy;
     }
-    if constexpr (kShard) {
-      wk->link_counter += busy;
-    } else {
-      link_counter_ += busy;
-      core_.result.lane_occupancy.add(
-          static_cast<double>(queues_.total_packets()) / total_slots_);
-    }
+    wk.link_counter += busy;
     if (const CreditLedger* const credits = credit_ledger()) {
       const std::size_t links =
           static_cast<std::size_t>(core_.stages()) * core_.ports();
@@ -981,27 +934,14 @@ class StoreAndForwardPolicy
         const std::uint64_t held = credits->credits(q);
         if (held > capacity ||
             held + credits->in_flight(q) + queues_.count(q) != capacity) {
-          ++res.credit_violations;
+          ++wk.partial.credit_violations;
         }
       }
-      if constexpr (!kShard) {
-        // Store-and-forward has one physical buffer per link, so the
-        // per-VL view collapses to a single lane-0 occupancy series.
-        if (core_.result.vl_occupancy.empty()) {
-          core_.result.vl_occupancy.resize(1);
-        }
-        core_.result.vl_occupancy[0].add(
-            static_cast<double>(queues_.total_packets()) / total_slots_);
-      }
-    }
-    if constexpr (!kShard) {
-      obs::Observer* const obs = observer();
-      if (obs != nullptr && obs->want_probe(cycle)) commit_probe_window(cycle);
     }
   }
 
   /// Replay one worker's deferred ejection statistics (worker 0's
-  /// serial phase, in ascending-worker = serial order).
+  /// serial phase, in ascending-worker = ascending-cell order).
   void replay_ejects(std::uint64_t /*cycle*/, bool /*measuring*/,
                      ShardWorker& wk) {
     const bool credits = credit_ledger() != nullptr;
@@ -1024,27 +964,16 @@ class StoreAndForwardPolicy
     return queues_.count(q);
   }
 
-  /// Pool ops that keep the shared total (serial) or a per-worker delta
-  /// (sharded) — queue state is identical either way.
-  template <bool kShard>
-  void shard_pop(std::size_t q, [[maybe_unused]] ShardWorker* wk) {
-    if constexpr (kShard) {
-      queues_.pop_unc(q);
-      --wk->pool_delta;
-    } else {
-      queues_.pop(q);
-    }
+  /// Pool ops that count into worker \p wk's pool delta.
+  void shard_pop(std::size_t q, ShardWorker& wk) {
+    queues_.pop(q);
+    --wk.pool_delta;
   }
-  template <bool kShard>
   void shard_push(std::size_t q, std::uint32_t dest, std::uint32_t src,
                   std::uint64_t inject_cycle, std::uint64_t arrival,
-                  unsigned sl, unsigned tag, [[maybe_unused]] ShardWorker* wk) {
-    if constexpr (kShard) {
-      queues_.push_unc(q, dest, src, inject_cycle, arrival, sl, tag);
-      ++wk->pool_delta;
-    } else {
-      queues_.push(q, dest, src, inject_cycle, arrival, sl, tag);
-    }
+                  unsigned sl, unsigned tag, ShardWorker& wk) {
+    queues_.push(q, dest, src, inject_cycle, arrival, sl, tag);
+    ++wk.pool_delta;
   }
 
   [[nodiscard]] std::size_t queue_index(int s, std::size_t i) const {
@@ -1062,14 +991,13 @@ class StoreAndForwardPolicy
   /// \p s whose cell falls in [x0, x1) (all out-arcs masked: no degraded
   /// route exists). Flits still serializing in stay buffered until their
   /// arrival completes.
-  template <bool kShard>
   void drain_dead_switches(int s, std::uint64_t cycle, bool measuring,
                            std::uint32_t x0, std::uint32_t x1,
-                           ShardWorker* wk) {
+                           ShardWorker& wk) {
     CreditLedger* const credits = credit_ledger();
     obs::Observer* const obs = observer();
     const unsigned r = radix();
-    [[maybe_unused]] SimResult& res = shard_result<kShard>(core_, wk);
+    SimResult& res = wk.partial;
     for (const std::uint32_t x : dead_cells_[static_cast<std::size_t>(s)]) {
       if (x < x0 || x >= x1) continue;
       for (unsigned slot = 0; slot < r; ++slot) {
@@ -1081,18 +1009,17 @@ class StoreAndForwardPolicy
             if (obs->traced(src, inject_cycle)) {
               const std::uint32_t dest = queues_.front_dest(q);
               const std::uint8_t phase = drain_phase(s);
-              trace_push<kShard>(obs, wk, cycle, inject_cycle, src, dest,
-                                 obs::TraceEventKind::kDrop,
-                                 static_cast<std::uint8_t>(s), 0, phase);
-              trace_push<kShard>(obs, wk, cycle, inject_cycle, src, dest,
-                                 obs::TraceEventKind::kStageEnd,
-                                 static_cast<std::uint8_t>(s), 0, phase);
-              trace_push<kShard>(obs, wk, cycle, inject_cycle, src, dest,
-                                 obs::TraceEventKind::kPacketEnd, 0, 0,
-                                 phase);
+              trace_push(wk, cycle, inject_cycle, src, dest,
+                         obs::TraceEventKind::kDrop,
+                         static_cast<std::uint8_t>(s), 0, phase);
+              trace_push(wk, cycle, inject_cycle, src, dest,
+                         obs::TraceEventKind::kStageEnd,
+                         static_cast<std::uint8_t>(s), 0, phase);
+              trace_push(wk, cycle, inject_cycle, src, dest,
+                         obs::TraceEventKind::kPacketEnd, 0, 0, phase);
             }
           }
-          shard_pop<kShard>(q, wk);
+          shard_pop(q, wk);
           // A drained slot returns its credit like any other pop, so
           // the ledger closes exactly even across dead switches.
           if (credits != nullptr) credits->give_back(q, cycle);
@@ -1107,14 +1034,14 @@ class StoreAndForwardPolicy
 
   /// Head-of-line blocking: a fully-arrived head in [p0, p1) that did
   /// not move. The port range always matches the caller's writer
-  /// partition of queue_moved_, so sharded totals equal the serial scan.
+  /// partition of queue_moved_, so the workers' totals sum to the
+  /// one-worker scan.
   /// With an observer, the same scan charges each blocked head to its
   /// recorded StallCause, so the per-cause counters partition
   /// hol_blocking_cycles exactly — no separate bookkeeping to drift.
-  template <bool kShard>
   void account_blocking(int s, std::uint64_t cycle, std::size_t p0,
-                        std::size_t p1, ShardWorker* wk, std::uint8_t phase) {
-    SimResult& res = shard_result<kShard>(core_, wk);
+                        std::size_t p1, ShardWorker& wk, std::uint8_t phase) {
+    SimResult& res = wk.partial;
     const bool observed = observer() != nullptr;
     for (std::size_t i = p0; i < p1; ++i) {
       const std::size_t q = queue_index(s, i);
@@ -1122,7 +1049,7 @@ class StoreAndForwardPolicy
           queue_moved_[i] == 0) {
         ++res.hol_blocking_cycles;
         if (observed) {
-          this->template attribute_stall<kShard>(s, cycle, q, wk, phase);
+          this->attribute_stall(s, cycle, q, wk, phase);
         }
       }
     }
@@ -1204,17 +1131,14 @@ SimResult run_fabric(const Engine& engine, SwitchingMode mode,
   const auto radix = static_cast<std::size_t>(wiring.radix());
   const std::size_t ports = radix * wiring.cells_per_stage();
   // The observer outlives the policy: constructed up front (so its
-  // worker-log count matches the shard team the driver will clamp to)
-  // and harvested into the result by run_policy.
+  // worker-log count matches the team the driver will clamp to) and
+  // harvested into the result by run_policy.
   std::optional<obs::Observer> observer;
   if (config.obs.any()) {
     config.obs.validate(engine.terminals());
-    const std::size_t workers =
-        config.sim_threads > 1
-            ? std::min<std::size_t>(
-                  config.sim_threads,
-                  std::max<std::uint32_t>(1, wiring.cells_per_stage()))
-            : 1;
+    const std::size_t workers = std::min<std::size_t>(
+        config.sim_threads,
+        std::max<std::uint32_t>(1, wiring.cells_per_stage()));
     args.obs = &observer.emplace(
         config.obs, wiring.stages(), wiring.cells_per_stage(), ports,
         static_cast<std::uint32_t>(engine.terminals()), config.warmup_cycles,

@@ -189,9 +189,10 @@ struct SimConfig {
   std::vector<std::uint32_t> permutation;
   /// Worker threads sharding THIS simulation (megafabric mode): each
   /// cycle's phases run as range kernels over per-worker cell slices with
-  /// barrier handoffs. Results are byte-identical at every value — 1
-  /// runs the policy's serial driver, > 1 its sharded driver. Thread counts above the stage's cell count are
-  /// clamped (extra workers would own empty ranges). Distinct from the
+  /// barrier handoffs. Results are byte-identical at every value; 1 runs
+  /// the single worker inline on the calling thread, with no barrier and
+  /// no team. Thread counts above the stage's cell count are clamped
+  /// (extra workers would own empty ranges). Distinct from the
   /// sweep-level thread count: exp::run_sweep divides its own pool by
   /// this value so sweep x sim threads never oversubscribes.
   std::size_t sim_threads = 1;

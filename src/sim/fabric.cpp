@@ -104,13 +104,12 @@ void PacketRing::reset(std::size_t queues, std::size_t capacity) {
   arrival_.assign(queues * capacity, 0);
   sl_.assign(queues * capacity, 0);
   tag_.assign(queues * capacity, 0);
-  total_ = 0;
 }
 
-void PacketRing::push_unc(std::size_t q, std::uint32_t dest, std::uint32_t src,
-                          std::uint64_t inject_cycle,
-                          std::uint64_t arrival_complete, unsigned sl,
-                          unsigned tag) {
+void PacketRing::push(std::size_t q, std::uint32_t dest, std::uint32_t src,
+                      std::uint64_t inject_cycle,
+                      std::uint64_t arrival_complete, unsigned sl,
+                      unsigned tag) {
   if (full(q)) {
     throw std::logic_error("PacketRing: push into a full queue");
   }
@@ -124,25 +123,12 @@ void PacketRing::push_unc(std::size_t q, std::uint32_t dest, std::uint32_t src,
   ++count_[q];
 }
 
-void PacketRing::push(std::size_t q, std::uint32_t dest, std::uint32_t src,
-                      std::uint64_t inject_cycle,
-                      std::uint64_t arrival_complete, unsigned sl,
-                      unsigned tag) {
-  push_unc(q, dest, src, inject_cycle, arrival_complete, sl, tag);
-  ++total_;
-}
-
-void PacketRing::pop_unc(std::size_t q) {
+void PacketRing::pop(std::size_t q) {
   if (empty(q)) {
     throw std::logic_error("PacketRing: pop from an empty queue");
   }
   head_[q] = static_cast<std::uint32_t>(wrap(head_[q] + std::size_t{1}));
   --count_[q];
-}
-
-void PacketRing::pop(std::size_t q) {
-  pop_unc(q);
-  --total_;
 }
 
 LanePool::LanePool(std::size_t lane_count, std::size_t depth)
@@ -173,11 +159,10 @@ void LanePool::reset(std::size_t lane_count, std::size_t depth) {
   moved_.assign(lane_count, 0);
   out_port_.assign(lane_count, 0);
   downstream_.assign(lane_count, -1);
-  occupied_ = 0;
 }
 
-void LanePool::accept_head_unc(std::size_t l, const Flit& head,
-                               unsigned out_port) {
+void LanePool::accept_head(std::size_t l, const Flit& head,
+                           unsigned out_port) {
   if (busy_[l] != 0 || !head.is_head()) {
     throw std::logic_error(
         "LanePool::accept_head: lane busy or flit not a head");
@@ -190,13 +175,7 @@ void LanePool::accept_head_unc(std::size_t l, const Flit& head,
   ++count_[l];
 }
 
-void LanePool::accept_head(std::size_t l, const Flit& head,
-                           unsigned out_port) {
-  accept_head_unc(l, head, out_port);
-  ++occupied_;
-}
-
-void LanePool::accept_unc(std::size_t l, const Flit& flit) {
+void LanePool::accept(std::size_t l, const Flit& flit) {
   if (busy_[l] == 0 || tail_in_[l] != 0 || flit.is_head()) {
     throw std::logic_error(
         "LanePool::accept: flit does not continue the worm");
@@ -209,18 +188,7 @@ void LanePool::accept_unc(std::size_t l, const Flit& flit) {
   ++count_[l];
 }
 
-void LanePool::accept(std::size_t l, const Flit& flit) {
-  accept_unc(l, flit);
-  ++occupied_;
-}
-
 Flit LanePool::pop(std::size_t l) {
-  const Flit flit = pop_unc(l);
-  --occupied_;
-  return flit;
-}
-
-Flit LanePool::pop_unc(std::size_t l) {
   if (count_[l] == 0) {
     throw std::logic_error("LanePool::pop: lane empty");
   }

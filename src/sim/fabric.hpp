@@ -8,8 +8,9 @@
 /// (workload/workload.hpp), the result counters and their finalization —
 /// is one substrate, owned by FabricCore. Each discipline is a *policy*
 /// (engine.cpp, wormhole.cpp, over the shared PolicyBase of policy.hpp)
-/// that implements the four per-cycle phases over the core; the driver
-/// loop run_switched() sequences them identically for both:
+/// that implements the four per-cycle phases over the core; one driver,
+/// run_switched() in shard.hpp, sequences them identically for both, on
+/// one worker or a team:
 ///
 ///   eject -> advance stages (last-1 .. 0) -> inject -> sample
 ///
@@ -135,12 +136,13 @@ class CreditLedger {
 
   /// Start-of-cycle harvest: every credit scheduled to arrive at
   /// \p cycle lands. Call once per cycle, before any give_back of that
-  /// cycle (the policies call it at the top of eject, the first phase).
+  /// cycle.
   void deliver(std::uint64_t cycle);
 
-  /// deliver() restricted to links [\p lo, \p hi) — the sharded driver's
-  /// harvest phase, partitioned into disjoint ranges across the worker
-  /// team (per-link state is independent, so a range partition is exact).
+  /// deliver() restricted to links [\p lo, \p hi) — the driver's harvest
+  /// phase, the first of each cycle, partitioned into disjoint ranges
+  /// across the workers (per-link state is independent, so a range
+  /// partition is exact).
   void deliver_range(std::uint64_t cycle, std::size_t lo, std::size_t hi);
 
  private:
@@ -209,19 +211,6 @@ class PacketRing {
   /// Drop the head-of-line packet; the queue must not be empty.
   void pop(std::size_t q);
 
-  /// push()/pop() variants that leave the pool-wide total_packets()
-  /// counter untouched. The sharded cycle kernels use these: workers
-  /// mutate disjoint queue ranges concurrently, so the shared counter
-  /// would be a data race — each worker tracks its +-delta locally and
-  /// the driver reconciles. Queue state is identical to push()/pop().
-  void push_unc(std::size_t q, std::uint32_t dest, std::uint32_t src,
-                std::uint64_t inject_cycle, std::uint64_t arrival_complete,
-                unsigned sl = 0, unsigned tag = 0);
-  void pop_unc(std::size_t q);
-
-  /// Packets currently buffered across every queue (O(1)).
-  [[nodiscard]] std::size_t total_packets() const noexcept { return total_; }
-
  private:
   // head_[q] stays < capacity_ by construction, so ring wrap-around is a
   // compare-and-subtract, never a (hardware-division) modulo — these run
@@ -242,7 +231,6 @@ class PacketRing {
   std::vector<std::uint64_t> arrival_;
   std::vector<std::uint8_t> sl_;
   std::vector<std::uint8_t> tag_;
-  std::size_t total_ = 0;
 };
 
 /// Every wormhole virtual channel of the fabric as one struct-of-arrays
@@ -251,7 +239,10 @@ class PacketRing {
 /// tail-seen, out-port, reserved downstream lane, moved-this-cycle) in
 /// parallel field arrays. A lane holds flits of at most one packet (one
 /// worm) at a time: a head claims an idle lane, body/tail flits follow
-/// through it, and popping the tail returns the lane to idle.
+/// through it, and popping the tail returns the lane to idle. The pool
+/// keeps no pool-wide count: workers mutate disjoint lane ranges
+/// concurrently, so each counts its own pushes and pops. The same holds
+/// for PacketRing.
 class LanePool {
  public:
   LanePool(std::size_t lane_count, std::size_t depth);
@@ -294,13 +285,6 @@ class LanePool {
   /// lane to idle (the worm has fully left).
   Flit pop(std::size_t l);
 
-  /// accept_head()/accept()/pop() variants that leave the pool-wide
-  /// occupied_flits() counter untouched — the sharded kernels' race-free
-  /// forms (workers own disjoint lane ranges and track deltas locally).
-  void accept_head_unc(std::size_t l, const Flit& head, unsigned out_port);
-  void accept_unc(std::size_t l, const Flit& flit);
-  Flit pop_unc(std::size_t l);
-
   /// Out-port of the worm currently occupying lane \p l.
   [[nodiscard]] unsigned out_port(std::size_t l) const noexcept {
     return out_port_[l];
@@ -327,11 +311,6 @@ class LanePool {
   [[nodiscard]] int find_idle_lane(std::size_t first,
                                    std::size_t lanes) const noexcept;
 
-  /// Flits currently buffered across every lane (O(1)).
-  [[nodiscard]] std::size_t occupied_flits() const noexcept {
-    return occupied_;
-  }
-
  private:
   // head_[l] stays < depth_; wrap-around is compare-and-subtract, not a
   // hardware-division modulo (once per flit move in the hot loop).
@@ -348,7 +327,6 @@ class LanePool {
   std::vector<std::uint8_t> moved_;
   std::vector<std::uint8_t> out_port_;
   std::vector<std::int32_t> downstream_;
-  std::size_t occupied_ = 0;
 };
 
 /// Reusable cross-run allocation arena for the payload pools. A sweep
@@ -545,32 +523,5 @@ class FabricCore {
   }
   std::vector<RoundRobin> arbiters_;
 };
-
-/// The common cycle loop. A Policy implements the four phases plus the
-/// end-of-run accessors:
-///   void eject(std::uint64_t cycle, bool measuring);
-///   void advance_stage(int s, std::uint64_t cycle, bool measuring);
-///   void inject(std::uint64_t cycle, bool measuring);
-///   void sample(std::uint64_t cycle);       // measured cycles only
-///   std::uint64_t buffered_flits() const;   // still in the network
-///   std::uint64_t link_counter() const;     // feeds link_utilization
-template <class Policy>
-SimResult run_switched(FabricCore& core, Policy& policy) {
-  const std::uint64_t warmup = core.config().warmup_cycles;
-  const std::uint64_t total = core.total_cycles();
-  for (std::uint64_t cycle = 0; cycle < total; ++cycle) {
-    const bool measuring = cycle >= warmup;
-    policy.eject(cycle, measuring);
-    for (int s = core.stages() - 2; s >= 0; --s) {
-      policy.advance_stage(s, cycle, measuring);
-    }
-    core.workload_tick(cycle, measuring);
-    policy.inject(cycle, measuring);
-    if (measuring) policy.sample(cycle);
-  }
-  core.result.flits_in_flight = policy.buffered_flits();
-  core.finalize(policy.link_counter());
-  return core.result;
-}
 
 }  // namespace mineq::sim

@@ -10,8 +10,11 @@
 /// ejections. The base owns the per-feature state (fault view, credit
 /// ledger and arbiters, multipath geometry, observer and stall scratch),
 /// the logical geometry and routing accessors the kernels read, the
-/// arbitration seam, the observability helpers, and the serial and
-/// sharded driver entry points that dispatch to those kernels.
+/// arbitration seam, the observability helpers, and the entry points the
+/// cycle driver (run_switched, shard.hpp) calls. Every kernel runs over a
+/// worker's cell or link range and writes its counters into that
+/// worker's ShardWorker, so a one-worker run and a sharded run execute
+/// the same code.
 ///
 /// A unipath banyan runs as the degenerate multipath fabric: one plane,
 /// dilation 1 and singleton route groups. The geometry accessors fold to
@@ -51,47 +54,26 @@ namespace mineq::sim {
 /// What a run hands its policy beyond the core and the workspace.
 struct PolicyArgs {
   const fault::FaultMask* mask = nullptr;  ///< non-null on faulted runs only
-  obs::Observer* obs = nullptr;  ///< non-null when a collector is enabled
+  /// Non-null when a collector is enabled; one WorkerLog per worker of
+  /// the clamped team.
+  obs::Observer* obs = nullptr;
   /// Precomputed settings of a kLooping multipath run (else null).
   const multipath::LoopingSettings* looping = nullptr;
-  /// Per-flit ejection hook (wormhole runs; empty otherwise).
+  /// Per-flit ejection hook (wormhole runs; empty otherwise), called by
+  /// worker 0's eject replay in ejection order.
   const EjectObserver* eject_observer = nullptr;
   std::size_t slots = 1;     ///< buffers behind each input port
   std::size_t capacity = 1;  ///< units (packets or flits) per buffer
 };
 
-/// core.result for the serial kernels (kShard = false), the worker's
-/// partial for sharded ones — so the kernel bodies read identically.
-template <bool kShard>
-[[nodiscard]] SimResult& shard_result([[maybe_unused]] FabricCore& core,
-                                      [[maybe_unused]] ShardWorker* wk) {
-  if constexpr (kShard) {
-    return wk->partial;
-  } else {
-    return core.result;
-  }
-}
-
-/// The WorkerLog the current kernel writes: the worker's own sink on
-/// sharded runs (shard_eject re-binds it every cycle), log 0 serially.
-template <bool kShard>
-[[nodiscard]] obs::WorkerLog& obs_log([[maybe_unused]] obs::Observer* obs,
-                                      [[maybe_unused]] ShardWorker* wk) {
-  if constexpr (kShard) {
-    return *wk->obs_log;
-  } else {
-    return obs->log(0);
-  }
-}
-
-/// Append one trace event to the current worker's buffer, tagged with its
+/// Append one trace event to worker \p wk's buffer, tagged with its
 /// (cycle, phase) sort key. Callers have already checked
 /// Observer::traced for the packet.
-template <bool kShard>
-void trace_push(obs::Observer* obs, ShardWorker* wk, std::uint64_t cycle,
-                std::uint64_t inject_cycle, std::uint32_t src,
-                std::uint32_t dst, obs::TraceEventKind kind,
-                std::uint8_t stage, std::uint8_t cause, std::uint8_t phase) {
+inline void trace_push(ShardWorker& wk, std::uint64_t cycle,
+                       std::uint64_t inject_cycle, std::uint32_t src,
+                       std::uint32_t dst, obs::TraceEventKind kind,
+                       std::uint8_t stage, std::uint8_t cause,
+                       std::uint8_t phase) {
   obs::TraceEvent event;
   event.cycle = cycle;
   event.inject_cycle = inject_cycle;
@@ -101,7 +83,7 @@ void trace_push(obs::Observer* obs, ShardWorker* wk, std::uint64_t cycle,
   event.stage = stage;
   event.cause = cause;
   event.phase = phase;
-  obs_log<kShard>(obs, wk).events.push_back(event);
+  wk.obs_log->events.push_back(event);
 }
 
 /// The head packet of a buffer, as the stall tracer reports it.
@@ -112,13 +94,13 @@ struct BufferHead {
 };
 
 /// The CRTP base of both switching policies. \p Derived implements, over
-/// cells [x0, x1) (logical cells for eject):
-///   template <bool kShard> void eject_impl(cycle, measuring, x0, x1, wk);
-///   template <bool kShard> void advance_stage_impl(s, cycle, measuring,
-///                                                  x0, x1, wk);
-///   void inject(cycle, measuring);
-///   template <bool kShard> void sample_impl(cycle, w, n, wk);
-///   void replay_ejects(cycle, measuring, ShardWorker&);  // worker 0
+/// cells [x0, x1) (logical cells for eject), counting into the worker
+/// \p wk that runs it:
+///   void eject_impl(cycle, measuring, x0, x1, wk);
+///   void advance_stage_impl(s, cycle, measuring, x0, x1, wk);
+///   void inject(cycle, measuring, wk);         // worker 0
+///   void sample_impl(cycle, w, n, wk);         // worker w of n
+///   void replay_ejects(cycle, measuring, wk);  // worker 0, per worker
 ///   BufferHead head(b) const;             // non-empty buffer b
 ///   std::uint32_t buffer_count(b) const;  // units buffered in b
 /// plus buffered_flits() and shard_sample_reduce(cycle, workers).
@@ -141,41 +123,13 @@ class PolicyBase {
                 "multipath instantiations are general-radix");
 
  public:
-  // --- The serial driver interface (run_switched, fabric.hpp) ----------
-
-  /// Eject at the last stage. Eject runs first each cycle, so the credit
-  /// ledger's start-of-cycle harvest lives here.
-  void eject(std::uint64_t cycle, bool measuring) {
-    if (CreditLedger* const credits = credit_ledger()) credits->deliver(cycle);
-    derived().template eject_impl<false>(cycle, measuring, 0, lcells(),
-                                         nullptr);
-  }
-
-  /// Advance one switch stage. The kernels hoist the stage's routing
-  /// registers (stage_route) and the run's features.
-  void advance_stage(int s, std::uint64_t cycle, bool measuring) {
-    derived().template advance_stage_impl<false>(s, cycle, measuring, 0,
-                                                 core_.cells(), nullptr);
-  }
-
-  // Inject at the first stage is the Derived's own inject(cycle,
-  // measuring): a terminal whose source declines (bursty-OFF, gate miss,
-  // closed window, no due trace record) makes no attempt at all.
-
-  /// Sample occupancy (measured cycles only); credit runs also audit the
-  /// conservation invariant — credits held + credits in flight + units
-  /// buffered == capacity on every link, counted, not thrown.
-  void sample(std::uint64_t cycle) {
-    derived().template sample_impl<false>(cycle, 0, 1, nullptr);
-  }
+  // --- The driver interface (run_switched, shard.hpp) ------------------
+  // Worker w of n runs each kernel over its contiguous range, counts into
+  // its own ShardWorker and defers order-sensitive statistics to worker
+  // 0's replay.
 
   /// Busy-link cycles (store-and-forward) or flit hops (wormhole).
   [[nodiscard]] std::uint64_t link_counter() const { return link_counter_; }
-
-  // --- The sharded driver interface (run_switched_sharded, shard.hpp) --
-  // Every kernel runs the SAME code as its serial phase, templated on
-  // kShard = true: disjoint contiguous ranges, per-worker partial
-  // counters, deferred order-sensitive statistics.
 
   /// Credit runs harvest the return ring as a dedicated phase: give_back
   /// writes the very slot deliver reads for the same cycle, so harvest
@@ -196,25 +150,24 @@ class PolicyBase {
                    std::size_t n, ShardWorker& wk) {
     if (obs::Observer* const obs = observer()) wk.obs_log = &obs->log(w);
     const auto [x0, x1] = shard_range(lcells(), w, n);
-    derived().template eject_impl<true>(cycle, measuring,
-                                        static_cast<std::uint32_t>(x0),
-                                        static_cast<std::uint32_t>(x1), &wk);
+    derived().eject_impl(cycle, measuring, static_cast<std::uint32_t>(x0),
+                         static_cast<std::uint32_t>(x1), wk);
   }
 
   void shard_advance(int s, std::uint64_t cycle, bool measuring,
                      std::size_t w, std::size_t n, ShardWorker& wk) {
     const auto [x0, x1] = shard_range(core_.cells(), w, n);
-    derived().template advance_stage_impl<true>(
-        s, cycle, measuring, static_cast<std::uint32_t>(x0),
-        static_cast<std::uint32_t>(x1), &wk);
+    derived().advance_stage_impl(s, cycle, measuring,
+                                 static_cast<std::uint32_t>(x0),
+                                 static_cast<std::uint32_t>(x1), wk);
   }
 
   /// Worker 0's exclusive phase: replay the cycle's deferred ejection
   /// statistics and workload deliveries in ascending-worker (=
-  /// ascending-cell = serial) order, then run the cycle tail exactly as
-  /// the serial driver does — the workload tick and injection consume the
-  /// source's RNG streams in terminal order, so they stay serial by
-  /// construction and byte-deterministic at any thread count.
+  /// ascending-cell) order, then run the cycle tail — the workload tick
+  /// and injection consume the source's RNG streams in terminal order, so
+  /// they run on worker 0 alone and stay byte-deterministic at any thread
+  /// count.
   void shard_serial(std::uint64_t cycle, bool measuring,
                     std::vector<ShardWorker>& workers) {
     for (ShardWorker& wk : workers) {
@@ -225,12 +178,15 @@ class PolicyBase {
       wk.wl_events.clear();
     }
     core_.workload_tick(cycle, measuring);
-    derived().inject(cycle, measuring);
+    derived().inject(cycle, measuring, workers.front());
   }
 
+  /// Sample (measured cycles only): the busy links and, on credit runs,
+  /// the conservation invariant — credits held + credits in flight +
+  /// units buffered == capacity on every link, counted, not thrown.
   void shard_sample(std::uint64_t cycle, std::size_t w, std::size_t n,
                     ShardWorker& wk) {
-    derived().template sample_impl<true>(cycle, w, n, &wk);
+    derived().sample_impl(cycle, w, n, wk);
   }
 
   /// Sum every worker's order-independent partial into the core result.
@@ -253,8 +209,8 @@ class PolicyBase {
       total.stall_zero_credits += p.stall_zero_credits;
       total.stall_masked_arc += p.stall_masked_arc;
       link_counter_ += wk.link_counter;
-      shard_pool_delta_ += wk.pool_delta;
     }
+    buffered_units_ = pooled_units(workers);
   }
 
  protected:
@@ -303,6 +259,14 @@ class PolicyBase {
   }
 
   [[nodiscard]] Derived& derived() { return static_cast<Derived&>(*this); }
+
+  /// Units (packets or flits) in the pool: the workers' deltas summed.
+  [[nodiscard]] static std::int64_t pooled_units(
+      const std::vector<ShardWorker>& workers) {
+    std::int64_t units = 0;
+    for (const ShardWorker& wk : workers) units += wk.pool_delta;
+    return units;
+  }
 
   // --- The run's features, null when off (always, on plain runs) -------
   // Each kernel reads these into locals at entry and hands the locals to
@@ -508,10 +472,9 @@ class PolicyBase {
   /// counter, the per-stage probe counter, and a stall instant for traced
   /// packets. Called from the scan that counts hol_blocking_cycles, so
   /// the per-cause counters partition it exactly.
-  template <bool kShard>
   void attribute_stall(int s, std::uint64_t cycle, std::size_t b,
-                       ShardWorker* wk, std::uint8_t phase) {
-    SimResult& res = shard_result<kShard>(core_, wk);
+                       ShardWorker& wk, std::uint8_t phase) {
+    SimResult& res = wk.partial;
     const auto cause = static_cast<obs::StallCause>(stall_cause_[b]);
     switch (cause) {
       case obs::StallCause::kLostArbitration:
@@ -530,21 +493,19 @@ class PolicyBase {
         ++res.stall_masked_arc;
         break;
     }
-    ++obs_log<kShard>(obs_, wk).hol[static_cast<std::size_t>(s)];
+    ++wk.obs_log->hol[static_cast<std::size_t>(s)];
     if (obs_->trace_on()) {
       const BufferHead head = derived().head(b);
       if (head.inject_cycle >= core_.config().warmup_cycles &&
           obs_->traced(head.src, head.inject_cycle)) {
-        trace_push<kShard>(obs_, wk, cycle, head.inject_cycle, head.src,
-                           head.dst, obs::TraceEventKind::kStall,
-                           static_cast<std::uint8_t>(s),
-                           static_cast<std::uint8_t>(cause), phase);
+        trace_push(wk, cycle, head.inject_cycle, head.src, head.dst,
+                   obs::TraceEventKind::kStall, static_cast<std::uint8_t>(s),
+                   static_cast<std::uint8_t>(cause), phase);
       }
     }
   }
 
-  /// Close a probe window (serial sample phase / worker 0's sample
-  /// reduce): fill the observer's scratch with the per-(stage, cell)
+  /// Close a probe window (worker 0's sample reduce): fill the observer's scratch with the per-(stage, cell)
   /// buffered units and commit. A cell's buffers are contiguous.
   void commit_probe_window(std::uint64_t cycle) {
     std::vector<std::uint32_t>& scratch = obs_->occupancy_scratch();
@@ -562,11 +523,12 @@ class PolicyBase {
     obs_->commit_probe(cycle);
   }
 
-  // Phase ordinals (TraceEvent::phase): the serial sub-phases of one
-  // cycle numbered in execution order — eject moves, the per-plane eject
-  // HOL scans, then per advance stage s (walked S-2 down to 0) a
-  // drain / moves / HOL-scan triple, and injection last — so the sharded
-  // (cycle, phase) stable sort reproduces the serial emission order.
+  // Phase ordinals (TraceEvent::phase): the sub-phases of one cycle
+  // numbered in execution order — eject moves, the per-plane eject HOL
+  // scans, then per advance stage s (walked S-2 down to 0) a drain /
+  // moves / HOL-scan triple, and injection last — so the (cycle, phase)
+  // stable sort over the workers' logs reproduces the emission order of a
+  // one-worker run.
   static constexpr std::uint8_t kEjectPhase = 0;
   [[nodiscard]] std::uint8_t eject_stall_phase(unsigned plane) const noexcept {
     return static_cast<std::uint8_t>(1 + plane);
@@ -594,9 +556,8 @@ class PolicyBase {
   /// samples' denominator.
   double total_slots_;
   std::uint64_t link_counter_ = 0;
-  /// Sharded kernels bypass the pool-wide counter (it would be a data
-  /// race); shard_finish folds the per-worker deltas back in here.
-  std::int64_t shard_pool_delta_ = 0;
+  /// Units left in the pool when the run ends (set by shard_finish).
+  std::int64_t buffered_units_ = 0;
   const fault::FaultMask* mask_;                         // faulted runs
   const CreditConfig* credit_config_ = nullptr;          // credit runs
   CreditLedger* credits_ = nullptr;                      // credit runs
@@ -640,9 +601,7 @@ run_policy(FabricCore& core, SimWorkspace& workspace,
     // recorder's service channel (null and ignored when flows are off).
     core.set_service_recorder(obs->flow_recorder());
   }
-  const std::size_t threads = core.config().sim_threads;
-  SimResult result = threads > 1 ? run_switched_sharded(core, policy, threads)
-                                 : run_switched(core, policy);
+  SimResult result = run_switched(core, policy, core.config().sim_threads);
   if (obs != nullptr) {
     result.probes = obs->take_probes();
     if (obs->flows_on()) result.flows = obs->flow_summary();

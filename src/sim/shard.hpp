@@ -1,15 +1,16 @@
 /// \file shard.hpp
-/// \brief The megafabric driver: ONE simulation sharded across a worker
-/// team, byte-identical to the serial run at any thread count.
+/// \brief The cycle driver: one simulation run by a team of workers,
+/// byte-identical at any team size. A one-worker run is the serial run.
 ///
-/// Each cycle runs as a sequence of barrier-separated phases over the
-/// CSR-packed FlatWiring. Within a phase every worker owns a contiguous
-/// cell (or link) range, and the wiring's perfect-matching property —
+/// Each cycle runs as a sequence of phases over the CSR-packed
+/// FlatWiring. Within a phase every worker owns a contiguous cell (or
+/// link) range, and the wiring's perfect-matching property —
 /// down_stage(s)[x * r + port] IS the downstream port-slot index, and
 /// each downstream buffer has exactly one upstream arc — makes every
 /// cross-range handoff single-writer: a worker pushes only into buffers
 /// reached through its own cells' arcs, so the hot path needs no locks,
-/// no atomics and no mailbox copies. The phase schedule per cycle:
+/// no atomics and no mailbox copies. Teams of two or more workers
+/// separate the phases with barriers. The phase schedule per cycle:
 ///
 ///   [credits] deliver     link ranges            barrier
 ///   eject                 cell ranges            barrier
@@ -22,11 +23,11 @@
 /// Determinism contract: every order-independent counter accumulates
 /// into the worker's ShardWorker::partial and is summed once at the end;
 /// every order-SENSITIVE sink (the Welford latency accumulators, the
-/// latency histogram, per-SL latency, the wormhole eject observer) is
-/// deferred into a per-worker event buffer and replayed by worker 0 in
-/// ascending-worker order — which is ascending cell order, i.e. exactly
-/// the serial iteration order — so results are byte-identical at 1, 2,
-/// 8 or any other thread count.
+/// latency histogram, per-SL latency, flow records, workload deliveries,
+/// the wormhole eject observer) is deferred into a per-worker event
+/// buffer and replayed by worker 0 in ascending-worker order — which is
+/// ascending cell order — so results are byte-identical at 1, 2, 8 or
+/// any other thread count.
 
 #pragma once
 
@@ -56,8 +57,8 @@ struct SafEjectEvent {
   std::uint32_t dst = 0;
 };
 
-/// Per-worker shard state, cache-line aligned so neighbouring workers'
-/// hot counters never false-share.
+/// Per-worker state, cache-line aligned so neighbouring workers' hot
+/// counters never false-share.
 struct alignas(64) ShardWorker {
   /// Order-independent counters accumulated by this worker's kernels and
   /// summed into the core result at the end of the run. Only integer
@@ -67,9 +68,9 @@ struct alignas(64) ShardWorker {
   /// Busy-link cycles (store-and-forward) or flit hops (wormhole) — the
   /// policy's link_counter() share.
   std::uint64_t link_counter = 0;
-  /// Net packets (SAF) or flits (wormhole) this worker added to the pool
-  /// through the _unc operations; the driver reconciles the pool-wide
-  /// total as total + sum of deltas.
+  /// Net packets (SAF) or flits (wormhole) this worker has added to the
+  /// pool over the run; worker 0's share includes injection. The pool's
+  /// occupancy is the sum over the workers.
   std::int64_t pool_delta = 0;
   /// Store-and-forward eject replay buffer (cleared every cycle).
   std::vector<SafEjectEvent> saf_events;
@@ -100,15 +101,14 @@ struct alignas(64) ShardWorker {
 
 /// The per-thread team pool behind SimConfig::sim_threads. Thread-local
 /// so concurrent sweep workers shard their points over disjoint teams;
-/// the team threads are spawned on first sharded run and reused for
-/// every subsequent cycle and run on this thread.
+/// the team threads are spawned on the first run with two or more
+/// workers and reused for every later cycle and run on this thread.
 inline util::ThreadPool& sim_team_pool() {
   static thread_local util::ThreadPool pool;
   return pool;
 }
 
-/// The sharded counterpart of run_switched. A Policy implements, in
-/// addition to its serial phases:
+/// Run \p policy on \p threads workers. A Policy implements:
 ///   bool shard_needs_deliver() const;  // a credit harvest phase?
 ///   void shard_deliver(cycle, w, n);   // when shard_needs_deliver()
 ///   void shard_eject(cycle, measuring, w, n, ShardWorker&);
@@ -118,50 +118,52 @@ inline util::ThreadPool& sim_team_pool() {
 ///   void shard_sample(cycle, w, n, ShardWorker&);   // measured cycles
 ///   void shard_sample_reduce(cycle, workers);       // worker 0 only
 ///   void shard_finish(workers);  // sum partials into the core result
+///   std::uint64_t buffered_flits() const;   // still in the network
+///   std::uint64_t link_counter() const;     // feeds link_utilization
 /// Thread counts above the cell count are clamped (extra ranges would be
-/// empty); threads <= 1 falls back to the serial driver.
-///
-/// [[gnu::cold]] keeps this driver — and with it the kShard=true kernel
-/// bodies it inlines — out of the serial drivers' text
-/// placement: without it the doubled function count reshuffles the
-/// branch-dense serial loops across cache lines (the placement lottery
-/// the bench baselines document) for runs that never shard at all.
+/// empty). One worker runs inline on the calling thread, with no barrier
+/// and no team.
 template <class Policy>
-[[gnu::cold]] SimResult run_switched_sharded(FabricCore& core, Policy& policy,
-                                             std::size_t threads) {
+SimResult run_switched(FabricCore& core, Policy& policy, std::size_t threads) {
   threads = std::min<std::size_t>(
       threads, std::max<std::uint32_t>(1, core.cells()));
-  if (threads <= 1) return run_switched(core, policy);
-
   std::vector<ShardWorker> workers(threads);
   util::SpinBarrier barrier(threads);
   const std::uint64_t warmup = core.config().warmup_cycles;
   const std::uint64_t total = core.total_cycles();
   const bool deliver = policy.shard_needs_deliver();
-  sim_team_pool().run_team(threads, [&](std::size_t w, std::size_t n) {
+  const auto body = [&](std::size_t w, std::size_t n) {
     ShardWorker& wk = workers[w];
+    const auto sync = [&] {
+      if (n > 1) barrier.arrive_and_wait();
+    };
     for (std::uint64_t cycle = 0; cycle < total; ++cycle) {
       const bool measuring = cycle >= warmup;
       if (deliver) {
         policy.shard_deliver(cycle, w, n);
-        barrier.arrive_and_wait();
+        sync();
       }
       policy.shard_eject(cycle, measuring, w, n, wk);
-      barrier.arrive_and_wait();
+      sync();
       for (int s = core.stages() - 2; s >= 0; --s) {
         policy.shard_advance(s, cycle, measuring, w, n, wk);
-        barrier.arrive_and_wait();
+        sync();
       }
       if (w == 0) policy.shard_serial(cycle, measuring, workers);
-      barrier.arrive_and_wait();
+      sync();
       if (measuring) {
         policy.shard_sample(cycle, w, n, wk);
-        barrier.arrive_and_wait();
+        sync();
         if (w == 0) policy.shard_sample_reduce(cycle, workers);
-        barrier.arrive_and_wait();
+        sync();
       }
     }
-  });
+  };
+  if (threads == 1) {
+    body(0, 1);
+  } else {
+    sim_team_pool().run_team(threads, body);
+  }
   policy.shard_finish(workers);
   core.result.flits_in_flight = policy.buffered_flits();
   core.finalize(policy.link_counter());

@@ -48,13 +48,13 @@ class WormholePolicy
                         kBinary, kMultiPath, kFeatures> {
   using Base = PolicyBase<WormholePolicy, kBinary, kMultiPath, kFeatures>;
   friend Base;
-  using Base::core_, Base::length_, Base::link_counter_,
-      Base::shard_pool_delta_, Base::total_slots_, Base::credit_config_,
-      Base::service_levels_, Base::path_policy_, Base::stall_cause_,
-      Base::fault_mask, Base::credit_ledger, Base::observer, Base::arbitrates,
-      Base::radix, Base::planes, Base::lradix, Base::lcells,
-      Base::inject_port, Base::stage_route, Base::path_group,
-      Base::arb_candidate, Base::arb_grant, Base::usable_port,
+  using Base::core_, Base::length_, Base::buffered_units_,
+      Base::total_slots_, Base::credit_config_, Base::service_levels_,
+      Base::path_policy_, Base::stall_cause_, Base::fault_mask,
+      Base::credit_ledger, Base::observer, Base::arbitrates, Base::radix,
+      Base::planes, Base::lradix, Base::lcells, Base::inject_port,
+      Base::stage_route, Base::path_group, Base::arb_candidate,
+      Base::arb_grant, Base::usable_port, Base::pooled_units,
       Base::commit_probe_window, Base::kEjectPhase, Base::eject_stall_phase,
       Base::drain_phase, Base::advance_phase, Base::stall_phase,
       Base::inject_phase;
@@ -78,21 +78,15 @@ class WormholePolicy
   }
 
   [[nodiscard]] std::uint64_t buffered_flits() const {
-    return static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(pool_.occupied_flits()) +
-        shard_pool_delta_);
+    return static_cast<std::uint64_t>(buffered_units_);
   }
 
   /// Worker 0 only: the order-sensitive occupancy adds over pool-wide
-  /// totals reconciled from the workers' deltas and per-VL counts.
+  /// totals summed from the workers' deltas and per-VL counts.
   void shard_sample_reduce(std::uint64_t cycle,
                            std::vector<ShardWorker>& workers) {
-    std::int64_t delta = 0;
-    for (const ShardWorker& wk : workers) delta += wk.pool_delta;
     core_.result.lane_occupancy.add(
-        static_cast<double>(
-            static_cast<std::int64_t>(pool_.occupied_flits()) + delta) /
-        total_slots_);
+        static_cast<double>(pooled_units(workers)) / total_slots_);
     if (credit_ledger() != nullptr) {
       if (core_.result.vl_occupancy.empty()) {
         core_.result.vl_occupancy.resize(lanes_);
@@ -119,8 +113,9 @@ class WormholePolicy
   /// attempt) and its head needs an idle lane or the packet is refused at
   /// the source. Unipath runs claim the lane before drawing the packet;
   /// multipath runs draw first, because the hashed plane pick keys on the
-  /// destination, and a refused attempt discards its draw.
-  void inject(std::uint64_t cycle, bool measuring) {
+  /// destination, and a refused attempt discards its draw. Runs on worker
+  /// 0, \p wk.
+  void inject(std::uint64_t cycle, bool measuring, ShardWorker& wk) {
     const fault::FaultMask* const mask = fault_mask();
     CreditLedger* const credits = credit_ledger();
     obs::Observer* const obs = observer();
@@ -138,16 +133,18 @@ class WormholePolicy
           room = credits->available(l);
           if (!room && measuring) {
             ++core_.result.credit_stall_cycles;
-            if (obs != nullptr) ++obs->log(0).credit[0];
+            if (obs != nullptr) ++wk.obs_log->credit[0];
           }
         } else {
           room = pool_.has_space(l);
         }
         if (room) {
-          pool_.accept(l, make_flit(src.id, src.dest,
-                                    static_cast<std::uint32_t>(t),
-                                    src.inject_cycle, src.next_index, length_,
-                                    src.sl, src.tag));
+          shard_accept(l,
+                       make_flit(src.id, src.dest,
+                                 static_cast<std::uint32_t>(t),
+                                 src.inject_cycle, src.next_index, length_,
+                                 src.sl, src.tag),
+                       wk);
           if (credits != nullptr) credits->consume(l);
           ++src.next_index;
           --src.remaining;
@@ -204,7 +201,7 @@ class WormholePolicy
                   lane_index(0, t, static_cast<std::size_t>(lane)))) {
             if (measuring) {
               ++core_.result.credit_stall_cycles;
-              if (obs != nullptr) ++obs->log(0).credit[0];
+              if (obs != nullptr) ++wk.obs_log->credit[0];
             }
             continue;  // lane free, credits not returned yet
           }
@@ -220,21 +217,19 @@ class WormholePolicy
                                   cycle, 0, length_, sl, packet.tag);
       const std::size_t l = lane_index(0, port, static_cast<std::size_t>(lane));
       int reroute_kind = 0;
-      accept_head<false>(
+      accept_head(
           l, head, 0, static_cast<std::uint32_t>(port / r),
           select_next_port(route, 0, static_cast<std::uint32_t>(port), head,
                            down_next, mask, reroute_kind),
-          measuring, nullptr, cycle, inject_phase(), mask, obs);
+          measuring, wk, cycle, inject_phase(), mask, obs);
       if (reroute_kind == 1 && measuring &&
           cycle >= core_.config().warmup_cycles) {
         ++core_.result.path_reroutes;
         if (obs != nullptr) {
-          ++obs->log(0).reroute[0];
+          ++wk.obs_log->reroute[0];
           if (obs->traced(static_cast<std::uint32_t>(t), cycle)) {
-            trace_push<false>(obs, nullptr, cycle, cycle,
-                              static_cast<std::uint32_t>(t), dest,
-                              obs::TraceEventKind::kReroute, 0, 0,
-                              inject_phase());
+            trace_push(wk, cycle, cycle, static_cast<std::uint32_t>(t), dest,
+                       obs::TraceEventKind::kReroute, 0, 0, inject_phase());
           }
         }
       }
@@ -252,17 +247,11 @@ class WormholePolicy
       if (measuring) {
         ++core_.result.injected;
         ++core_.result.flits_injected;
-        // Injection is always a serial phase: log 0 is the sink in both
-        // drivers, keeping trace bytes thread-count invariant.
         if (obs != nullptr && obs->traced(static_cast<std::uint32_t>(t), cycle)) {
-          trace_push<false>(obs, nullptr, cycle, cycle,
-                            static_cast<std::uint32_t>(t), dest,
-                            obs::TraceEventKind::kPacketBegin, 0, 0,
-                            inject_phase());
-          trace_push<false>(obs, nullptr, cycle, cycle,
-                            static_cast<std::uint32_t>(t), dest,
-                            obs::TraceEventKind::kStageBegin, 0, 0,
-                            inject_phase());
+          trace_push(wk, cycle, cycle, static_cast<std::uint32_t>(t), dest,
+                     obs::TraceEventKind::kPacketBegin, 0, 0, inject_phase());
+          trace_push(wk, cycle, cycle, static_cast<std::uint32_t>(t), dest,
+                     obs::TraceEventKind::kStageBegin, 0, 0, inject_phase());
         }
       }
     }
@@ -276,14 +265,13 @@ class WormholePolicy
   /// unipath fabric, the radix * lanes lanes of the cell). Ejection links
   /// are terminal attachments, not wiring arcs, so they cannot fault. A
   /// logical-cell range owns one contiguous physical run per plane, so
-  /// sharded ranges stay single-writer. Sharded (kShard), every
-  /// order-sensitive sink — the observer call, the Welford latency adds,
-  /// the per-SL latency — defers into the worker's event buffer for the
-  /// serial-phase replay; order-independent counters accumulate into the
+  /// the workers' ranges stay single-writer. Every order-sensitive sink —
+  /// the observer call, the Welford latency adds, the per-SL latency, the
+  /// workload delivery — defers into the worker's event buffers for
+  /// worker 0's replay; order-independent counters accumulate into the
   /// worker's partial.
-  template <bool kShard>
   void eject_impl(std::uint64_t cycle, bool measuring, std::uint32_t lx0,
-                  std::uint32_t lx1, ShardWorker* wk) {
+                  std::uint32_t lx1, ShardWorker& wk) {
     const fault::FaultMask* const mask = fault_mask();
     CreditLedger* const credits = credit_ledger();
     obs::Observer* const obs = observer();
@@ -292,7 +280,7 @@ class WormholePolicy
     const int last = core_.stages() - 1;
     const unsigned r = radix();
     const unsigned lr = lradix();
-    SimResult& res = shard_result<kShard>(core_, wk);
+    SimResult& res = wk.partial;
     const auto per_cell =
         static_cast<unsigned>(static_cast<std::size_t>(r) * lanes_);
     const unsigned candidates = planes() * per_cell;
@@ -337,7 +325,7 @@ class WormholePolicy
               continue;
             }
           }
-          const Flit flit = shard_pop<kShard>(l, wk);
+          const Flit flit = shard_pop(l, wk);
           if (credits != nullptr) credits->give_back(l, cycle);
           arb_grant(last, term, c, vl, weighted);
           const bool counted =
@@ -345,7 +333,7 @@ class WormholePolicy
           if (counted) ++res.flits_delivered;
           if (obs != nullptr) {
             if (measuring) {
-              ++obs_log<kShard>(obs, wk).hops[static_cast<std::size_t>(last)];
+              ++wk.obs_log->hops[static_cast<std::size_t>(last)];
             }
             if (flit.inject_cycle >= core_.config().warmup_cycles &&
                 obs->traced(static_cast<std::uint32_t>(flit.src),
@@ -353,19 +341,16 @@ class WormholePolicy
               // Follow the head: its eject closes the last stage slice;
               // the tail's eject completes the packet.
               if (flit.is_head()) {
-                trace_push<kShard>(obs, wk, cycle, flit.inject_cycle,
-                                   static_cast<std::uint32_t>(flit.src),
-                                   flit.dest_terminal,
-                                   obs::TraceEventKind::kStageEnd,
-                                   static_cast<std::uint8_t>(last), 0,
-                                   kEjectPhase);
+                trace_push(wk, cycle, flit.inject_cycle,
+                           static_cast<std::uint32_t>(flit.src),
+                           flit.dest_terminal, obs::TraceEventKind::kStageEnd,
+                           static_cast<std::uint8_t>(last), 0, kEjectPhase);
               }
               if (flit.is_tail()) {
-                trace_push<kShard>(obs, wk, cycle, flit.inject_cycle,
-                                   static_cast<std::uint32_t>(flit.src),
-                                   flit.dest_terminal,
-                                   obs::TraceEventKind::kPacketEnd, 0, 0,
-                                   kEjectPhase);
+                trace_push(wk, cycle, flit.inject_cycle,
+                           static_cast<std::uint32_t>(flit.src),
+                           flit.dest_terminal, obs::TraceEventKind::kPacketEnd,
+                           0, 0, kEjectPhase);
               }
             }
           }
@@ -384,34 +369,12 @@ class WormholePolicy
                 static_cast<std::uint32_t>(flit.src), flit.dest_terminal,
                 term, flit.inject_cycle, cycle + 1,
                 static_cast<std::uint8_t>(flit.tag), counted};
-            if constexpr (kShard) {
-              wk->wl_events.push_back(delivery);
-            } else {
-              core_.workload_delivered(delivery);
-            }
+            wk.wl_events.push_back(delivery);
           }
-          if constexpr (kShard) {
-            // Defer for the replay: every flit if an observer watches,
-            // else just the tails that complete a measured delivery.
-            if (observer_ || (counted && flit.is_tail())) {
-              wk->wh_events.push_back(flit);
-            }
-          } else {
-            if (observer_) observer_(flit, cycle);
-            if (counted && flit.is_tail()) {
-              const double latency =
-                  static_cast<double>(cycle - flit.inject_cycle + 1);
-              core_.record_packet_delivered(latency);
-              if (credits != nullptr) {
-                core_.result.sl_latency[static_cast<unsigned>(flit.sl)].add(
-                    latency);
-              }
-              if (obs != nullptr && obs->flows_on()) {
-                obs->record_flow(static_cast<std::uint32_t>(flit.src),
-                                 flit.dest_terminal,
-                                 static_cast<unsigned>(flit.sl), latency);
-              }
-            }
+          // Defer for the replay: every flit if an observer watches, else
+          // just the tails that complete a measured delivery.
+          if (observer_ || (counted && flit.is_tail())) {
+            wk.wh_events.push_back(flit);
           }
           break;
         }
@@ -421,11 +384,10 @@ class WormholePolicy
     for (unsigned plane = 0; plane < planes(); ++plane) {
       const std::size_t run =
           static_cast<std::size_t>(plane) * lcells() * r * lanes_;
-      account_stage<kShard>(
-          cycle, measuring,
-          first + run + static_cast<std::size_t>(lx0) * r * lanes_,
-          first + run + static_cast<std::size_t>(lx1) * r * lanes_, wk, last,
-          eject_stall_phase(plane));
+      account_stage(cycle, measuring,
+                    first + run + static_cast<std::size_t>(lx0) * r * lanes_,
+                    first + run + static_cast<std::size_t>(lx1) * r * lanes_,
+                    wk, last, eject_stall_phase(plane));
     }
   }
 
@@ -437,10 +399,9 @@ class WormholePolicy
   /// reached through its own cells' arcs, and the perfect-matching
   /// property makes each of those lanes single-writer for the whole
   /// phase.
-  template <bool kShard>
   void advance_stage_impl(int s, std::uint64_t cycle, bool measuring,
                           std::uint32_t x0, std::uint32_t x1,
-                          ShardWorker* wk) {
+                          ShardWorker& wk) {
     const fault::FaultMask* const mask = fault_mask();
     CreditLedger* const credits = credit_ledger();
     obs::Observer* const obs = observer();
@@ -450,7 +411,7 @@ class WormholePolicy
     const bool fixed_lanes =
         credits != nullptr && !credit_config_->sl_map.empty();
     const unsigned r = radix();
-    [[maybe_unused]] SimResult& res = shard_result<kShard>(core_, wk);
+    SimResult& res = wk.partial;
     const auto down = core_.wiring().down_stage(s);
     // Routing registers for the target stage s + 1, where an advancing
     // head resolves its next out-port (the ejection port when s + 1 is
@@ -462,7 +423,7 @@ class WormholePolicy
     // arc_index's layout, with the policy's folded radix).
     const std::size_t arc_base = static_cast<std::size_t>(s) * core_.ports();
     if (mask != nullptr) {
-      drain_dropping<kShard>(s, cycle, measuring, x0, x1, wk);
+      drain_dropping(s, cycle, measuring, x0, x1, wk);
     }
     if (obs != nullptr) {
       // Stall causes default to lost-arbitration; the probe loop below
@@ -537,14 +498,14 @@ class WormholePolicy
                 !credits->available(target_first +
                                     static_cast<std::size_t>(down_lane))) {
               // Lane is free but its credits have not returned yet.
-              stall_on_credits<kShard>(s, l, measuring, obs, wk);
+              stall_on_credits(s, l, measuring, obs, wk);
               continue;
             }
-            const Flit flit = shard_pop<kShard>(l, wk);
+            const Flit flit = shard_pop(l, wk);
             if (credits != nullptr) credits->give_back(l, cycle);
             if (!flit.is_tail()) pool_.set_downstream(l, down_lane);
             int reroute_kind = 0;
-            accept_head<kShard>(
+            accept_head(
                 target_first + static_cast<std::size_t>(down_lane), flit,
                 s + 1, record / r,
                 select_next_port(route, s + 1, record, flit, down_next, mask,
@@ -554,33 +515,29 @@ class WormholePolicy
                 flit.inject_cycle >= core_.config().warmup_cycles &&
                 obs->traced(static_cast<std::uint32_t>(flit.src),
                             flit.inject_cycle)) {
-              trace_push<kShard>(obs, wk, cycle, flit.inject_cycle,
-                                 static_cast<std::uint32_t>(flit.src),
-                                 flit.dest_terminal,
-                                 obs::TraceEventKind::kStageEnd,
-                                 static_cast<std::uint8_t>(s), 0,
-                                 advance_phase(s));
-              trace_push<kShard>(obs, wk, cycle, flit.inject_cycle,
-                                 static_cast<std::uint32_t>(flit.src),
-                                 flit.dest_terminal,
-                                 obs::TraceEventKind::kStageBegin,
-                                 static_cast<std::uint8_t>(s + 1), 0,
-                                 advance_phase(s));
+              trace_push(wk, cycle, flit.inject_cycle,
+                         static_cast<std::uint32_t>(flit.src),
+                         flit.dest_terminal, obs::TraceEventKind::kStageEnd,
+                         static_cast<std::uint8_t>(s), 0, advance_phase(s));
+              trace_push(wk, cycle, flit.inject_cycle,
+                         static_cast<std::uint32_t>(flit.src),
+                         flit.dest_terminal, obs::TraceEventKind::kStageBegin,
+                         static_cast<std::uint8_t>(s + 1), 0,
+                         advance_phase(s));
             }
             if (reroute_kind == 1 && measuring &&
                 flit.inject_cycle >= core_.config().warmup_cycles) {
               ++res.path_reroutes;
               if (obs != nullptr) {
-                ++obs_log<kShard>(obs, wk)
-                      .reroute[static_cast<std::size_t>(s)];
+                ++wk.obs_log->reroute[static_cast<std::size_t>(s)];
                 if (obs->traced(static_cast<std::uint32_t>(flit.src),
                                 flit.inject_cycle)) {
-                  trace_push<kShard>(obs, wk, cycle, flit.inject_cycle,
-                                     static_cast<std::uint32_t>(flit.src),
-                                     flit.dest_terminal,
-                                     obs::TraceEventKind::kReroute,
-                                     static_cast<std::uint8_t>(s), 0,
-                                     advance_phase(s));
+                  trace_push(wk, cycle, flit.inject_cycle,
+                             static_cast<std::uint32_t>(flit.src),
+                             flit.dest_terminal,
+                             obs::TraceEventKind::kReroute,
+                             static_cast<std::uint8_t>(s), 0,
+                             advance_phase(s));
                 }
               }
             }
@@ -594,7 +551,7 @@ class WormholePolicy
                 target_first + static_cast<std::size_t>(pool_.downstream(l));
             if (credits != nullptr) {
               if (!credits->available(down_l)) {
-                stall_on_credits<kShard>(s, l, measuring, obs, wk);
+                stall_on_credits(s, l, measuring, obs, wk);
                 continue;
               }
             } else if (!pool_.has_space(down_l)) {
@@ -604,7 +561,7 @@ class WormholePolicy
               }
               continue;  // blocked: full
             }
-            shard_accept<kShard>(down_l, shard_pop<kShard>(l, wk), wk);
+            shard_accept(down_l, shard_pop(l, wk), wk);
             if (credits != nullptr) {
               credits->give_back(l, cycle);
               credits->consume(down_l);
@@ -612,9 +569,9 @@ class WormholePolicy
           }
           arb_grant(s, x * r + port, c, vl, weighted);
           if (measuring) {
-            shard_link_counter<kShard>(wk);
+            ++wk.link_counter;
             if (obs != nullptr) {
-              ++obs_log<kShard>(obs, wk).hops[static_cast<std::size_t>(s)];
+              ++wk.obs_log->hops[static_cast<std::size_t>(s)];
             }
           }
           break;
@@ -622,21 +579,20 @@ class WormholePolicy
       }
     }
     const std::size_t first = lane_index(s, 0, 0);
-    account_stage<kShard>(cycle, measuring,
-                          first + static_cast<std::size_t>(x0) * r * lanes_,
-                          first + static_cast<std::size_t>(x1) * r * lanes_,
-                          wk, s, stall_phase(s));
+    account_stage(cycle, measuring,
+                  first + static_cast<std::size_t>(x0) * r * lanes_,
+                  first + static_cast<std::size_t>(x1) * r * lanes_, wk, s,
+                  stall_phase(s));
   }
 
   /// A candidate of stage \p s whose downstream lane \p l's sender is out
   /// of credits: one credit stall, and its cause when observed.
-  template <bool kShard>
   void stall_on_credits(int s, std::size_t l, bool measuring,
-                        obs::Observer* obs, ShardWorker* wk) {
+                        obs::Observer* obs, ShardWorker& wk) {
     if (measuring) {
-      ++shard_result<kShard>(core_, wk).credit_stall_cycles;
+      ++wk.partial.credit_stall_cycles;
       if (obs != nullptr) {
-        ++obs_log<kShard>(obs, wk).credit[static_cast<std::size_t>(s)];
+        ++wk.obs_log->credit[static_cast<std::size_t>(s)];
       }
     }
     if (obs != nullptr) {
@@ -713,67 +669,31 @@ class WormholePolicy
     return desired;
   }
 
-  /// The sample kernel over worker \p w's share of the lane links.
-  /// Sharded, the occupancy adds (order-sensitive Welford updates over
-  /// the pool-wide totals) are left to shard_sample_reduce; this only
-  /// audits the credit invariant and counts per-VL flits into the
-  /// worker's buffers.
-  template <bool kShard>
-  void sample_impl([[maybe_unused]] std::uint64_t cycle,
-                   [[maybe_unused]] std::size_t w,
-                   [[maybe_unused]] std::size_t n,
-                   [[maybe_unused]] ShardWorker* wk) {
-    if constexpr (!kShard) {
-      core_.result.lane_occupancy.add(
-          static_cast<double>(pool_.occupied_flits()) / total_slots_);
-    }
+  /// The sample kernel over worker \p w's share of the lane links: on
+  /// credit runs it audits the credit invariant and counts per-VL flits
+  /// into the worker's buffer. The occupancy adds (order-sensitive Welford
+  /// updates over the pool-wide totals) are shard_sample_reduce's.
+  void sample_impl(std::uint64_t /*cycle*/, std::size_t w, std::size_t n,
+                   ShardWorker& wk) {
     if (const CreditLedger* const credits = credit_ledger()) {
       const std::size_t lane_links =
           static_cast<std::size_t>(core_.stages()) * core_.ports() * lanes_;
       const std::uint64_t depth = credits->capacity();
-      if constexpr (!kShard) {
-        // Sharded runs defer this lazy resize to shard_sample_reduce —
-        // a shared-vector write has no place in a parallel phase.
-        if (core_.result.vl_occupancy.empty()) {
-          core_.result.vl_occupancy.resize(lanes_);
-        }
-      }
-      std::size_t lo = 0;
-      std::size_t hi = lane_links;
-      std::vector<std::uint64_t>* vl_flits = &vl_flits_;
-      if constexpr (kShard) {
-        const auto range = shard_range(lane_links, w, n);
-        lo = range.first;
-        hi = range.second;
-        vl_flits = &wk->vl_flits;
-      }
-      SimResult& res = shard_result<kShard>(core_, wk);
-      vl_flits->assign(lanes_, 0);
+      const auto [lo, hi] = shard_range(lane_links, w, n);
+      wk.vl_flits.assign(lanes_, 0);
       for (std::size_t l = lo; l < hi; ++l) {
         const std::uint64_t held = credits->credits(l);
         if (held > depth ||
             held + credits->in_flight(l) + pool_.count(l) != depth) {
-          ++res.credit_violations;
+          ++wk.partial.credit_violations;
         }
-        (*vl_flits)[l % lanes_] += pool_.count(l);
+        wk.vl_flits[l % lanes_] += pool_.count(l);
       }
-      if constexpr (!kShard) {
-        const double slots_per_vl =
-            total_slots_ / static_cast<double>(lanes_);
-        for (std::size_t vl = 0; vl < lanes_; ++vl) {
-          core_.result.vl_occupancy[vl].add(
-              static_cast<double>(vl_flits_[vl]) / slots_per_vl);
-        }
-      }
-    }
-    if constexpr (!kShard) {
-      obs::Observer* const obs = observer();
-      if (obs != nullptr && obs->want_probe(cycle)) commit_probe_window(cycle);
     }
   }
 
   /// Replay one worker's deferred ejections (worker 0's serial phase, in
-  /// ascending-worker = serial order): the observer call and the
+  /// ascending-worker = ascending-cell order): the observer call and the
   /// order-sensitive latency adds of every tail that completes a
   /// measured delivery.
   void replay_ejects(std::uint64_t cycle, bool measuring, ShardWorker& wk) {
@@ -809,48 +729,21 @@ class WormholePolicy
     return pool_.count(l);
   }
 
-  /// Pool mutations: uncounted + per-worker delta when sharded (the
-  /// occupied_ total would be a shared write on the hot path), the
-  /// counted originals — byte-identical codegen — when serial.
-  template <bool kShard>
-  Flit shard_pop(std::size_t l, ShardWorker* wk) {
-    if constexpr (kShard) {
-      --wk->pool_delta;
-      return pool_.pop_unc(l);
-    } else {
-      return pool_.pop(l);
-    }
+  /// Pool mutations that count into worker \p wk's pool delta.
+  Flit shard_pop(std::size_t l, ShardWorker& wk) {
+    --wk.pool_delta;
+    return pool_.pop(l);
   }
 
-  template <bool kShard>
-  void shard_accept(std::size_t l, const Flit& flit, ShardWorker* wk) {
-    if constexpr (kShard) {
-      ++wk->pool_delta;
-      pool_.accept_unc(l, flit);
-    } else {
-      pool_.accept(l, flit);
-    }
+  void shard_accept(std::size_t l, const Flit& flit, ShardWorker& wk) {
+    ++wk.pool_delta;
+    pool_.accept(l, flit);
   }
 
-  template <bool kShard>
   void shard_accept_head(std::size_t l, const Flit& head, unsigned out_port,
-                         ShardWorker* wk) {
-    if constexpr (kShard) {
-      ++wk->pool_delta;
-      pool_.accept_head_unc(l, head, out_port);
-    } else {
-      pool_.accept_head(l, head, out_port);
-    }
-  }
-
-  /// Measured flit-hops: the worker's share when sharded.
-  template <bool kShard>
-  void shard_link_counter(ShardWorker* wk) {
-    if constexpr (kShard) {
-      ++wk->link_counter;
-    } else {
-      ++link_counter_;
-    }
+                         ShardWorker& wk) {
+    ++wk.pool_delta;
+    pool_.accept_head(l, head, out_port);
   }
 
   /// Per-terminal injection state: the packet currently serializing into
@@ -889,9 +782,8 @@ class WormholePolicy
   /// dead switch, which puts the lane in dropping mode so the worm drains
   /// into the fault counters. Last-stage out-ports are ejection ports and
   /// cannot fault.
-  template <bool kShard>
   void accept_head(std::size_t l, const Flit& head, int s, std::uint32_t y,
-                   unsigned desired, bool measuring, ShardWorker* wk,
+                   unsigned desired, bool measuring, ShardWorker& wk,
                    std::uint64_t cycle, std::uint8_t phase,
                    const fault::FaultMask* mask, obs::Observer* obs) {
     if (mask != nullptr && s + 1 < core_.stages()) {
@@ -903,31 +795,30 @@ class WormholePolicy
       if (port < 0) {
         // Dead switch: park the worm in dropping mode; drain_dropping
         // discards it (and its following flits) next cycle.
-        shard_accept_head<kShard>(l, head, 0, wk);
+        shard_accept_head(l, head, 0, wk);
         dropping_[l] = 1;
         return;
       }
       if (static_cast<unsigned>(port) != desired && measuring &&
           head.inject_cycle >= core_.config().warmup_cycles) {
-        ++shard_result<kShard>(core_, wk).packets_rerouted;
+        ++wk.partial.packets_rerouted;
         if (obs != nullptr) {
           // Charged to the stage whose out-port detoured (the one the
           // head just entered); the trace event carries the same stage.
-          ++obs_log<kShard>(obs, wk).reroute[static_cast<std::size_t>(s)];
+          ++wk.obs_log->reroute[static_cast<std::size_t>(s)];
           if (obs->traced(static_cast<std::uint32_t>(head.src),
                           head.inject_cycle)) {
-            trace_push<kShard>(obs, wk, cycle, head.inject_cycle,
-                               static_cast<std::uint32_t>(head.src),
-                               head.dest_terminal,
-                               obs::TraceEventKind::kReroute,
-                               static_cast<std::uint8_t>(s), 0, phase);
+            trace_push(wk, cycle, head.inject_cycle,
+                       static_cast<std::uint32_t>(head.src),
+                       head.dest_terminal, obs::TraceEventKind::kReroute,
+                       static_cast<std::uint8_t>(s), 0, phase);
           }
         }
       }
-      shard_accept_head<kShard>(l, head, static_cast<unsigned>(port), wk);
+      shard_accept_head(l, head, static_cast<unsigned>(port), wk);
       return;
     }
-    shard_accept_head<kShard>(l, head, desired, wk);
+    shard_accept_head(l, head, desired, wk);
   }
 
   /// Discard every buffered flit of the dropping-mode lanes of cells
@@ -937,9 +828,8 @@ class WormholePolicy
   /// their next turn. Dropping flags for a lane are set by the upstream
   /// arc's owner in an earlier (barriered) phase and cleared here by the
   /// lane's owner, so sharding never races on them.
-  template <bool kShard>
   void drain_dropping(int s, std::uint64_t cycle, bool measuring,
-                      std::uint32_t x0, std::uint32_t x1, ShardWorker* wk) {
+                      std::uint32_t x0, std::uint32_t x1, ShardWorker& wk) {
     CreditLedger* const credits = credit_ledger();
     obs::Observer* const obs = observer();
     const std::size_t first = lane_index(s, 0, 0);
@@ -947,11 +837,11 @@ class WormholePolicy
                                        lanes_;
     const std::size_t hi = first + static_cast<std::size_t>(x1) * radix() *
                                        lanes_;
-    [[maybe_unused]] SimResult& res = shard_result<kShard>(core_, wk);
+    SimResult& res = wk.partial;
     for (std::size_t l = lo; l < hi; ++l) {
       if (dropping_[l] == 0) continue;
       while (!pool_.empty(l)) {
-        const Flit flit = shard_pop<kShard>(l, wk);
+        const Flit flit = shard_pop(l, wk);
         // A drained flit returns its credit like any other pop, so the
         // ledger closes exactly even across dead switches.
         if (credits != nullptr) credits->give_back(l, cycle);
@@ -963,16 +853,14 @@ class WormholePolicy
                           flit.inject_cycle)) {
             const std::uint8_t phase = drain_phase(s);
             const auto src = static_cast<std::uint32_t>(flit.src);
-            trace_push<kShard>(obs, wk, cycle, flit.inject_cycle, src,
-                               flit.dest_terminal,
-                               obs::TraceEventKind::kStageEnd,
-                               static_cast<std::uint8_t>(s), 0, phase);
-            trace_push<kShard>(obs, wk, cycle, flit.inject_cycle, src,
-                               flit.dest_terminal, obs::TraceEventKind::kDrop,
-                               static_cast<std::uint8_t>(s), 0, phase);
-            trace_push<kShard>(obs, wk, cycle, flit.inject_cycle, src,
-                               flit.dest_terminal,
-                               obs::TraceEventKind::kPacketEnd, 0, 0, phase);
+            trace_push(wk, cycle, flit.inject_cycle, src, flit.dest_terminal,
+                       obs::TraceEventKind::kStageEnd,
+                       static_cast<std::uint8_t>(s), 0, phase);
+            trace_push(wk, cycle, flit.inject_cycle, src, flit.dest_terminal,
+                       obs::TraceEventKind::kDrop,
+                       static_cast<std::uint8_t>(s), 0, phase);
+            trace_push(wk, cycle, flit.inject_cycle, src, flit.dest_terminal,
+                       obs::TraceEventKind::kPacketEnd, 0, 0, phase);
           }
         }
         if (flit.is_tail()) dropping_[l] = 0;
@@ -983,21 +871,20 @@ class WormholePolicy
   /// Count stalled worms over the lane range [lo, hi) and reset its
   /// per-cycle movement flags. Called right after the stage had its
   /// switching (or ejection) opportunity, before upstream pushes refill
-  /// it; sharded callers pass exactly their writer partition.
+  /// it; callers pass exactly their writer partition.
   /// With an observer, the same scan charges each stalled lane-cycle to
   /// its recorded StallCause, so the per-cause counters partition
   /// hol_blocking_cycles exactly — no separate bookkeeping to drift.
-  template <bool kShard>
   void account_stage(std::uint64_t cycle, bool measuring, std::size_t lo,
-                     std::size_t hi, ShardWorker* wk, int stage,
+                     std::size_t hi, ShardWorker& wk, int stage,
                      std::uint8_t phase) {
-    SimResult& res = shard_result<kShard>(core_, wk);
+    SimResult& res = wk.partial;
     const bool observed = observer() != nullptr;
     for (std::size_t l = lo; l < hi; ++l) {
       if (measuring && !pool_.empty(l) && !pool_.moved(l)) {
         ++res.hol_blocking_cycles;
         if (observed) {
-          this->template attribute_stall<kShard>(stage, cycle, l, wk, phase);
+          this->attribute_stall(stage, cycle, l, wk, phase);
         }
       }
       pool_.clear_moved(l);
@@ -1009,8 +896,7 @@ class WormholePolicy
   LanePool& pool_;
   std::vector<SourceState> sources_;
   std::uint32_t next_packet_id_ = 0;
-  std::vector<std::uint8_t> dropping_;   // faulted runs only
-  std::vector<std::uint64_t> vl_flits_;  // credit runs only (sample buffer)
+  std::vector<std::uint8_t> dropping_;  // faulted runs only
 };
 
 /// The discipline as the ladder's argument (see run_policy).

@@ -17,10 +17,10 @@
 ///                      (window consume, reply dequeue, trace cursor,
 ///                      recording) happen here and only here.
 ///
-/// tick(cycle) runs once per cycle before injection — in the sharded
-/// driver it runs in the worker-0 serial phase, and deliveries are
-/// replayed there in serial ejection order, so every source is
-/// byte-deterministic at any sim_threads.
+/// tick(cycle) runs once per cycle before injection, in the driver's
+/// worker-0 serial phase, and deliveries are replayed there in ejection
+/// (ascending-cell) order, so every source is byte-deterministic at any
+/// sim_threads.
 
 #pragma once
 

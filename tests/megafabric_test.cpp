@@ -1,11 +1,11 @@
 /// \file megafabric_test.cpp
 /// \brief The sharded single-simulation engine: SimConfig::sim_threads
-/// must be byte-identical to the serial run at every thread count, for
-/// both switching disciplines and every policy instantiation (pristine,
-/// faulted, credit flow control, multipath). Every comparison below is
-/// exact — integer counters with EXPECT_EQ and statistics with exact
-/// double equality — because the sharded driver's determinism contract
-/// is bit-for-bit reproduction of the serial iteration order, not
+/// must be byte-identical to the one-worker (serial) run at every thread
+/// count, for both switching disciplines and every policy instantiation
+/// (pristine, faulted, credit flow control, multipath). Every comparison
+/// below is exact — integer counters with EXPECT_EQ and statistics with
+/// exact double equality — because the driver's determinism contract is
+/// bit-for-bit reproduction of the one-worker iteration order, not
 /// "statistically equivalent".
 
 #include <gtest/gtest.h>
