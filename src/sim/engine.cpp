@@ -169,6 +169,11 @@ void SimConfig::validate() const {
         "SimConfig: queue_capacity must be positive (store-and-forward "
         "FIFOs need at least one packet slot)");
   }
+  if (measure_cycles == 0) {
+    throw std::invalid_argument(
+        "SimConfig: measure_cycles must be positive (a run with no measured "
+        "cycles has no throughput, latency or utilization to report)");
+  }
   // The run is warmup_cycles + measure_cycles long, and a wormhole flit
   // keeps its injection cycle in 32 bits (flit.hpp). Checked without
   // forming the sum, which could wrap.

@@ -223,11 +223,12 @@ struct SimConfig {
   static constexpr std::size_t kMaxSimThreads = 256;
 
   /// Reject unusable parameters up front, with a message naming the
-  /// offending field and value: lanes, lane_depth, packet_length and
-  /// queue_capacity must be positive (regardless of mode, so a config is
-  /// valid or not independently of the discipline that runs it),
-  /// injection_rate must be finite and within [0, 1], warmup_cycles +
-  /// measure_cycles must be at most 2^32 (the 32-bit flit clock), the
+  /// offending field and value: lanes, lane_depth, packet_length,
+  /// queue_capacity and measure_cycles must be positive (regardless of
+  /// mode, so a config is valid or not independently of the discipline
+  /// that runs it), injection_rate must be finite and within [0, 1],
+  /// warmup_cycles + measure_cycles must be at most 2^32 (the 32-bit flit
+  /// clock), the
   /// burst probabilities must be within (0, 1], sim_threads must be within
   /// [1, kMaxSimThreads], an enabled credit config must pass
   /// CreditConfig::validate against this mode and lane count, and the

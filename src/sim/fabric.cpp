@@ -263,18 +263,17 @@ FabricCore::FabricCore(const Engine& engine, Pattern pattern,
 }
 
 void FabricCore::finalize(std::uint64_t link_counter) {
-  if (config_.measure_cycles > 0) {
-    result.throughput =
-        static_cast<double>(result.delivered) /
-        (static_cast<double>(config_.measure_cycles) *
-         static_cast<double>(terminals_));
-    // Physical links per inter-stage gap is ports_ (== terminals_ on a
-    // unipath fabric, wider on a multipath one).
-    result.link_utilization =
-        static_cast<double>(link_counter) /
-        (static_cast<double>(stages_ - 1) * static_cast<double>(ports_) *
-         static_cast<double>(config_.measure_cycles));
-  }
+  // measure_cycles > 0: SimConfig::validate rejects a run without one.
+  result.throughput =
+      static_cast<double>(result.delivered) /
+      (static_cast<double>(config_.measure_cycles) *
+       static_cast<double>(terminals_));
+  // Physical links per inter-stage gap is ports_ (== terminals_ on a
+  // unipath fabric, wider on a multipath one).
+  result.link_utilization =
+      static_cast<double>(link_counter) /
+      (static_cast<double>(stages_ - 1) * static_cast<double>(ports_) *
+       static_cast<double>(config_.measure_cycles));
   // An idle point (rate 0, all-OFF bursty, dead fabric) offered nothing;
   // report 0 like every other ratio so reports never carry nan/inf or a
   // vacuous 1.0.
@@ -283,16 +282,14 @@ void FabricCore::finalize(std::uint64_t link_counter) {
           ? 0.0
           : static_cast<double>(result.injected) /
                 static_cast<double>(result.offered);
-  if (config_.measure_cycles > 0) {
-    // The rate the workload actually asked for, per terminal per cycle.
-    // Open-loop sources pin this at the configured rate; a closed-loop
-    // source at saturation offers *less* (its window throttles it), which
-    // is the self-throttling signature the sweep reports surface.
-    result.offered_rate_effective =
-        static_cast<double>(result.offered) /
-        (static_cast<double>(config_.measure_cycles) *
-         static_cast<double>(terminals_));
-  }
+  // The rate the workload actually asked for, per terminal per cycle.
+  // Open-loop sources pin this at the configured rate; a closed-loop
+  // source at saturation offers *less* (its window throttles it), which
+  // is the self-throttling signature the sweep reports surface.
+  result.offered_rate_effective =
+      static_cast<double>(result.offered) /
+      (static_cast<double>(config_.measure_cycles) *
+       static_cast<double>(terminals_));
   // Let the source contribute its own counters (reply latency, window
   // stalls, orphans) before the result is read out.
   workload_->finish(result);

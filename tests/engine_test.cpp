@@ -137,6 +137,24 @@ TEST(EngineTest, UnrepresentableRunLengthRejected) {
   EXPECT_NO_THROW(longest.validate());  // exactly 2^32 cycles
 }
 
+TEST(EngineTest, ZeroMeasuredCyclesRejected) {
+  // A run with no measured cycles used to print an all-zero row: no
+  // throughput, latency or utilization, and no error.
+  const Engine engine(min::baseline_network(3));
+  SimConfig config = quick_config();
+  config.measure_cycles = 0;
+  EXPECT_THROW((void)engine.run(Pattern::kUniform, config),
+               std::invalid_argument);
+  try {
+    config.validate();
+    ADD_FAILURE() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("measure_cycles"), std::string::npos);
+  }
+  config.measure_cycles = 1;
+  EXPECT_NO_THROW(config.validate());
+}
+
 TEST(EngineTest, IsomorphicNetworksSimilarUniformThroughput) {
   // The six classical networks are isomorphic; under uniform traffic
   // their saturated throughputs should be close (not identical: the
