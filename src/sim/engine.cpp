@@ -406,16 +406,15 @@ class StoreAndForwardPolicy
   using Base =
       PolicyBase<StoreAndForwardPolicy, kBinary, kMultiPath, kFeatures>;
   friend Base;
-  using Base::core_, Base::length_, Base::buffered_units_,
-      Base::total_slots_, Base::credit_config_, Base::service_levels_,
-      Base::path_policy_, Base::stall_cause_, Base::fault_mask,
-      Base::credit_ledger, Base::observer, Base::arbitrates, Base::radix,
-      Base::planes, Base::lradix, Base::lcells, Base::inject_port,
-      Base::stage_route, Base::path_group, Base::arb_candidate,
-      Base::arb_grant, Base::usable_port, Base::pooled_units,
-      Base::commit_probe_window, Base::kEjectPhase, Base::eject_stall_phase,
-      Base::drain_phase, Base::advance_phase, Base::stall_phase,
-      Base::inject_phase;
+  using Base::core_, Base::length_, Base::total_slots_, Base::credit_config_,
+      Base::service_levels_, Base::path_policy_, Base::stall_cause_,
+      Base::fault_mask, Base::credit_ledger, Base::observer, Base::arbitrates,
+      Base::radix, Base::planes, Base::lradix, Base::lcells,
+      Base::inject_port, Base::stage_route, Base::path_group,
+      Base::arb_candidate, Base::arb_grant, Base::usable_port,
+      Base::pooled_units, Base::commit_probe_window, Base::kEjectPhase,
+      Base::eject_stall_phase, Base::drain_phase, Base::advance_phase,
+      Base::stall_phase, Base::inject_phase;
   using StageRoute = typename Base::StageRoute;
   using PathGroup = typename Base::PathGroup;
 
@@ -444,8 +443,9 @@ class StoreAndForwardPolicy
     }
   }
 
-  [[nodiscard]] std::uint64_t buffered_flits() const {
-    return static_cast<std::uint64_t>(buffered_units_) * length_;
+  /// Flits in \p packets buffered packets.
+  [[nodiscard]] std::uint64_t buffered_flits(std::int64_t packets) const {
+    return static_cast<std::uint64_t>(packets) * length_;
   }
 
   /// Worker 0 adds the pool-occupancy samples: they need the pool-wide

@@ -103,7 +103,8 @@ struct BufferHead {
 ///   void replay_ejects(cycle, measuring, wk);  // worker 0, per worker
 ///   BufferHead head(b) const;             // non-empty buffer b
 ///   std::uint32_t buffer_count(b) const;  // units buffered in b
-/// plus buffered_flits() and shard_sample_reduce(cycle, workers).
+///   std::uint64_t buffered_flits(units) const;  // of pool units
+/// plus shard_sample_reduce(cycle, workers).
 ///
 /// \tparam kBinary radix() folds to the literal 2, so / and % compile to
 /// the historic shift/mask code and a stage's route reads its scheduled
@@ -127,9 +128,6 @@ class PolicyBase {
   // Worker w of n runs each kernel over its contiguous range, counts into
   // its own ShardWorker and defers order-sensitive statistics to worker
   // 0's replay.
-
-  /// Busy-link cycles (store-and-forward) or flit hops (wormhole).
-  [[nodiscard]] std::uint64_t link_counter() const { return link_counter_; }
 
   /// Credit runs harvest the return ring as a dedicated phase: give_back
   /// writes the very slot deliver reads for the same cycle, so harvest
@@ -189,9 +187,11 @@ class PolicyBase {
     derived().sample_impl(cycle, w, n, wk);
   }
 
-  /// Sum every worker's order-independent partial into the core result.
+  /// Sum every worker's order-independent partial into the core result
+  /// and finalize it.
   void shard_finish(const std::vector<ShardWorker>& workers) {
     SimResult& total = core_.result;
+    std::uint64_t link_counter = 0;
     for (const ShardWorker& wk : workers) {
       const SimResult& p = wk.partial;
       total.flits_delivered += p.flits_delivered;
@@ -208,9 +208,10 @@ class PolicyBase {
       total.stall_no_free_lane += p.stall_no_free_lane;
       total.stall_zero_credits += p.stall_zero_credits;
       total.stall_masked_arc += p.stall_masked_arc;
-      link_counter_ += wk.link_counter;
+      link_counter += wk.link_counter;
     }
-    buffered_units_ = pooled_units(workers);
+    total.flits_in_flight = derived().buffered_flits(pooled_units(workers));
+    core_.finalize(link_counter);
   }
 
  protected:
@@ -555,9 +556,6 @@ class PolicyBase {
   /// Units (packets or flits) the whole fabric buffers: the occupancy
   /// samples' denominator.
   double total_slots_;
-  std::uint64_t link_counter_ = 0;
-  /// Units left in the pool when the run ends (set by shard_finish).
-  std::int64_t buffered_units_ = 0;
   const fault::FaultMask* mask_;                         // faulted runs
   const CreditConfig* credit_config_ = nullptr;          // credit runs
   CreditLedger* credits_ = nullptr;                      // credit runs

@@ -65,8 +65,8 @@ struct alignas(64) ShardWorker {
   /// fields are ever touched here — the statistics accumulators inside
   /// stay empty (order-sensitive adds go through the event buffers).
   SimResult partial;
-  /// Busy-link cycles (store-and-forward) or flit hops (wormhole) — the
-  /// policy's link_counter() share.
+  /// Busy-link cycles (store-and-forward) or flit hops (wormhole): this
+  /// worker's share of the link-utilization numerator.
   std::uint64_t link_counter = 0;
   /// Net packets (SAF) or flits (wormhole) this worker has added to the
   /// pool over the run; worker 0's share includes injection. The pool's
@@ -117,9 +117,7 @@ inline util::ThreadPool& sim_team_pool() {
 ///       // event replay -> core.workload_tick() -> inject
 ///   void shard_sample(cycle, w, n, ShardWorker&);   // measured cycles
 ///   void shard_sample_reduce(cycle, workers);       // worker 0 only
-///   void shard_finish(workers);  // sum partials into the core result
-///   std::uint64_t buffered_flits() const;   // still in the network
-///   std::uint64_t link_counter() const;     // feeds link_utilization
+///   void shard_finish(workers);  // sum partials, finalize the result
 /// Thread counts above the cell count are clamped (extra ranges would be
 /// empty). One worker runs inline on the calling thread, with no barrier
 /// and no team.
@@ -165,8 +163,6 @@ SimResult run_switched(FabricCore& core, Policy& policy, std::size_t threads) {
     sim_team_pool().run_team(threads, body);
   }
   policy.shard_finish(workers);
-  core.result.flits_in_flight = policy.buffered_flits();
-  core.finalize(policy.link_counter());
   return core.result;
 }
 

@@ -48,16 +48,15 @@ class WormholePolicy
                         kBinary, kMultiPath, kFeatures> {
   using Base = PolicyBase<WormholePolicy, kBinary, kMultiPath, kFeatures>;
   friend Base;
-  using Base::core_, Base::length_, Base::buffered_units_,
-      Base::total_slots_, Base::credit_config_, Base::service_levels_,
-      Base::path_policy_, Base::stall_cause_, Base::fault_mask,
-      Base::credit_ledger, Base::observer, Base::arbitrates, Base::radix,
-      Base::planes, Base::lradix, Base::lcells, Base::inject_port,
-      Base::stage_route, Base::path_group, Base::arb_candidate,
-      Base::arb_grant, Base::usable_port, Base::pooled_units,
-      Base::commit_probe_window, Base::kEjectPhase, Base::eject_stall_phase,
-      Base::drain_phase, Base::advance_phase, Base::stall_phase,
-      Base::inject_phase;
+  using Base::core_, Base::length_, Base::total_slots_, Base::credit_config_,
+      Base::service_levels_, Base::path_policy_, Base::stall_cause_,
+      Base::fault_mask, Base::credit_ledger, Base::observer, Base::arbitrates,
+      Base::radix, Base::planes, Base::lradix, Base::lcells,
+      Base::inject_port, Base::stage_route, Base::path_group,
+      Base::arb_candidate, Base::arb_grant, Base::usable_port,
+      Base::pooled_units, Base::commit_probe_window, Base::kEjectPhase,
+      Base::eject_stall_phase, Base::drain_phase, Base::advance_phase,
+      Base::stall_phase, Base::inject_phase;
   using StageRoute = typename Base::StageRoute;
   using PathGroup = typename Base::PathGroup;
 
@@ -77,8 +76,9 @@ class WormholePolicy
     }
   }
 
-  [[nodiscard]] std::uint64_t buffered_flits() const {
-    return static_cast<std::uint64_t>(buffered_units_);
+  /// The pool's units are flits.
+  [[nodiscard]] std::uint64_t buffered_flits(std::int64_t flits) const {
+    return static_cast<std::uint64_t>(flits);
   }
 
   /// Worker 0 only: the order-sensitive occupancy adds over pool-wide
