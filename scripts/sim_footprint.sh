@@ -56,7 +56,7 @@ for unit in ("engine", "wormhole"):
                              text=True, check=True).stdout.splitlines()
     instantiations = sum(1 for s in symbols
                          if "run_policy<" in s and ".cold" not in s)
-    # The same command, writing to a scratch object and no dependency file.
+    # The same command, writing to a temporary object and no dependency file.
     rerun, skip = [], False
     for arg in argv:
         if skip:

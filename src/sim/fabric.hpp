@@ -459,7 +459,7 @@ class FabricCore {
 
   /// Feed one delivered packet back into the workload (closed-loop
   /// replies depend on it). Call for every tail ejection — warmup
-  /// included — in serial ejection order.
+  /// included — in ejection (ascending-cell) order.
   void workload_delivered(const workload::Delivery& delivery) {
     workload_->deliver(delivery);
   }

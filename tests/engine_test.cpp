@@ -138,8 +138,8 @@ TEST(EngineTest, UnrepresentableRunLengthRejected) {
 }
 
 TEST(EngineTest, ZeroMeasuredCyclesRejected) {
-  // A run with no measured cycles used to print an all-zero row: no
-  // throughput, latency or utilization, and no error.
+  // A run with no measured cycles has no throughput, latency or
+  // utilization to report: it must fail naming the field.
   const Engine engine(min::baseline_network(3));
   SimConfig config = quick_config();
   config.measure_cycles = 0;
