@@ -410,6 +410,37 @@ SimResult run_radix4_wormhole_observed() {
   return engine.run(Pattern::kUniform, config);
 }
 
+/// Radix-3 baseline n = 3, store-and-forward, plain (no mask, credits or
+/// observer), loaded past its 2-packet first-stage FIFOs.
+SimResult run_radix3_saf_plain() {
+  const Engine engine(
+      min::build_kary_network(min::NetworkKind::kBaseline, 3, 3));
+  SimConfig config;
+  config.injection_rate = 0.9;
+  config.packet_length = 2;
+  config.queue_capacity = 2;
+  config.warmup_cycles = 100;
+  config.measure_cycles = 400;
+  config.seed = 53;
+  return engine.run(Pattern::kUniform, config);
+}
+
+/// Radix-4 omega n = 3, wormhole, plain, 2 lanes of depth 2.
+SimResult run_radix4_wormhole_plain() {
+  const Engine engine(
+      min::build_kary_network(min::NetworkKind::kOmega, 3, 4));
+  SimConfig config;
+  config.mode = SwitchingMode::kWormhole;
+  config.injection_rate = 0.8;
+  config.packet_length = 4;
+  config.lanes = 2;
+  config.lane_depth = 2;
+  config.warmup_cycles = 100;
+  config.measure_cycles = 400;
+  config.seed = 59;
+  return engine.run(Pattern::kUniform, config);
+}
+
 /// The workload counters a closed-loop golden pins on top of Pins: the
 /// window stalls, orphaned exchanges, request->reply latency, the rate
 /// the clients actually offered, and the recorded injection trace.
@@ -569,6 +600,27 @@ TEST(GoldenSimTest, Radix4WormholeObserved) {
   EXPECT_EQ(r.probes.samples, 8U);
   EXPECT_EQ(r.flows.flows.size(), 2374U);
   EXPECT_DOUBLE_EQ(r.flows.worst_p99, 94.0);
+}
+
+// Plain general-radix unipath pins, captured from the simulator as it
+// stood when the multipath geometry was a compile-time axis. Both runs
+// refuse injection attempts (offered > injected), so they pin the
+// unipath injection order: check the first-stage buffer, then draw.
+
+TEST(GoldenSimTest, Radix3StoreAndForwardPlain) {
+  const SimResult r = run_radix3_saf_plain();
+  EXPECT_GT(r.offered, r.injected);
+  expect_pins(r, {7001, 3058, 2957, 6116, 5914, 202, 13237, 0, 0, 0, 0,
+                  {0, 0, 0, 0, 0}, 15.127155901251276, 47, 35,
+                  0.56671296296296292, 0.62367283950617269});
+}
+
+TEST(GoldenSimTest, Radix4WormholePlain) {
+  const SimResult r = run_radix4_wormhole_plain();
+  EXPECT_GT(r.offered, r.injected);
+  expect_pins(r, {4552, 3443, 3285, 13787, 13293, 390, 49201, 0, 0, 0, 0,
+                  {0, 0, 0, 0, 0}, 16.956773211567739, 82, 52,
+                  0.53818359375000002, 0.44253906249999986});
 }
 
 // Closed-loop pins, captured from the simulator as it stood when a serial
