@@ -284,15 +284,19 @@ min::DigitSchedule recover_schedule(const min::FlatWiring& wiring) {
   return std::move(*schedule);
 }
 
-/// radix^digit[s] per stage: the divisor that extracts the scheduled
-/// digit of a cell label written in base \p radix.
+/// radix^(digit[s] + 1) per stage: the divisor that extracts the
+/// scheduled digit of a terminal label written in base \p radix (the
+/// digit of its cell label, one place up). digit[s] + 1 < stages, so the
+/// scale is at most the cell count and fits in 32 bits.
 std::vector<std::uint32_t> digit_scales(const min::DigitSchedule& schedule,
                                         int radix) {
   std::vector<std::uint32_t> scales;
   scales.reserve(schedule.digit.size());
   for (const int digit : schedule.digit) {
     std::uint32_t scale = 1;
-    for (int i = 0; i < digit; ++i) scale *= static_cast<std::uint32_t>(radix);
+    for (int i = 0; i <= digit; ++i) {
+      scale *= static_cast<std::uint32_t>(radix);
+    }
     scales.push_back(scale);
   }
   return scales;
@@ -341,8 +345,8 @@ Engine::Engine(min::MultiPathWiring fabric)
   planes_ = fabric_->planes();
   dilation_ = fabric_->dilation();
   // Digit scales in the *logical* radix (identity placeholders at free
-  // connections scale by digit 0, harmlessly — the policies check the
-  // free flag first).
+  // connections read digit 0, harmlessly — the policies check the free
+  // flag first).
   digit_scale_ = digit_scales(schedule_, logical_radix_);
 }
 
@@ -362,9 +366,8 @@ unsigned Engine::route_port_general(int stage,
   }
   const auto radix = static_cast<unsigned>(wiring_.radix());
   if (stage + 1 == stages) return dest_terminal % radix;
-  const std::uint32_t dest_cell = dest_terminal / radix;
   const unsigned value =
-      (dest_cell / digit_scale_[static_cast<std::size_t>(stage)]) % radix;
+      (dest_terminal / digit_scale_[static_cast<std::size_t>(stage)]) % radix;
   return schedule_.port_of_value[static_cast<std::size_t>(stage)][value];
 }
 
@@ -389,27 +392,25 @@ namespace {
 ///    keys keep every thread count byte-identical), flow records ride the
 ///    worker-0 eject replay, and every HOL-blocked head-cycle is
 ///    attributed to exactly one StallCause.
-/// kMultiPath: the route step (select_port) chooses within a hop's
+/// Multipath fabrics: the route step (select_port) chooses within a hop's
 /// equivalent-path group by the configured PathPolicy (deterministic
 /// hash, least-occupancy adaptive, or looping-precomputed Benes
 /// settings), injection picks a plane on replicated fabrics, and each
 /// logical terminal's eject arbiter spans planes * radix physical
 /// buffers. Faulted runs re-select within the surviving group members
 /// first (path_reroutes) before falling back to the unipath out-of-group
-/// detour (packets_rerouted). Unipath instantiations run the same kernels
-/// with one plane and singleton groups.
-template <bool kBinary, bool kMultiPath, bool kFeatures>
+/// detour (packets_rerouted). Unipath fabrics run the same kernels with
+/// one plane and singleton groups.
+template <bool kBinary, bool kFeatures>
 class StoreAndForwardPolicy
-    : public PolicyBase<
-          StoreAndForwardPolicy<kBinary, kMultiPath, kFeatures>, kBinary,
-          kMultiPath, kFeatures> {
-  using Base =
-      PolicyBase<StoreAndForwardPolicy, kBinary, kMultiPath, kFeatures>;
+    : public PolicyBase<StoreAndForwardPolicy<kBinary, kFeatures>, kBinary,
+                        kFeatures> {
+  using Base = PolicyBase<StoreAndForwardPolicy, kBinary, kFeatures>;
   friend Base;
   using Base::core_, Base::length_, Base::total_slots_, Base::credit_config_,
       Base::service_levels_, Base::path_policy_, Base::stall_cause_,
       Base::fault_mask, Base::credit_ledger, Base::observer, Base::arbitrates,
-      Base::radix, Base::planes, Base::lradix, Base::lcells,
+      Base::radix, Base::multipath, Base::planes, Base::lradix, Base::lcells,
       Base::inject_port, Base::stage_route, Base::path_group,
       Base::arb_candidate, Base::arb_grant, Base::usable_port,
       Base::pooled_units, Base::commit_probe_window, Base::kEjectPhase,
@@ -481,7 +482,7 @@ class StoreAndForwardPolicy
       if (measuring) ++core_.result.offered;
       workload::Injection packet;
       std::size_t q = 0;
-      if constexpr (kMultiPath) {
+      if (multipath()) {
         packet = core_.draw(cycle, static_cast<std::uint32_t>(t));
         bool accepted = false;
         if (path_policy_ == PathPolicy::kAdaptive) {
@@ -1104,8 +1105,8 @@ class StoreAndForwardPolicy
 
 /// The discipline as the ladder's argument (see run_policy).
 struct StoreAndForward {
-  template <bool kBinary, bool kMultiPath, bool kFeatures>
-  using Policy = StoreAndForwardPolicy<kBinary, kMultiPath, kFeatures>;
+  template <bool kBinary, bool kFeatures>
+  using Policy = StoreAndForwardPolicy<kBinary, kFeatures>;
 };
 
 }  // namespace

@@ -484,8 +484,10 @@ class Engine {
   [[nodiscard]] const min::DigitSchedule& schedule() const noexcept {
     return schedule_;
   }
-  /// radix^schedule().digit[stage] — the divisor that extracts the
-  /// scheduled digit (the policies hoist it per stage).
+  /// radix^(schedule().digit[stage] + 1) — the divisor that extracts
+  /// the scheduled digit of a destination terminal, (dest / scale) %
+  /// radix, with the logical radix on multipath engines (the policies
+  /// hoist it per stage).
   [[nodiscard]] std::uint32_t route_digit_scale(int stage) const {
     return digit_scale_[static_cast<std::size_t>(stage)];
   }
@@ -558,9 +560,9 @@ class Engine {
   /// wiring's shape into the logical-geometry members.
   void init_unipath(const std::optional<min::DigitSchedule>& attached);
   min::DigitSchedule schedule_;
-  /// radix^schedule_.digit[s] per stage, so route_port reads the
-  /// scheduled digit with one division (logical radix on multipath
-  /// engines, with identity placeholders at free connections).
+  /// radix^(schedule_.digit[s] + 1) per stage, so route_port reads the
+  /// scheduled digit of a terminal with one division (logical radix on
+  /// multipath engines, with identity placeholders at free connections).
   std::vector<std::uint32_t> digit_scale_;
   min::FlatWiring wiring_;
   std::optional<min::MultiPathWiring> fabric_;  ///< multipath engines only

@@ -17,17 +17,17 @@
 /// the same code.
 ///
 /// A unipath banyan runs as the degenerate multipath fabric: one plane,
-/// dilation 1 and singleton route groups. The geometry accessors fold to
-/// those constants on unipath instantiations, so one kernel body per
-/// phase compiles to the unipath arithmetic there and to the multipath
-/// arithmetic on MultiPathWiring engines.
+/// dilation 1 and singleton route groups. The logical geometry is
+/// run-time state the base copies from the Engine, so one kernel body per
+/// phase serves every fabric; only the binary instantiation folds it, to
+/// the constants of a radix-2 unipath banyan.
 ///
 /// Fault masks, credit flow control and observers are properties of a
 /// run, not of the topology, so they share one compile-time switch: a run
 /// with none of them takes the plain instantiation, where every feature
 /// test folds to false, and any other run takes the featured one, which
-/// tests the feature state at run time. Six instantiations per
-/// discipline: (binary, general radix, multipath) x (plain, featured).
+/// tests the feature state at run time. Four instantiations per
+/// discipline: (binary, general) x (plain, featured).
 ///
 /// Shared code never asks which discipline is calling: the differences
 /// arrive as data — the buffers behind each input port (one FIFO or
@@ -106,23 +106,20 @@ struct BufferHead {
 ///   std::uint64_t buffered_flits(units) const;  // of pool units
 /// plus shard_sample_reduce(cycle, workers).
 ///
-/// \tparam kBinary radix() folds to the literal 2, so / and % compile to
-/// the historic shift/mask code and a stage's route reads its scheduled
-/// digit and port_of_value[s][0] as a shift and an invert.
-/// \tparam kMultiPath logical terminal addresses over a MultiPathWiring's
-/// physical fabric (always general-radix and credit-less). False folds
-/// the logical geometry to the physical one — planes() 1, dilation() 1,
-/// lradix() radix(), lcells() cells — and every route group to a
-/// singleton.
+/// \tparam kBinary a radix-2 unipath banyan: radix() folds to the literal
+/// 2, so / and % compile to the historic shift/mask code, a stage's route
+/// reads its scheduled digit and port_of_value[s][0] as a shift and an
+/// invert, and the logical geometry folds to the physical one — planes()
+/// 1, dilation() 1, lradix() 2, lcells() cells, multipath() false — with
+/// every route group a singleton. False reads the geometry the Engine
+/// carries: a general-radix unipath banyan, or logical terminal addresses
+/// over a MultiPathWiring's physical fabric (credit-less) at any radix.
 /// \tparam kFeatures the run has a fault mask, credit flow control or an
 /// observer. False folds fault_mask(), credit_ledger() and observer() to
 /// null, so the plain instantiation carries no feature code at all; true
 /// reads each from the state the base owns, null meaning off.
-template <class Derived, bool kBinary, bool kMultiPath, bool kFeatures>
+template <class Derived, bool kBinary, bool kFeatures>
 class PolicyBase {
-  static_assert(!(kMultiPath && kBinary),
-                "multipath instantiations are general-radix");
-
  public:
   // --- The driver interface (run_switched, shard.hpp) ------------------
   // Worker w of n runs each kernel over its contiguous range, counts into
@@ -226,19 +223,21 @@ class PolicyBase {
                      static_cast<double>(args.slots) *
                      static_cast<double>(args.capacity)),
         mask_(kFeatures ? args.mask : nullptr),
+        lradix_(static_cast<unsigned>(core.engine().logical_radix())),
+        lcells_(core.engine().logical_cells()),
+        planes_(static_cast<unsigned>(core.engine().planes())),
+        dilation_(static_cast<unsigned>(core.engine().dilation())),
         obs_(kFeatures ? args.obs : nullptr) {
-    if constexpr (kMultiPath) {
-      const Engine& engine = core.engine();
-      lradix_ = static_cast<unsigned>(engine.logical_radix());
-      lcells_ = engine.logical_cells();
-      planes_ = static_cast<unsigned>(engine.planes());
-      dilation_ = static_cast<unsigned>(engine.dilation());
+    const Engine& engine = core.engine();
+    if (engine.multipath()) {
+      multipath_ = true;
       path_policy_ = core.config().path_policy;
       looping_ = args.looping;
       free_stage_ = engine.fabric().free_stage().data();
       core.result.paths_available = engine.fabric().paths_available();
     }
-    if (kFeatures && !kMultiPath && core.config().credits.enabled) {
+    // run_fabric rejects credits on multipath fabrics.
+    if (kFeatures && core.config().credits.enabled) {
       credit_config_ = &core.config().credits;
       service_levels_ = credit_config_->service_levels();
       credits_ = &workspace.credit_ledger(
@@ -281,7 +280,7 @@ class PolicyBase {
   }
   /// The credit ledger of a credit run (multipath runs are credit-less).
   [[nodiscard]] CreditLedger* credit_ledger() const noexcept {
-    return kFeatures && !kMultiPath ? credits_ : nullptr;
+    return kFeatures ? credits_ : nullptr;
   }
   /// The observer of a run with any collector enabled.
   [[nodiscard]] obs::Observer* observer() const noexcept {
@@ -308,39 +307,47 @@ class PolicyBase {
     return static_cast<std::size_t>(core_.stages()) * core_.ports() * slots_;
   }
 
-  // --- The logical geometry, folded to constants on unipath runs -------
+  // --- The logical geometry, folded to constants on binary runs --------
 
+  /// Does the run route over a MultiPathWiring?
+  [[nodiscard]] bool multipath() const noexcept {
+    if constexpr (kBinary) {
+      return false;
+    } else {
+      return multipath_;
+    }
+  }
   /// Injection planes (> 1 only on replicated fabrics).
   [[nodiscard]] unsigned planes() const noexcept {
-    if constexpr (kMultiPath) {
-      return planes_;
-    } else {
+    if constexpr (kBinary) {
       return 1U;
+    } else {
+      return planes_;
     }
   }
   /// Parallel arcs per logical link (> 1 only on dilated fabrics).
   [[nodiscard]] unsigned dilation() const noexcept {
-    if constexpr (kMultiPath) {
-      return dilation_;
-    } else {
+    if constexpr (kBinary) {
       return 1U;
+    } else {
+      return dilation_;
     }
   }
   /// The base of terminal addresses: a terminal's logical cell is
   /// t / lradix() and its port there t % lradix().
   [[nodiscard]] unsigned lradix() const noexcept {
-    if constexpr (kMultiPath) {
-      return lradix_;
+    if constexpr (kBinary) {
+      return 2U;
     } else {
-      return radix();
+      return lradix_;
     }
   }
   /// Logical cells per stage (terminals() / lradix()).
   [[nodiscard]] std::uint32_t lcells() const noexcept {
-    if constexpr (kMultiPath) {
-      return lcells_;
-    } else {
+    if constexpr (kBinary) {
       return core_.cells();
+    } else {
+      return lcells_;
     }
   }
 
@@ -364,6 +371,8 @@ class PolicyBase {
     bool free = false;    ///< any out-port reaches the destination
     unsigned shift = 0;   ///< kBinary: the scheduled digit
     unsigned invert = 0;  ///< kBinary: port_of_value[s][0]
+    /// lradix^(digit + 1): a destination terminal divided by it and
+    /// reduced mod lradix is its scheduled digit.
     std::uint32_t digit_scale = 1;
     const std::uint32_t* port_of_value = nullptr;
     /// The looping settings of a free connection (kLooping runs).
@@ -384,11 +393,11 @@ class PolicyBase {
     } else {
       route.digit_scale = core_.engine().route_digit_scale(s);
       route.port_of_value = schedule.port_of_value[i].data();
-    }
-    if constexpr (kMultiPath) {
-      route.free = free_stage_[i] != 0;
-      if (route.free && path_policy_ == PathPolicy::kLooping) {
-        route.settings = looping_->settings[i].data();
+      if (multipath_) {
+        route.free = free_stage_[i] != 0;
+        if (route.free && path_policy_ == PathPolicy::kLooping) {
+          route.settings = looping_->settings[i].data();
+        }
       }
     }
     return route;
@@ -404,14 +413,11 @@ class PolicyBase {
   };
   [[nodiscard]] PathGroup path_group(std::uint32_t dest,
                                      const StageRoute& route) const {
-    if constexpr (kMultiPath) {
-      if (route.free) return {0U, radix()};
-    }
     if constexpr (kBinary) {
       return {(((dest >> 1) >> route.shift) & 1U) ^ route.invert, 1U};
     } else {
-      const unsigned lr = lradix();
-      return {route.port_of_value[((dest / lr) / route.digit_scale) % lr] *
+      if (route.free) return {0U, radix()};
+      return {route.port_of_value[(dest / route.digit_scale) % lradix()] *
                   dilation(),
               dilation()};
     }
@@ -561,13 +567,15 @@ class PolicyBase {
   CreditLedger* credits_ = nullptr;                      // credit runs
   WeightedRoundRobin weighted_;                          // credit runs
   std::size_t service_levels_ = 1;                       // credit runs
-  unsigned lradix_ = 2;                                  // kMultiPath only
-  std::uint32_t lcells_ = 1;                             // kMultiPath only
-  unsigned planes_ = 1;                                  // kMultiPath only
-  unsigned dilation_ = 1;                                // kMultiPath only
-  PathPolicy path_policy_ = PathPolicy::kHash;           // kMultiPath only
-  const multipath::LoopingSettings* looping_ = nullptr;  // kMultiPath only
-  const std::uint8_t* free_stage_ = nullptr;             // kMultiPath only
+  /// The Engine's logical geometry (read by the general instantiations).
+  unsigned lradix_;
+  std::uint32_t lcells_;
+  unsigned planes_;
+  unsigned dilation_;
+  PathPolicy path_policy_ = PathPolicy::kHash;           // multipath runs
+  bool multipath_ = false;                               // multipath runs
+  const multipath::LoopingSettings* looping_ = nullptr;  // multipath runs
+  const std::uint8_t* free_stage_ = nullptr;             // multipath runs
   obs::Observer* obs_;                                   // observed runs
   /// Per-buffer StallCause scratch, written by the probe loops and read
   /// by the blocking scans — same writer partition as the buffers.
@@ -584,14 +592,14 @@ class PolicyBase {
 /// the instantiations into the ladder lets the compiler cross-jump the
 /// twin hot loops into shared blocks, costing the binary instantiation
 /// measurable time.
-template <class Discipline, bool kBinary, bool kMultiPath, bool kFeatures>
+template <class Discipline, bool kBinary, bool kFeatures>
 #if defined(__GNUC__)
 [[gnu::noinline]]
 #endif
 SimResult
 run_policy(FabricCore& core, SimWorkspace& workspace,
            const PolicyArgs& args) {
-  typename Discipline::template Policy<kBinary, kMultiPath, kFeatures> policy(
+  typename Discipline::template Policy<kBinary, kFeatures> policy(
       core, workspace, args);
   obs::Observer* const obs = args.obs;
   if (obs != nullptr) {
@@ -608,33 +616,24 @@ run_policy(FabricCore& core, SimWorkspace& workspace,
   return result;
 }
 
-/// The instantiation ladder of one discipline: (binary, general radix,
-/// multipath) x (plain, featured) — 6 instantiations. A run with no fault
-/// mask, no credits and no observer takes the plain one.
+/// The instantiation ladder of one discipline: (binary, general) x
+/// (plain, featured) — 4 instantiations. A radix-2 unipath banyan takes
+/// the binary ones, every other fabric (general radix, or multipath at
+/// any radix) the general ones; a run with no fault mask, no credits and
+/// no observer takes the plain one.
 template <class Discipline>
 SimResult run_discipline(FabricCore& core, SimWorkspace& workspace,
                          const PolicyArgs& args) {
   const bool features = args.mask != nullptr ||
                         core.config().credits.enabled || args.obs != nullptr;
-  if (core.engine().multipath()) {
+  if (core.engine().radix() == 2 && !core.engine().multipath()) {
     return features
-               ? run_policy<Discipline, false, true, true>(core, workspace,
-                                                           args)
-               : run_policy<Discipline, false, true, false>(core, workspace,
-                                                            args);
-  }
-  if (core.engine().radix() == 2) {
-    return features
-               ? run_policy<Discipline, true, false, true>(core, workspace,
-                                                           args)
-               : run_policy<Discipline, true, false, false>(core, workspace,
-                                                            args);
+               ? run_policy<Discipline, true, true>(core, workspace, args)
+               : run_policy<Discipline, true, false>(core, workspace, args);
   }
   return features
-             ? run_policy<Discipline, false, false, true>(core, workspace,
-                                                          args)
-             : run_policy<Discipline, false, false, false>(core, workspace,
-                                                           args);
+             ? run_policy<Discipline, false, true>(core, workspace, args)
+             : run_policy<Discipline, false, false>(core, workspace, args);
 }
 
 /// The disciplines' ladders (engine.cpp, wormhole.cpp).

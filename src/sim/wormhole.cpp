@@ -35,23 +35,23 @@ namespace {
 ///  - an observer: per-stage probe counters (per-flit hops here), trace
 ///    events keyed by (cycle, intra-cycle phase), flow records at tail
 ///    ejection, and a StallCause per blocked lane-cycle.
-/// kMultiPath: a head's route step (select_next_port) chooses its next
-/// out-port within the fabric's equivalent-path group (free Benes
+/// Multipath fabrics: a head's route step (select_next_port) chooses its
+/// next out-port within the fabric's equivalent-path group (free Benes
 /// connection, dilation group) under the configured PathPolicy,
 /// injection picks a plane on replicated fabrics, and each logical
 /// terminal's eject arbiter spans planes * radix * lanes candidate lanes.
-/// Unipath instantiations run the same kernels with one plane and
-/// singleton groups.
-template <bool kBinary, bool kMultiPath, bool kFeatures>
+/// Unipath fabrics run the same kernels with one plane and singleton
+/// groups.
+template <bool kBinary, bool kFeatures>
 class WormholePolicy
-    : public PolicyBase<WormholePolicy<kBinary, kMultiPath, kFeatures>,
-                        kBinary, kMultiPath, kFeatures> {
-  using Base = PolicyBase<WormholePolicy, kBinary, kMultiPath, kFeatures>;
+    : public PolicyBase<WormholePolicy<kBinary, kFeatures>, kBinary,
+                        kFeatures> {
+  using Base = PolicyBase<WormholePolicy, kBinary, kFeatures>;
   friend Base;
   using Base::core_, Base::length_, Base::total_slots_, Base::credit_config_,
       Base::service_levels_, Base::path_policy_, Base::stall_cause_,
       Base::fault_mask, Base::credit_ledger, Base::observer, Base::arbitrates,
-      Base::radix, Base::planes, Base::lradix, Base::lcells,
+      Base::radix, Base::multipath, Base::planes, Base::lradix, Base::lcells,
       Base::inject_port, Base::stage_route, Base::path_group,
       Base::arb_candidate, Base::arb_grant, Base::usable_port,
       Base::pooled_units, Base::commit_probe_window, Base::kEjectPhase,
@@ -158,7 +158,7 @@ class WormholePolicy
       workload::Injection packet;
       std::size_t port = t;
       int lane = -1;
-      if constexpr (kMultiPath) {
+      if (multipath()) {
         packet = core_.draw(cycle, static_cast<std::uint32_t>(t));
         if (path_policy_ == PathPolicy::kAdaptive) {
           std::size_t best = 0;
@@ -901,8 +901,8 @@ class WormholePolicy
 
 /// The discipline as the ladder's argument (see run_policy).
 struct Wormhole {
-  template <bool kBinary, bool kMultiPath, bool kFeatures>
-  using Policy = WormholePolicy<kBinary, kMultiPath, kFeatures>;
+  template <bool kBinary, bool kFeatures>
+  using Policy = WormholePolicy<kBinary, kFeatures>;
 };
 
 }  // namespace
