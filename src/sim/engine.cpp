@@ -560,7 +560,7 @@ class StoreAndForwardPolicy
   /// arbiters index by terminal.
   void eject_impl(std::uint64_t cycle, bool measuring, std::uint32_t lx0,
                   std::uint32_t lx1, ShardWorker& wk) {
-    SimResult& res = wk.partial;
+    ShardCounters& res = wk.partial;
     const fault::FaultMask* const mask = fault_mask();
     CreditLedger* const credits = credit_ledger();
     obs::Observer* const obs = observer();
@@ -696,7 +696,7 @@ class StoreAndForwardPolicy
                                             bool measuring, std::uint32_t x0,
                                             std::uint32_t x1,
                                             ShardWorker& wk) {
-    SimResult& res = wk.partial;
+    ShardCounters& res = wk.partial;
     const fault::FaultMask* const mask = fault_mask();
     CreditLedger* const credits = credit_ledger();
     obs::Observer* const obs = observer();
@@ -1007,7 +1007,7 @@ class StoreAndForwardPolicy
     CreditLedger* const credits = credit_ledger();
     obs::Observer* const obs = observer();
     const unsigned r = radix();
-    SimResult& res = wk.partial;
+    ShardCounters& res = wk.partial;
     for (const std::uint32_t x : dead_cells_[static_cast<std::size_t>(s)]) {
       if (x < x0 || x >= x1) continue;
       for (unsigned slot = 0; slot < r; ++slot) {
@@ -1051,7 +1051,7 @@ class StoreAndForwardPolicy
   /// hol_blocking_cycles exactly — no separate bookkeeping to drift.
   void account_blocking(int s, std::uint64_t cycle, std::size_t p0,
                         std::size_t p1, ShardWorker& wk, std::uint8_t phase) {
-    SimResult& res = wk.partial;
+    ShardCounters& res = wk.partial;
     const bool observed = observer() != nullptr;
     for (std::size_t i = p0; i < p1; ++i) {
       const std::size_t q = queue_index(s, i);

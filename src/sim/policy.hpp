@@ -190,7 +190,7 @@ class PolicyBase {
     SimResult& total = core_.result;
     std::uint64_t link_counter = 0;
     for (const ShardWorker& wk : workers) {
-      const SimResult& p = wk.partial;
+      const ShardCounters& p = wk.partial;
       total.flits_delivered += p.flits_delivered;
       total.hol_blocking_cycles += p.hol_blocking_cycles;
       total.credit_stall_cycles += p.credit_stall_cycles;
@@ -481,7 +481,7 @@ class PolicyBase {
   /// the per-cause counters partition it exactly.
   void attribute_stall(int s, std::uint64_t cycle, std::size_t b,
                        ShardWorker& wk, std::uint8_t phase) {
-    SimResult& res = wk.partial;
+    ShardCounters& res = wk.partial;
     const auto cause = static_cast<obs::StallCause>(stall_cause_[b]);
     switch (cause) {
       case obs::StallCause::kLostArbitration:

@@ -57,14 +57,32 @@ struct SafEjectEvent {
   std::uint32_t dst = 0;
 };
 
+/// The order-independent counters one worker's kernels accumulate: the
+/// SimResult fields of the same names, which shard_finish sums over the
+/// workers. Order-sensitive statistics go through the event buffers.
+struct ShardCounters {
+  std::uint64_t flits_delivered = 0;
+  std::uint64_t hol_blocking_cycles = 0;
+  std::uint64_t credit_stall_cycles = 0;
+  std::uint64_t credit_violations = 0;
+  std::uint64_t packets_dropped_faulted = 0;
+  std::uint64_t flits_dropped_faulted = 0;
+  std::uint64_t packets_rerouted = 0;
+  std::uint64_t packets_misdelivered = 0;
+  std::uint64_t path_reroutes = 0;
+  std::uint64_t stall_lost_arbitration = 0;
+  std::uint64_t stall_downstream_full = 0;
+  std::uint64_t stall_no_free_lane = 0;
+  std::uint64_t stall_zero_credits = 0;
+  std::uint64_t stall_masked_arc = 0;
+};
+
 /// Per-worker state, cache-line aligned so neighbouring workers' hot
 /// counters never false-share.
 struct alignas(64) ShardWorker {
-  /// Order-independent counters accumulated by this worker's kernels and
-  /// summed into the core result at the end of the run. Only integer
-  /// fields are ever touched here — the statistics accumulators inside
-  /// stay empty (order-sensitive adds go through the event buffers).
-  SimResult partial;
+  /// This worker's counters, summed into the core result at the end of
+  /// the run.
+  ShardCounters partial;
   /// Busy-link cycles (store-and-forward) or flit hops (wormhole): this
   /// worker's share of the link-utilization numerator.
   std::uint64_t link_counter = 0;

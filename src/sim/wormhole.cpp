@@ -280,7 +280,7 @@ class WormholePolicy
     const int last = core_.stages() - 1;
     const unsigned r = radix();
     const unsigned lr = lradix();
-    SimResult& res = wk.partial;
+    ShardCounters& res = wk.partial;
     const auto per_cell =
         static_cast<unsigned>(static_cast<std::size_t>(r) * lanes_);
     const unsigned candidates = planes() * per_cell;
@@ -411,7 +411,7 @@ class WormholePolicy
     const bool fixed_lanes =
         credits != nullptr && !credit_config_->sl_map.empty();
     const unsigned r = radix();
-    SimResult& res = wk.partial;
+    ShardCounters& res = wk.partial;
     const auto down = core_.wiring().down_stage(s);
     // Routing registers for the target stage s + 1, where an advancing
     // head resolves its next out-port (the ejection port when s + 1 is
@@ -837,7 +837,7 @@ class WormholePolicy
                                        lanes_;
     const std::size_t hi = first + static_cast<std::size_t>(x1) * radix() *
                                        lanes_;
-    SimResult& res = wk.partial;
+    ShardCounters& res = wk.partial;
     for (std::size_t l = lo; l < hi; ++l) {
       if (dropping_[l] == 0) continue;
       while (!pool_.empty(l)) {
@@ -878,7 +878,7 @@ class WormholePolicy
   void account_stage(std::uint64_t cycle, bool measuring, std::size_t lo,
                      std::size_t hi, ShardWorker& wk, int stage,
                      std::uint8_t phase) {
-    SimResult& res = wk.partial;
+    ShardCounters& res = wk.partial;
     const bool observed = observer() != nullptr;
     for (std::size_t l = lo; l < hi; ++l) {
       if (measuring && !pool_.empty(l) && !pool_.moved(l)) {
