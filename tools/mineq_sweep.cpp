@@ -32,6 +32,7 @@
 /// derives its RNG stream from (seed, grid index), not from scheduling.
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -181,7 +182,7 @@ Fixed parameters:
   --warmup N          warmup cycles                            [200]
   --measure N         measured cycles                          [2000]
   --seed N            base seed                                [1]
-  --threads N         worker threads (0 = hardware)            [0]
+  --threads N         worker threads (0 = hardware, <= 256)    [0]
   --sim-threads N     shard each simulation over N threads     [1]
                       (byte-identical to serial; the default
                       sweep fan-out divides itself by N so the
@@ -240,38 +241,42 @@ std::vector<std::string> split_list(std::string_view text, char sep) {
   return items;
 }
 
-std::uint64_t parse_u64(const std::string& text, const std::string& what) {
+/// An unsigned decimal value of \p flag, at most \p max. A value past
+/// \p max — or past 2^64 - 1, where strtoull saturates and sets ERANGE —
+/// is rejected, naming the flag and the value, instead of running with a
+/// clamped or wrapped one.
+std::uint64_t parse_u64(
+    const std::string& text, const std::string& what, std::string_view flag,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
   char* end = nullptr;
   // strtoull silently wraps negatives; reject any sign explicitly.
   const bool signed_input = !text.empty() && (text[0] == '-' || text[0] == '+');
+  errno = 0;
   const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
   if (signed_input || end == text.c_str() || *end != '\0') {
     fail("cannot parse " + what + " \"" + text + '"');
   }
-  return value;
-}
-
-/// parse_u64 for a flag whose target type is narrower: a value outside
-/// T's range is rejected, naming the flag and the value, instead of
-/// wrapping into range.
-template <class T>
-T parse_narrow(const std::string& text, const std::string& what,
-               std::string_view flag) {
-  constexpr auto kMax =
-      static_cast<std::uint64_t>(std::numeric_limits<T>::max());
-  const std::uint64_t value = parse_u64(text, what);
-  if (value > kMax) {
+  if (errno == ERANGE || value > max) {
     std::string message(flag);
     message += ' ';
     message += text;
     message += ": ";
     message += what;
     message += " out of range (at most ";
-    message += std::to_string(kMax);
+    message += std::to_string(max);
     message += ')';
     fail(message);
   }
-  return static_cast<T>(value);
+  return value;
+}
+
+/// parse_u64 for a flag whose target type is narrower than 64 bits.
+template <class T>
+T parse_narrow(const std::string& text, const std::string& what,
+               std::string_view flag) {
+  return static_cast<T>(parse_u64(
+      text, what, flag,
+      static_cast<std::uint64_t>(std::numeric_limits<T>::max())));
 }
 
 double parse_double(const std::string& text, const std::string& what) {
@@ -283,8 +288,11 @@ double parse_double(const std::string& text, const std::string& what) {
   return value;
 }
 
-/// "0.1:1.0:0.1" (inclusive range) or "0.2,0.5,1.0" (explicit list).
-std::vector<double> parse_rates(const std::string& spec) {
+/// "0.1:1.0:0.1" (inclusive range) or "0.2,0.5,1.0" (explicit list), the
+/// value of \p flag. A range holds at most kMaxRangePoints points.
+std::vector<double> parse_rates(const std::string& spec,
+                                std::string_view flag) {
+  constexpr std::size_t kMaxRangePoints = 100000;
   std::vector<double> rates;
   if (spec.find(':') != std::string::npos) {
     const auto parts = split_list(spec, ':');
@@ -293,7 +301,22 @@ std::vector<double> parse_rates(const std::string& spec) {
     const double stop = parse_double(parts[1], "rate");
     const double step = parse_double(parts[2], "rate step");
     if (step <= 0.0) fail("rate step must be positive");
+    const auto too_many = [&] {
+      std::string message(flag);
+      message += ' ';
+      message += spec;
+      message += ": rate range has more than ";
+      message += std::to_string(kMaxRangePoints);
+      message += " points";
+      fail(message);
+    };
+    // Count the points before generating them: a step too small to
+    // advance the rate (0.5:1:1e-17) would grow the list until memory
+    // runs out. The guard in the loop catches a step that stops
+    // advancing part-way, below the rate's floating-point resolution.
+    if ((stop + 1e-9 - start) / step >= kMaxRangePoints) too_many();
     for (double rate = start; rate <= stop + 1e-9; rate += step) {
+      if (rates.size() == kMaxRangePoints) too_many();
       // Accumulated float error can overshoot stop (0:1:0.05 ends at
       // 1.0000000000000002, which run_sweep would reject); clamp.
       rates.push_back(std::min(rate, stop));
@@ -414,7 +437,7 @@ int main(int argc, char** argv) {
   grid.patterns = {mineq::sim::Pattern::kUniform};
   grid.modes = {mineq::sim::SwitchingMode::kStoreAndForward};
   grid.lane_counts = {1};
-  grid.rates = parse_rates("0.1:1.0:0.1");
+  grid.rates = parse_rates("0.1:1.0:0.1", "--rates");
   grid.base.packet_length = 4;
 
   std::vector<mineq::min::MultiPathKind> fabric_kinds;
@@ -467,7 +490,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--paths") {
         fabric_paths.clear();
         for (const std::string& item : split_list(next_value(i), ',')) {
-          const std::uint64_t paths = parse_u64(item, "path count");
+          const std::uint64_t paths = parse_u64(item, "path count", arg);
           if (paths < 2 || paths > 64) {
             fail("path count must be within [2, 64], got " + item);
           }
@@ -481,7 +504,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--radix" || arg == "--radices") {
         grid.radices.clear();
         for (const std::string& item : split_list(next_value(i), ',')) {
-          const std::uint64_t radix = parse_u64(item, "radix");
+          const std::uint64_t radix = parse_u64(item, "radix", arg);
           // Range-check before narrowing: a huge value must not wrap
           // into the valid [2, 16] window.
           if (radix < 2 || radix > 16) {
@@ -502,21 +525,21 @@ int main(int argc, char** argv) {
       } else if (arg == "--lanes") {
         grid.lane_counts.clear();
         for (const std::string& item : split_list(next_value(i), ',')) {
-          grid.lane_counts.push_back(parse_u64(item, "lane count"));
+          grid.lane_counts.push_back(parse_u64(item, "lane count", arg));
         }
       } else if (arg == "--rates") {
-        grid.rates = parse_rates(next_value(i));
+        grid.rates = parse_rates(next_value(i), arg);
       } else if (arg == "--fault-kinds") {
         fault_kinds.clear();
         for (const std::string& item : split_list(next_value(i), ',')) {
           fault_kinds.push_back(mineq::fault::parse_fault_kind(item));
         }
       } else if (arg == "--fault-rates") {
-        fault_rates = parse_rates(next_value(i));
+        fault_rates = parse_rates(next_value(i), arg);
       } else if (arg == "--fault-seeds") {
         fault_seeds.clear();
         for (const std::string& item : split_list(next_value(i), ',')) {
-          fault_seeds.push_back(parse_u64(item, "fault seed"));
+          fault_seeds.push_back(parse_u64(item, "fault seed", arg));
         }
       } else if (arg == "--burst-on-off") {
         burst_on_off.clear();
@@ -532,7 +555,7 @@ int main(int argc, char** argv) {
         credits_requested = true;
         credit_latencies.clear();
         for (const std::string& item : split_list(next_value(i), ',')) {
-          credit_latencies.push_back(parse_u64(item, "credit latency"));
+          credit_latencies.push_back(parse_u64(item, "credit latency", arg));
         }
       } else if (arg == "--arbitration" || arg == "--arbitrations") {
         credits_requested = true;
@@ -557,22 +580,28 @@ int main(int argc, char** argv) {
       } else if (arg == "--stages") {
         grid.stages = parse_narrow<int>(next_value(i), "stages", arg);
       } else if (arg == "--packet-length") {
-        grid.base.packet_length = parse_u64(next_value(i), "packet length");
+        grid.base.packet_length =
+            parse_u64(next_value(i), "packet length", arg);
       } else if (arg == "--lane-depth") {
-        grid.base.lane_depth = parse_u64(next_value(i), "lane depth");
+        grid.base.lane_depth =
+            parse_u64(next_value(i), "lane depth", arg);
       } else if (arg == "--queue-capacity") {
-        grid.base.queue_capacity = parse_u64(next_value(i), "queue capacity");
+        grid.base.queue_capacity =
+            parse_u64(next_value(i), "queue capacity", arg);
       } else if (arg == "--warmup") {
-        grid.base.warmup_cycles = parse_u64(next_value(i), "warmup cycles");
+        grid.base.warmup_cycles =
+            parse_u64(next_value(i), "warmup cycles", arg);
       } else if (arg == "--measure") {
-        grid.base.measure_cycles = parse_u64(next_value(i), "measure cycles");
+        grid.base.measure_cycles =
+            parse_u64(next_value(i), "measure cycles", arg);
       } else if (arg == "--seed") {
-        grid.base.seed = parse_u64(next_value(i), "seed");
+        grid.base.seed = parse_u64(next_value(i), "seed", arg);
       } else if (arg == "--threads") {
-        threads = parse_u64(next_value(i), "thread count");
+        threads = parse_u64(next_value(i), "thread count", arg,
+                            mineq::sim::SimConfig::kMaxSimThreads);
       } else if (arg == "--sim-threads") {
         grid.base.sim_threads =
-            parse_u64(next_value(i), "per-simulation thread count");
+            parse_u64(next_value(i), "per-simulation thread count", arg);
       } else if (arg == "--workload" || arg == "--workloads") {
         workload_kinds.clear();
         for (const std::string& item : split_list(next_value(i), ',')) {
@@ -583,18 +612,19 @@ int main(int argc, char** argv) {
             parse_narrow<unsigned>(next_value(i), "request-reply window", arg);
       } else if (arg == "--time-compression") {
         time_compression =
-            parse_u64(next_value(i), "trace time-compression factor");
+            parse_u64(next_value(i), "trace time-compression factor", arg);
       } else if (arg == "--trace-in") {
         trace_in_path = next_value(i);
       } else if (arg == "--trace-out-workload") {
         trace_out_workload_path = next_value(i);
       } else if (arg == "--probe-stride") {
-        grid.base.obs.probe_stride = parse_u64(next_value(i), "probe stride");
+        grid.base.obs.probe_stride =
+            parse_u64(next_value(i), "probe stride", arg);
       } else if (arg == "--flow-stats") {
         grid.base.obs.flow_stats = true;
       } else if (arg == "--trace-sample") {
         grid.base.obs.trace_sample =
-            parse_u64(next_value(i), "trace sample rate");
+            parse_u64(next_value(i), "trace sample rate", arg);
       } else if (arg == "--trace-out") {
         trace_path = next_value(i);
       } else if (arg == "--csv") {
