@@ -364,11 +364,15 @@ unsigned Engine::route_port_general(int stage,
   if (stage < 0 || stage >= stages) {
     throw std::invalid_argument("Engine::route_port: stage out of range");
   }
-  const auto radix = static_cast<unsigned>(wiring_.radix());
-  if (stage + 1 == stages) return dest_terminal % radix;
+  // Terminal labels and digit scales are in the logical radix, and a
+  // route group's first out-port is its logical port times the dilation
+  // (both equal to the physical ones on unipath engines).
+  const auto lr = static_cast<unsigned>(logical_radix_);
+  if (stage + 1 == stages) return dest_terminal % lr;
   const unsigned value =
-      (dest_terminal / digit_scale_[static_cast<std::size_t>(stage)]) % radix;
-  return schedule_.port_of_value[static_cast<std::size_t>(stage)][value];
+      (dest_terminal / digit_scale_[static_cast<std::size_t>(stage)]) % lr;
+  return schedule_.port_of_value[static_cast<std::size_t>(stage)][value] *
+         static_cast<unsigned>(dilation_);
 }
 
 namespace {

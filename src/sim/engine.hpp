@@ -24,17 +24,20 @@
 ///    pipeline across stages through multi-lane (virtual-channel) input
 ///    buffers (wormhole.cpp, flit.hpp).
 ///
-/// Each policy is instantiated per fabric geometry — radix 2, general
-/// radix, multipath — and per "does the run use a feature". The binary
-/// instantiation folds the radix to the literal 2 and reads a stage's
-/// scheduled digit and port_of_value[s][0] as a shift and an invert, so
-/// the historic binary hot loops keep their shift/mask code generation,
-/// while the general instantiation divides by the runtime radix. Fault
-/// masks, credit flow control and observers are properties of a run: a
-/// run with none of them takes the plain instantiation, where every
-/// feature test folds away, and any other run takes the featured one,
-/// which tests each at run time. That is six instantiations per
-/// discipline (policy.hpp).
+/// Each policy is instantiated twice per fabric — binary or general —
+/// and twice per "does the run use a feature". A radix-2 unipath banyan
+/// takes the binary instantiation, which folds the radix to the literal
+/// 2, reads a stage's scheduled digit and port_of_value[s][0] as a shift
+/// and an invert, and folds the logical geometry to one plane, dilation
+/// 1 and singleton route groups, so the historic binary hot loops keep
+/// their shift/mask code generation. Every other fabric (general radix,
+/// or multipath at any radix) takes the general instantiation, which
+/// reads the radix and the logical geometry at run time. Fault masks,
+/// credit flow control and observers are properties of a run: a run with
+/// none of them takes the plain instantiation, where every feature test
+/// folds away, and any other run takes the featured one, which tests
+/// each at run time. That is four instantiations per discipline
+/// (policy.hpp).
 
 #pragma once
 
@@ -535,9 +538,12 @@ class Engine {
 
   /// The out-port a packet for \p dest_terminal takes at \p stage: the
   /// scheduled destination digit at inner stages, the terminal's low
-  /// digit at the last (ejection) stage. The radix-2 path is inline — a
-  /// shift and an invert; digit routing and the out-of-range throw live
-  /// out of line (route_port_general).
+  /// digit at the last (ejection) stage. On a multipath engine it is the
+  /// first out-port of the destination's route group (at a free
+  /// connection every port reaches the destination) and the logical
+  /// ejection port. The radix-2 path is inline — a shift and an invert;
+  /// digit routing and the out-of-range throw live out of line
+  /// (route_port_general).
   /// \throws std::invalid_argument on an out-of-range stage.
   [[nodiscard]] unsigned route_port(int stage,
                                     std::uint32_t dest_terminal) const {
@@ -552,7 +558,7 @@ class Engine {
   }
 
  private:
-  /// Digit routing (radix > 2) and the out-of-range throw.
+  /// Digit routing (radix > 2 or dilated) and the out-of-range throw.
   [[nodiscard]] unsigned route_port_general(int stage,
                                             std::uint32_t dest_terminal) const;
   /// Every unipath constructor's last step, once wiring_ is built: adopt

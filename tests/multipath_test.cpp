@@ -195,6 +195,39 @@ std::vector<std::uint32_t> reversal_permutation(std::size_t n) {
 // blocking in BOTH disciplines — every offered packet of the measured
 // window is delivered. A blocking path policy (hash) on the same fabric
 // and permutation cannot do that.
+// Engine::route_port names the first out-port of the destination's route
+// group, so following it from any source, in any plane, reaches the
+// destination's logical cell in that plane.
+TEST(MultiPathSimTest, RoutePortReachesTheDestination) {
+  for (const MultiPathWiring& fabric :
+       {MultiPathWiring::benes(3, 2), MultiPathWiring::benes(3, 3),
+        MultiPathWiring::dilated(NetworkKind::kOmega, 3, 2, 2),
+        MultiPathWiring::dilated(NetworkKind::kBaseline, 3, 3, 2),
+        MultiPathWiring::replicated(NetworkKind::kOmega, 3, 2, 2)}) {
+    const sim::Engine engine{fabric};
+    SCOPED_TRACE(min::multipath_kind_name(fabric.kind()) + " radix " +
+                 std::to_string(engine.radix()));
+    const min::FlatWiring& w = engine.wiring();
+    const auto lr = static_cast<std::uint32_t>(engine.logical_radix());
+    const int last = w.stages() - 1;
+    for (int plane = 0; plane < engine.planes(); ++plane) {
+      const std::uint32_t base =
+          static_cast<std::uint32_t>(plane) * engine.logical_cells();
+      for (std::uint32_t src = 0; src < engine.terminals(); ++src) {
+        for (std::uint32_t dest = 0; dest < engine.terminals(); ++dest) {
+          std::uint32_t cell = base + src / lr;
+          for (int s = 0; s < last; ++s) {
+            cell = w.child(s, cell, engine.route_port(s, dest));
+          }
+          EXPECT_EQ(cell, base + dest / lr)
+              << "plane=" << plane << " src=" << src << " dest=" << dest;
+          EXPECT_EQ(engine.route_port(last, dest), dest % lr);
+        }
+      }
+    }
+  }
+}
+
 TEST(MultiPathSimTest, LoopingSaturatesPermutationStoreAndForward) {
   const sim::Engine engine{MultiPathWiring::benes(3, 2)};
   sim::SimConfig config = quiet_config(1.0);
