@@ -1,7 +1,8 @@
 /// \file bench_obs.cpp
 /// \brief Observability overhead: the compiled-in-but-off dispatch must
-/// be free (it reaches the same kObs=false instantiations the goldens
-/// pin), and each collector's enabled cost is measured per discipline.
+/// be free (with no fault mask or credits either, it reaches the plain
+/// kFeatures=false instantiations the goldens pin), and each collector's
+/// enabled cost is measured per discipline.
 
 #include <chrono>
 #include <cstdint>
@@ -90,8 +91,9 @@ void print_report() {
     }
   }
   std::cout << table.str()
-            << "\n(\"off\" dispatches to the kObs=false instantiations — "
-               "the acceptance gate is <3% vs the pre-obs baselines, "
+            << "\n(\"off\" dispatches to the plain kFeatures=false "
+               "instantiations — the acceptance gate is <3% vs the pre-obs "
+               "baselines, "
                "checked by bench_compare.py against BENCH_sim/"
                "BENCH_wormhole)\n\n";
 }
