@@ -14,6 +14,7 @@
 #include "min/equivalence.hpp"
 #include "min/networks.hpp"
 #include "min/properties.hpp"
+#include "perm/permutation.hpp"
 #include "util/format.hpp"
 #include "util/rng.hpp"
 
@@ -71,6 +72,28 @@ static void BM_EasyCheck(benchmark::State& state) {
   state.SetComplexityN(static_cast<std::int64_t>(g.cells_per_stage()));
 }
 BENCHMARK(BM_EasyCheck)->DenseRange(4, 14, 2)->Complexity();
+
+static void BM_EasyCheckScrambled(benchmark::State& state) {
+  // The full report for an omega with every stage relabelled at random:
+  // arbitrary labels, as a candidate network arrives, on the acceptance
+  // path (the probe, the fused Banyan and P(1,*) sweep, then P(*,n)).
+  const int n = static_cast<int>(state.range(0));
+  const min::MIDigraph omega = min::build_network(min::NetworkKind::kOmega, n);
+  util::SplitMix64 rng(41);
+  std::vector<perm::Permutation> maps;
+  for (int s = 0; s < n; ++s) {
+    maps.push_back(perm::Permutation::random(omega.cells_per_stage(), rng));
+  }
+  const min::MIDigraph g = omega.relabelled(maps);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(min::check_baseline_equivalence(g));
+  }
+  state.SetComplexityN(static_cast<std::int64_t>(g.cells_per_stage()));
+}
+BENCHMARK(BM_EasyCheckScrambled)
+    ->DenseRange(12, 16, 2)
+    ->Unit(benchmark::kMillisecond)
+    ->Complexity();
 
 static void BM_FlatWiringBuild(benchmark::State& state) {
   // Cost of flattening the image tables into the stage-packed IR — the

@@ -196,6 +196,17 @@ struct MaterializedFault {
 
 SweepResult run_sweep(const SweepGrid& grid, std::size_t threads) {
   validate_grid(grid);
+  // Every sweep worker grows its own team of sim_threads threads, so an
+  // explicit fan-out can hold threads x sim_threads OS threads at once.
+  // The product gets the bound one team gets, checked before any thread
+  // starts (validate_grid has made sim_threads >= 1).
+  if (threads > sim::SimConfig::kMaxSimThreads / grid.base.sim_threads) {
+    throw std::invalid_argument(
+        "run_sweep: threads x sim_threads must be <= " +
+        std::to_string(sim::SimConfig::kMaxSimThreads) + ", got threads " +
+        std::to_string(threads) + " x sim_threads " +
+        std::to_string(grid.base.sim_threads));
+  }
 
   // One engine — and with it one min::FlatWiring and one routing
   // schedule — per {network, radix, stages}, built once here and shared

@@ -146,8 +146,10 @@ struct SweepResult {
 /// byte-identical — see SimConfig::sim_threads); the "0 = hardware"
 /// default then divides the sweep fan-out by the per-point team size so
 /// the two levels never oversubscribe the machine, while an explicit
-/// \p threads is honored as given.
-/// \throws std::invalid_argument on an empty axis, an out-of-range rate,
+/// \p threads is honored as given up to the bound below.
+/// \throws std::invalid_argument if \p threads x grid.base.sim_threads
+/// exceeds SimConfig::kMaxSimThreads (each worker runs its own team), on
+/// an empty axis, an out-of-range rate,
 /// an invalid fault spec or burst parameter set, or a pattern/stage-count
 /// mismatch (transpose needs even stages).
 [[nodiscard]] SweepResult run_sweep(const SweepGrid& grid,

@@ -258,19 +258,22 @@ SurvivingPaths batch_paths(const Network& net, std::uint32_t first,
   return out;
 }
 
-/// Every source's paths: source 0's reachability probe first (most
-/// failing networks fail it within a few stages, at the cost of one
-/// source's paths), then every batch of 64 sources through the kernel,
-/// split across \p threads by batch. Returns at the first batch without
-/// full access.
+/// Source 0's reachability probe: most failing networks fail it within a
+/// few stages, at the cost of one source's paths.
+template <typename Network>
+bool probe_source_zero(const Network& net) {
+  std::vector<std::uint64_t> reach = reach_scratch(net);
+  std::vector<std::uint64_t> next = reach_scratch(net);
+  return source_reaches_all(net, 0, reach, next);
+}
+
+/// Every source's paths: the source-0 probe first, then every batch of 64
+/// sources through the kernel, split across \p threads by batch. Returns
+/// at the first batch without full access.
 template <typename Network>
 SurvivingPaths all_paths(const Network& net, std::size_t threads) {
   constexpr bool kMasked = kMaskedNetwork<Network>;
-  {
-    std::vector<std::uint64_t> reach = reach_scratch(net);
-    std::vector<std::uint64_t> next = reach_scratch(net);
-    if (!source_reaches_all(net, 0, reach, next)) return {};
-  }
+  if (!probe_source_zero(net)) return {};
   const std::uint32_t cells = net.cells_per_stage();
   const std::uint32_t batches = (cells + 63) / 64;
   if (threads == 1 || batches == 1) {
@@ -340,6 +343,14 @@ bool is_banyan(const MIDigraph& g, std::size_t threads) {
 bool is_banyan(const FlatWiring& w, std::size_t threads) {
   return with_unpacker(w, [&](auto unpack) {
     return all_paths(WiringView{&w, unpack}, threads).unique;
+  });
+}
+
+bool passes_banyan_probe(const MIDigraph& g) { return probe_source_zero(g); }
+
+bool passes_banyan_probe(const FlatWiring& w) {
+  return with_unpacker(w, [&](auto unpack) {
+    return probe_source_zero(WiringView{&w, unpack});
   });
 }
 

@@ -46,8 +46,17 @@ struct BanyanFailure {
 [[nodiscard]] bool is_banyan(const MIDigraph& g, std::size_t threads = 1);
 
 /// The same check over the stage-packed down records, at any radix.
-/// check_baseline_equivalence(FlatWiring) routes through this.
 [[nodiscard]] bool is_banyan(const FlatWiring& w, std::size_t threads = 1);
+
+/// is_banyan's fail-fast probe alone: source 0 reaches every last-stage
+/// cell exactly once, its reached set growing radix-fold at every stage.
+/// Necessary for the Banyan property, and passing it pins cells ==
+/// radix^(stages-1). check_baseline_equivalence runs it first: it
+/// rejects most non-Banyan networks after one source's paths, and the
+/// survivors take their Banyan verdict from the P(1,*) sweep
+/// (properties.hpp's prefix lemma), or from is_banyan outside P(1,*).
+[[nodiscard]] bool passes_banyan_probe(const MIDigraph& g);
+[[nodiscard]] bool passes_banyan_probe(const FlatWiring& w);
 
 /// First failure witness found, or nullopt if the property holds.
 /// Sequential and deterministic: the per-source path_counts_from DP.

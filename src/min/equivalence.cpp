@@ -9,20 +9,33 @@
 
 namespace mineq::min {
 
-EquivalenceReport check_baseline_equivalence(const FlatWiring& w) {
+namespace {
+
+/// The characterization of a network with valid degrees, over either
+/// representation, fail-fast. Source 0's growth probe rejects most
+/// non-Banyan networks after one source's paths. One prefix DSU sweep
+/// then decides P(1,*) and, under it, the Banyan property (the prefix
+/// lemma in properties.hpp); outside P(1,*) only the path-count kernel
+/// can decide Banyan. The report reads as if Banyan were checked first:
+/// p1_star is set only once Banyan holds.
+template <typename Network>
+EquivalenceReport characterize(const Network& net) {
   EquivalenceReport report;
-  report.valid_degrees = true;  // representable in the IR == valid degrees
-  report.banyan = is_banyan(w);
+  report.valid_degrees = true;
+  if (passes_banyan_probe(net)) {
+    const PrefixSweep prefix = prefix_sweep(net);
+    report.banyan = prefix.p1_star ? prefix.parents_distinct : is_banyan(net);
+    report.p1_star = report.banyan && prefix.p1_star;
+  }
   if (!report.banyan) {
     report.failure = "banyan";
     return report;
   }
-  report.p1_star = satisfies_p1_star(w);
   if (!report.p1_star) {
     report.failure = "P(1,*)";
     return report;
   }
-  report.p_star_n = satisfies_p_star_n(w);
+  report.p_star_n = satisfies_p_star_n(net);
   if (!report.p_star_n) {
     report.failure = "P(*,n)";
     return report;
@@ -31,52 +44,19 @@ EquivalenceReport check_baseline_equivalence(const FlatWiring& w) {
   return report;
 }
 
-namespace {
-
-/// Below this size a whole digraph is a few cache lines and the checks
-/// finish in ~a microsecond; flattening overhead (even ~200ns) cannot
-/// amortize, so small digraphs run entirely off the image tables. From
-/// here up, the IR pays for itself.
-constexpr std::uint32_t kFlattenWorthwhileCells = 128;
-
 }  // namespace
 
+EquivalenceReport check_baseline_equivalence(const FlatWiring& w) {
+  return characterize(w);  // representable in the IR == valid degrees
+}
+
 EquivalenceReport check_baseline_equivalence(const MIDigraph& g) {
-  const bool flatten_profiles = g.cells_per_stage() >= kFlattenWorthwhileCells;
-  // Fail-fast order: the degree scan and the early-exiting Banyan check run
-  // straight off the image tables, so networks that fail (the common
-  // case when classifying random candidates) never pay for flattening.
-  // Only a Banyan survivor at IR-worthwhile size is flattened — once —
-  // and finishes the characterization over the packed records.
-  EquivalenceReport report;
-  report.valid_degrees = g.is_valid();
-  if (!report.valid_degrees) {
+  if (!g.is_valid()) {
+    EquivalenceReport report;
     report.failure = "degrees";
     return report;
   }
-  report.banyan = is_banyan(g);
-  if (!report.banyan) {
-    report.failure = "banyan";
-    return report;
-  }
-  if (flatten_profiles) {
-    const FlatWiring wiring = FlatWiring::from_digraph(g);
-    report.p1_star = satisfies_p1_star(wiring);
-    report.p_star_n = report.p1_star && satisfies_p_star_n(wiring);
-  } else {
-    report.p1_star = satisfies_p1_star(g);
-    report.p_star_n = report.p1_star && satisfies_p_star_n(g);
-  }
-  if (!report.p1_star) {
-    report.failure = "P(1,*)";
-    return report;
-  }
-  if (!report.p_star_n) {
-    report.failure = "P(*,n)";
-    return report;
-  }
-  report.equivalent = true;
-  return report;
+  return characterize(g);
 }
 
 bool is_baseline_equivalent(const MIDigraph& g) {

@@ -13,11 +13,15 @@
 /// an independent connection and the digraph is Banyan, equivalence holds
 /// with no component counting at all.
 ///
-/// Cost: both component profiles are one incremental DSU sweep each,
-/// near-linear in the arcs. The Banyan check is not: it counts paths for
-/// every (source, sink) pair, O(stages * cells^2 * radix / 64) word
-/// operations with 64 sources per word (banyan.hpp), and dominates the
-/// characterization of every network that passes its fail-fast probe.
+/// Cost: near-linear in the arcs. Source 0's growth probe (banyan.hpp)
+/// costs one source's paths and rejects most non-Banyan networks. The
+/// Banyan property is then decided inside the P(1,*) sweep, for one DSU
+/// find per cell per stage: under P(1,*), a valid network is Banyan iff
+/// every cell's parents lie in distinct components of the prefix above
+/// it (the prefix lemma, proved in properties.hpp). P(*,n) is one more
+/// DSU sweep. Only a network that passes the probe but not P(1,*) pays
+/// for the path-count kernel, O(stages * cells^2 * radix / 64) word
+/// operations, because outside P(1,*) the lemma does not apply.
 
 #pragma once
 
@@ -43,17 +47,19 @@ struct EquivalenceReport {
 };
 
 /// Run the full characterization check (degree validity, Banyan, both
-/// component profiles), in that order and fail-fast. The degree scan and
-/// the Banyan check run straight off the image tables; a Banyan survivor
-/// of at least 128 cells per stage is flattened to a FlatWiring once and
-/// the component profiles run over the packed records.
+/// component profiles), fail-fast, and report as if in that order. The
+/// order of work is: the degree scan, source 0's Banyan probe, one
+/// prefix DSU sweep deciding P(1,*) and (under it) Banyan, then the
+/// P(*,n) sweep; is_banyan's path-count kernel runs only for a network
+/// that passes the probe but fails P(1,*). Everything runs straight off
+/// the image tables, at every size.
 [[nodiscard]] EquivalenceReport check_baseline_equivalence(const MIDigraph& g);
 
-/// Same checks over a prebuilt wiring IR — the path for callers that
-/// already hold the FlatWiring (sweeps, repeated classification): no
-/// flattening, the batched Banyan kernel and the DSU component profiles
-/// all consume the packed records. A constructible FlatWiring
-/// is valid by definition, so valid_degrees is always true here.
+/// Same checks, in the same order, over a prebuilt wiring IR at any
+/// radix — the path for callers that already hold the FlatWiring
+/// (sweeps, repeated classification). The prefix sweep compares parents
+/// through the up records. A constructible FlatWiring is valid by
+/// definition, so valid_degrees is always true here.
 [[nodiscard]] EquivalenceReport check_baseline_equivalence(
     const FlatWiring& w);
 

@@ -1,5 +1,6 @@
 #include "min/properties.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -13,6 +14,21 @@ void check_range(const MIDigraph& g, int lo, int hi) {
   if (lo < 0 || hi >= g.stages() || lo > hi) {
     throw std::invalid_argument("P(i,j): bad stage range");
   }
+}
+
+/// Do the counts read 1, radix, radix^2, ... in iteration order? P(*,n)
+/// reads a suffix profile forwards and P(1,*) a prefix profile backwards:
+/// one component at the full range, radix times more per stage dropped.
+/// A mismatch returns before \p expected can outgrow the 32-bit counts
+/// by more than one factor of radix, so it cannot wrap.
+template <typename It>
+bool reads_powers(It first, It last, std::size_t radix) {
+  std::size_t expected = 1;
+  for (; first != last; ++first) {
+    if (*first != expected) return false;
+    expected *= radix;
+  }
+  return true;
 }
 
 }  // namespace
@@ -42,7 +58,18 @@ bool satisfies_p(const MIDigraph& g, int lo, int hi) {
   return component_count_range(g, lo, hi) == expected_components(g, lo, hi);
 }
 
-std::vector<std::size_t> prefix_component_profile(const MIDigraph& g) {
+namespace {
+
+constexpr std::uint32_t kNoRoot = ~std::uint32_t{0};
+
+/// The prefix DSU sweep over the image tables: the component counts of
+/// (G)_{0..j} for j = 0..n-1. With a non-null \p parents_distinct it also
+/// runs the prefix lemma's check (properties.hpp): before each stage's
+/// unions it takes one find per cell and records, per child, the root of
+/// its first parent; the second parent must have another root. The
+/// check needs valid degrees (two parents per child).
+std::vector<std::size_t> table_prefix_profile(const MIDigraph& g,
+                                              bool* parents_distinct) {
   const std::uint32_t cells = g.cells_per_stage();
   // One DSU over the whole digraph; after wiring stage s-1 -> s, the
   // component count over stages 0..s equals the full-DSU count minus the
@@ -51,18 +78,42 @@ std::vector<std::size_t> prefix_component_profile(const MIDigraph& g) {
   std::vector<std::size_t> profile;
   profile.reserve(static_cast<std::size_t>(g.stages()));
   profile.push_back(cells);  // (G)_{0..0}: isolated cells
+  bool distinct = parents_distinct != nullptr;
+  std::vector<std::uint32_t> first_root(distinct ? cells : 0);
   for (int s = 0; s + 1 < g.stages(); ++s) {
     const Connection& conn = g.connection(s);
+    const std::vector<std::uint32_t>& f = conn.f_table();
+    const std::vector<std::uint32_t>& h = conn.g_table();
     const std::uint32_t base = static_cast<std::uint32_t>(s) * cells;
+    if (distinct) {
+      std::fill(first_root.begin(), first_root.end(), kNoRoot);
+      for (std::uint32_t x = 0; x < cells && distinct; ++x) {
+        const std::uint32_t root = dsu.find(base + x);
+        for (const std::uint32_t child : {f[x], h[x]}) {
+          if (first_root[child] == kNoRoot) {
+            first_root[child] = root;
+          } else if (first_root[child] == root) {
+            distinct = false;
+          }
+        }
+      }
+    }
     for (std::uint32_t x = 0; x < cells; ++x) {
-      dsu.unite(base + x, base + cells + conn.f_table()[x]);
-      dsu.unite(base + x, base + cells + conn.g_table()[x]);
+      dsu.unite(base + x, base + cells + f[x]);
+      dsu.unite(base + x, base + cells + h[x]);
     }
     const std::size_t untouched =
         static_cast<std::size_t>(g.stages() - 2 - s) * cells;
     profile.push_back(dsu.components() - untouched);
   }
+  if (parents_distinct != nullptr) *parents_distinct = distinct;
   return profile;
+}
+
+}  // namespace
+
+std::vector<std::size_t> prefix_component_profile(const MIDigraph& g) {
+  return table_prefix_profile(g, nullptr);
 }
 
 std::vector<std::size_t> suffix_component_profile(const MIDigraph& g) {
@@ -85,24 +136,19 @@ std::vector<std::size_t> suffix_component_profile(const MIDigraph& g) {
 
 bool satisfies_p1_star(const MIDigraph& g) {
   const auto profile = prefix_component_profile(g);
-  for (int j = 0; j < g.stages(); ++j) {
-    if (profile[static_cast<std::size_t>(j)] !=
-        (std::size_t{1} << (g.width() - j))) {
-      return false;
-    }
-  }
-  return true;
+  return reads_powers(profile.rbegin(), profile.rend(), 2);
 }
 
 bool satisfies_p_star_n(const MIDigraph& g) {
   const auto profile = suffix_component_profile(g);
-  for (int i = 0; i < g.stages(); ++i) {
-    if (profile[static_cast<std::size_t>(i)] !=
-        (std::size_t{1} << i)) {
-      return false;
-    }
-  }
-  return true;
+  return reads_powers(profile.begin(), profile.end(), 2);
+}
+
+PrefixSweep prefix_sweep(const MIDigraph& g) {
+  PrefixSweep out;
+  const auto profile = table_prefix_profile(g, &out.parents_distinct);
+  out.p1_star = reads_powers(profile.rbegin(), profile.rend(), 2);
+  return out;
 }
 
 namespace {
@@ -123,20 +169,44 @@ void unite_stage(const FlatWiring& w, const Unpack unpack, int s,
   }
 }
 
+/// The prefix DSU sweep over the packed records, the radix-r form of
+/// table_prefix_profile: with a non-null \p parents_distinct, before each
+/// stage's unions it snapshots one root per cell and checks every
+/// child's radix parents (its up records) for a repeated root.
 template <typename Unpack>
 std::vector<std::size_t> wiring_prefix_profile(const FlatWiring& w,
-                                               const Unpack unpack) {
+                                               const Unpack unpack,
+                                               bool* parents_distinct) {
   const std::uint32_t cells = w.cells_per_stage();
+  const unsigned radix = unpack.radix();
   graph::DSU dsu(static_cast<std::size_t>(w.stages()) * cells);
   std::vector<std::size_t> profile;
   profile.reserve(static_cast<std::size_t>(w.stages()));
   profile.push_back(cells);  // (G)_{0..0}: isolated cells
+  bool distinct = parents_distinct != nullptr;
+  std::vector<std::uint32_t> root(distinct ? cells : 0);
   for (int s = 0; s + 1 < w.stages(); ++s) {
-    unite_stage(w, unpack, s, static_cast<std::uint32_t>(s) * cells, dsu);
+    const std::uint32_t base = static_cast<std::uint32_t>(s) * cells;
+    if (distinct) {
+      for (std::uint32_t x = 0; x < cells; ++x) root[x] = dsu.find(base + x);
+      const auto up = w.up_stage(s);
+      for (std::uint32_t y = 0; y < cells && distinct; ++y) {
+        const std::uint32_t* in = up.data() + std::size_t{radix} * y;
+        for (unsigned a = 1; a < radix; ++a) {
+          for (unsigned b = 0; b < a; ++b) {
+            if (root[unpack.cell(in[a])] == root[unpack.cell(in[b])]) {
+              distinct = false;
+            }
+          }
+        }
+      }
+    }
+    unite_stage(w, unpack, s, base, dsu);
     const std::size_t untouched =
         static_cast<std::size_t>(w.stages() - 2 - s) * cells;
     profile.push_back(dsu.components() - untouched);
   }
+  if (parents_distinct != nullptr) *parents_distinct = distinct;
   return profile;
 }
 
@@ -155,12 +225,20 @@ std::vector<std::size_t> wiring_suffix_profile(const FlatWiring& w,
   return profile;
 }
 
+/// Dispatch wiring_prefix_profile on the wiring's radix.
+std::vector<std::size_t> packed_prefix_profile(const FlatWiring& w,
+                                               bool* parents_distinct) {
+  if (w.radix() == 2) {
+    return wiring_prefix_profile(w, UnpackBinary{}, parents_distinct);
+  }
+  return wiring_prefix_profile(
+      w, UnpackRadix{static_cast<unsigned>(w.radix())}, parents_distinct);
+}
+
 }  // namespace
 
 std::vector<std::size_t> prefix_component_profile(const FlatWiring& w) {
-  if (w.radix() == 2) return wiring_prefix_profile(w, UnpackBinary{});
-  return wiring_prefix_profile(
-      w, UnpackRadix{static_cast<unsigned>(w.radix())});
+  return packed_prefix_profile(w, nullptr);
 }
 
 std::vector<std::size_t> suffix_component_profile(const FlatWiring& w) {
@@ -170,25 +248,26 @@ std::vector<std::size_t> suffix_component_profile(const FlatWiring& w) {
 }
 
 bool satisfies_p1_star(const FlatWiring& w) {
+  // Read from the last prefix up, so the geometry itself is checked: the
+  // last prefix is one component and the first has radix^(stages-1)
+  // cells. Disjoint planes (p * radix^(stages-1) cells) end at p.
   const auto profile = prefix_component_profile(w);
-  // P(1, j) demands cells / radix^j components on the prefix; cells is
-  // radix^width by construction, so the division is exact down to 1.
-  std::size_t expected = w.cells_per_stage();
-  for (int j = 0; j < w.stages(); ++j) {
-    if (profile[static_cast<std::size_t>(j)] != expected) return false;
-    if (j + 1 < w.stages()) expected /= static_cast<std::size_t>(w.radix());
-  }
-  return true;
+  return reads_powers(profile.rbegin(), profile.rend(),
+                      static_cast<std::size_t>(w.radix()));
 }
 
 bool satisfies_p_star_n(const FlatWiring& w) {
   const auto profile = suffix_component_profile(w);
-  std::size_t expected = 1;
-  for (int i = 0; i < w.stages(); ++i) {
-    if (profile[static_cast<std::size_t>(i)] != expected) return false;
-    expected *= static_cast<std::size_t>(w.radix());
-  }
-  return true;
+  return reads_powers(profile.begin(), profile.end(),
+                      static_cast<std::size_t>(w.radix()));
+}
+
+PrefixSweep prefix_sweep(const FlatWiring& w) {
+  PrefixSweep out;
+  const auto profile = packed_prefix_profile(w, &out.parents_distinct);
+  out.p1_star = reads_powers(profile.rbegin(), profile.rend(),
+                             static_cast<std::size_t>(w.radix()));
+  return out;
 }
 
 std::size_t component_count_range(const FlatWiring& w, int lo, int hi) {

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "min/banyan.hpp"
 #include "min/baseline.hpp"
+#include "min/kary.hpp"
 #include "min/networks.hpp"
 #include "min/pipid.hpp"
+#include "multipath/multipath_wiring.hpp"
 #include "perm/standard.hpp"
 #include "test_seed.hpp"
 #include "test_support.hpp"
@@ -118,6 +121,41 @@ TEST(PropertiesTest, SuffixStructureCountsNodesExactly) {
     for (std::size_t count : component) total += count;
   }
   EXPECT_EQ(total, static_cast<std::size_t>(3) * g.cells_per_stage());
+}
+
+TEST(PropertiesTest, WiringProfilesNeedOneComponentAtTheFullRange) {
+  // p disjoint planes of a banyan keep every per-plane count, but the
+  // last prefix (and the first suffix) has one component per plane, and
+  // the first prefix has p * 2^(n-1) cells: neither P(1,*) nor P(*,n).
+  for (const int planes : {2, 4}) {
+    const FlatWiring w =
+        MultiPathWiring::replicated(NetworkKind::kOmega, 4, 2, planes)
+            .wiring();
+    EXPECT_EQ(prefix_component_profile(w).back(),
+              static_cast<std::size_t>(planes));
+    EXPECT_FALSE(satisfies_p1_star(w)) << "planes=" << planes;
+    EXPECT_FALSE(satisfies_p_star_n(w)) << "planes=" << planes;
+    EXPECT_FALSE(is_banyan(w)) << "planes=" << planes;
+  }
+  // Benes (7 stages over 8 cells) and dilated (radix 4 over 8 cells)
+  // wirings do not have radix^(stages-1) cells either.
+  for (const FlatWiring& w :
+       {MultiPathWiring::benes(4, 2).wiring(),
+        MultiPathWiring::dilated(NetworkKind::kOmega, 4, 2, 2).wiring()}) {
+    EXPECT_FALSE(satisfies_p1_star(w)) << "radix " << w.radix();
+    EXPECT_FALSE(satisfies_p_star_n(w)) << "radix " << w.radix();
+  }
+  for (const NetworkKind kind : all_network_kinds()) {
+    const FlatWiring w = FlatWiring::from_digraph(build_network(kind, 4));
+    EXPECT_TRUE(satisfies_p1_star(w)) << network_name(kind);
+    EXPECT_TRUE(satisfies_p_star_n(w)) << network_name(kind);
+  }
+  for (const NetworkKind kind :
+       {NetworkKind::kOmega, NetworkKind::kFlip, NetworkKind::kBaseline}) {
+    const FlatWiring w = FlatWiring::from_kary(build_kary_network(kind, 4, 3));
+    EXPECT_TRUE(satisfies_p1_star(w)) << network_name(kind) << " radix 3";
+    EXPECT_TRUE(satisfies_p_star_n(w)) << network_name(kind) << " radix 3";
+  }
 }
 
 }  // namespace

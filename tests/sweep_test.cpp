@@ -458,6 +458,12 @@ TEST(SweepTest, ValidationErrors) {
   bad_map.sl_map = {5};
   grid.credits = {bad_map};
   EXPECT_THROW((void)run_sweep(grid, 1), std::invalid_argument);
+
+  // Every worker grows its own sim team: an explicit fan-out times the
+  // team size is bounded like one team, before any thread starts.
+  grid = small_grid();
+  grid.base.sim_threads = 17;
+  EXPECT_THROW((void)run_sweep(grid, 16), std::invalid_argument);
 }
 
 }  // namespace

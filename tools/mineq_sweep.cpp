@@ -186,7 +186,8 @@ Fixed parameters:
   --sim-threads N     shard each simulation over N threads     [1]
                       (byte-identical to serial; the default
                       sweep fan-out divides itself by N so the
-                      two levels never oversubscribe)
+                      two levels never oversubscribe; an
+                      explicit --threads times N is <= 256)
   --rr-window N       closed-loop: max outstanding (un-replied)
                       requests per client                      [4]
   --trace-in FILE     workload trace to replay (line format:
