@@ -215,10 +215,9 @@ SweepResult run_sweep(const SweepGrid& grid, std::size_t threads) {
   // remains: a point only touches its own RNG streams and payload pools.
   // Kinds with a closed-form construction (omega, flip, baseline) build
   // through it at every radix, radix 2 included: the attached schedule
-  // skips recovery, so set-up stays linear at any stage count (and the
-  // radix-2 wiring and schedule equal the binary path's). The other
-  // kinds exist only at radix 2 and recover their schedule from the
-  // binary tables, under the Engine's cell budget.
+  // skips recovery (and the radix-2 wiring and schedule equal the binary
+  // path's). The other kinds exist only at radix 2 and recover their
+  // schedule from the binary tables in one linear pass.
   const std::size_t radix_count = grid.radices.size();
   std::vector<std::unique_ptr<sim::Engine>> engines;
   engines.reserve(grid.networks.size() * radix_count);

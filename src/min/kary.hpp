@@ -153,9 +153,7 @@ class KaryMIDigraph {
 
   /// Attach a known-correct digit routing schedule. The closed-form
   /// constructions (build_kary_network) attach theirs, so sim::Engine
-  /// skips the exponential find_digit_schedule search entirely — and
-  /// with it the kMaxDigitScheduleCells cap, which only ever gated the
-  /// search, not the simulation.
+  /// adopts it instead of recovering one with find_digit_schedule.
   /// \throws std::invalid_argument on radix mismatch or wrong stage
   /// count (stages() - 1 routing digits).
   void attach_schedule(DigitSchedule schedule);

@@ -1,5 +1,6 @@
 #include "min/routing.hpp"
 
+#include <numeric>
 #include <stdexcept>
 
 #include "util/bitops.hpp"
@@ -46,48 +47,13 @@ std::optional<Route> find_route(const MIDigraph& g, std::uint32_t source,
 }
 
 std::optional<BitSchedule> find_bit_schedule(const MIDigraph& g) {
-  const std::uint32_t cells = g.cells_per_stage();
-  const int n = g.stages();
-  const int w = g.width();
-  if (n < 2) return BitSchedule{};
-
-  // Candidate (bit, invert) per stage: start with all and intersect over
-  // observed routes.
-  std::vector<std::vector<char>> alive(
-      static_cast<std::size_t>(n - 1),
-      std::vector<char>(static_cast<std::size_t>(2 * std::max(w, 1)), 1));
-
-  for (std::uint32_t src = 0; src < cells; ++src) {
-    for (std::uint32_t dst = 0; dst < cells; ++dst) {
-      const auto route = find_route(g, src, dst);
-      if (!route.has_value()) return std::nullopt;
-      for (int s = 0; s + 1 < n; ++s) {
-        auto& stage_alive = alive[static_cast<std::size_t>(s)];
-        const unsigned port = route->ports[static_cast<std::size_t>(s)];
-        for (int b = 0; b < w; ++b) {
-          const unsigned bit = util::get_bit(dst, b);
-          if (bit != port) stage_alive[static_cast<std::size_t>(2 * b)] = 0;
-          if ((bit ^ 1U) != port) {
-            stage_alive[static_cast<std::size_t>(2 * b + 1)] = 0;
-          }
-        }
-      }
-    }
-  }
-
+  if (!g.is_valid()) return std::nullopt;
+  const auto digits = find_digit_schedule(FlatWiring::from_digraph(g));
+  if (!digits.has_value()) return std::nullopt;
   BitSchedule schedule;
-  for (int s = 0; s + 1 < n; ++s) {
-    const auto& stage_alive = alive[static_cast<std::size_t>(s)];
-    int chosen = -1;
-    for (int b = 0; b < w && chosen < 0; ++b) {
-      if (stage_alive[static_cast<std::size_t>(2 * b)] != 0) chosen = 2 * b;
-      else if (stage_alive[static_cast<std::size_t>(2 * b + 1)] != 0) {
-        chosen = 2 * b + 1;
-      }
-    }
-    if (chosen < 0) return std::nullopt;
-    schedule.bit.push_back(chosen / 2);
-    schedule.invert.push_back(static_cast<unsigned>(chosen & 1));
+  schedule.bit = digits->digit;
+  for (const std::vector<unsigned>& map : digits->port_of_value) {
+    schedule.invert.push_back(map[0]);
   }
   return schedule;
 }
@@ -129,121 +95,96 @@ std::optional<DigitSchedule> find_digit_schedule(const FlatWiring& w) {
   const auto radix = static_cast<unsigned>(w.radix());
   const std::uint32_t cells = w.cells_per_stage();
   const int n = w.stages();
+  // One sink per port sequence: with more sinks, each source misses
+  // some; with fewer, two sequences share a sink and the map cannot be
+  // a bijection.
+  std::uint64_t sequences = 1;
+  for (int s = 0; s + 1 < n && sequences <= cells; ++s) sequences *= radix;
+  if (sequences != cells) return std::nullopt;
+
   DigitSchedule schedule;
   schedule.radix = w.radix();
-  if (n < 2) return schedule;
-  const int digits = n - 1;
-
-  // Per (stage, sink): the single out-port every on-path cell takes
-  // toward the sink, via one backward reachability sweep per sink.
-  std::vector<std::vector<unsigned>> port(
-      static_cast<std::size_t>(n - 1), std::vector<unsigned>(cells, 0));
-  std::vector<std::vector<char>> reach(
-      static_cast<std::size_t>(n), std::vector<char>(cells, 0));
-  for (std::uint32_t sink = 0; sink < cells; ++sink) {
-    for (auto& row : reach) std::fill(row.begin(), row.end(), 0);
-    reach[static_cast<std::size_t>(n - 1)][sink] = 1;
-    for (int s = n - 2; s >= 0; --s) {
-      const auto& next = reach[static_cast<std::size_t>(s + 1)];
-      auto& here = reach[static_cast<std::size_t>(s)];
-      for (std::uint32_t x = 0; x < cells; ++x) {
-        for (unsigned t = 0; t < radix; ++t) {
-          if (next[w.child(s, x, t)] != 0) {
-            here[x] = 1;
-            break;
-          }
+  schedule.digit.resize(static_cast<std::size_t>(n - 1));
+  schedule.port_of_value.resize(static_cast<std::size_t>(n - 1));
+  // label[x]: the sinks cell x reaches, as the cylinder of sink labels
+  // that agree with label[x] on every digit no later stage schedules
+  // (those digits are zero in label[x]). Stage n - 1 reaches itself.
+  std::vector<std::uint32_t> label(cells);
+  std::vector<std::uint32_t> next(cells);
+  std::iota(label.begin(), label.end(), 0U);
+  for (int s = n - 2; s >= 0; --s) {
+    // Cell 0's first two children name the stage's digit: the lowest one
+    // they differ in (any other difference fails the per-cell check).
+    const std::uint32_t first = label[w.child(s, 0, 0)];
+    const std::uint32_t second = label[w.child(s, 0, 1)];
+    if (first == second) return std::nullopt;
+    int digit = 0;
+    while ((first / digit_scale(radix, digit)) % radix ==
+           (second / digit_scale(radix, digit)) % radix) {
+      ++digit;
+    }
+    const std::uint32_t scale = digit_scale(radix, digit);
+    std::vector<unsigned> value_of_port(radix);
+    std::vector<unsigned> port_of_value(radix, radix);
+    for (unsigned t = 0; t < radix; ++t) {
+      const unsigned value = (label[w.child(s, 0, t)] / scale) % radix;
+      if (port_of_value[value] != radix) return std::nullopt;
+      port_of_value[value] = t;
+      value_of_port[t] = value;
+    }
+    // Every cell's children must agree off the digit and take cell 0's
+    // value per port on it; the cell reaches their union.
+    for (std::uint32_t x = 0; x < cells; ++x) {
+      const std::uint32_t any = label[w.child(s, x, 0)];
+      const std::uint32_t rest = any - (any / scale) % radix * scale;
+      for (unsigned t = 0; t < radix; ++t) {
+        if (label[w.child(s, x, t)] != rest + value_of_port[t] * scale) {
+          return std::nullopt;
         }
       }
+      next[x] = rest;
     }
-    for (std::uint32_t src = 0; src < cells; ++src) {
-      if (reach[0][src] == 0) return std::nullopt;  // no full access
-    }
-    // Destination-tag routing means the port toward `sink` at stage s is
-    // the same from every on-path cell; with multiple valid ports the
-    // lexicographically first is fitted (exact for unique-path fabrics).
-    for (int s = 0; s + 1 < n; ++s) {
-      const auto& here = reach[static_cast<std::size_t>(s)];
-      const auto& next = reach[static_cast<std::size_t>(s + 1)];
-      int chosen = -1;
-      for (std::uint32_t x = 0; x < cells; ++x) {
-        if (here[x] == 0) continue;
-        int first = -1;
-        for (unsigned t = 0; t < radix; ++t) {
-          if (next[w.child(s, x, t)] != 0) {
-            first = static_cast<int>(t);
-            break;
-          }
-        }
-        if (chosen < 0) {
-          chosen = first;
-        } else if (chosen != first) {
-          return std::nullopt;  // port depends on the current cell
-        }
-      }
-      port[static_cast<std::size_t>(s)][sink] =
-          static_cast<unsigned>(chosen);
-    }
-  }
-
-  // Fit one destination digit (and its value-to-port map) per stage.
-  std::vector<std::uint32_t> power(static_cast<std::size_t>(digits), 1);
-  for (int i = 1; i < digits; ++i) {
-    power[static_cast<std::size_t>(i)] =
-        power[static_cast<std::size_t>(i - 1)] * radix;
-  }
-  for (int s = 0; s + 1 < n; ++s) {
-    const auto& stage_port = port[static_cast<std::size_t>(s)];
-    bool fitted = false;
-    for (int i = 0; i < digits && !fitted; ++i) {
-      std::vector<int> map(radix, -1);
-      bool ok = true;
-      for (std::uint32_t sink = 0; sink < cells && ok; ++sink) {
-        const unsigned value =
-            (sink / power[static_cast<std::size_t>(i)]) % radix;
-        if (map[value] < 0) {
-          map[value] = static_cast<int>(stage_port[sink]);
-        } else if (map[value] != static_cast<int>(stage_port[sink])) {
-          ok = false;
-        }
-      }
-      if (!ok) continue;
-      schedule.digit.push_back(i);
-      std::vector<unsigned> values(radix, 0);
-      for (unsigned v = 0; v < radix; ++v) {
-        values[v] = static_cast<unsigned>(map[v]);
-      }
-      schedule.port_of_value.push_back(std::move(values));
-      fitted = true;
-    }
-    if (!fitted) return std::nullopt;  // not digit-routable
+    label.swap(next);
+    schedule.digit[static_cast<std::size_t>(s)] = digit;
+    schedule.port_of_value[static_cast<std::size_t>(s)] =
+        std::move(port_of_value);
   }
   return schedule;
 }
 
+namespace {
+
+/// The out-port toward \p sink at every stage. A destination-tag
+/// schedule reads it off the sink alone, whatever cell a packet is in.
+std::vector<unsigned> ports_toward(const FlatWiring& w,
+                                   const DigitSchedule& schedule,
+                                   std::uint32_t sink) {
+  const auto hops = static_cast<std::size_t>(w.stages() - 1);
+  if (schedule.radix != w.radix() || schedule.digit.size() != hops ||
+      schedule.port_of_value.size() != hops) {
+    throw std::invalid_argument(
+        "digit schedule does not match the wiring's radix or stages");
+  }
+  const auto radix = static_cast<unsigned>(w.radix());
+  std::vector<unsigned> ports(hops);
+  for (std::size_t s = 0; s < hops; ++s) {
+    const unsigned value =
+        (sink / digit_scale(radix, schedule.digit[s])) % radix;
+    ports[s] = schedule.port_of_value[s][value];
+  }
+  return ports;
+}
+
+}  // namespace
+
 std::vector<std::uint32_t> route_with_digit_schedule(
     const FlatWiring& w, const DigitSchedule& schedule, std::uint32_t source,
     std::uint32_t sink) {
-  const int n = w.stages();
-  if (schedule.radix != w.radix() ||
-      schedule.digit.size() != static_cast<std::size_t>(n - 1) ||
-      schedule.port_of_value.size() != static_cast<std::size_t>(n - 1)) {
-    throw std::invalid_argument("route_with_digit_schedule: schedule arity");
-  }
-  const auto radix = static_cast<unsigned>(w.radix());
-  std::vector<std::uint32_t> cells_visited;
-  cells_visited.reserve(static_cast<std::size_t>(n));
-  cells_visited.push_back(source);
-  std::uint32_t x = source;
-  for (int s = 0; s + 1 < n; ++s) {
-    std::uint32_t scale = 1;
-    for (int i = 0; i < schedule.digit[static_cast<std::size_t>(s)]; ++i) {
-      scale *= radix;
-    }
-    const unsigned value = (sink / scale) % radix;
-    const unsigned port =
-        schedule.port_of_value[static_cast<std::size_t>(s)][value];
-    x = w.child(s, x, port);
-    cells_visited.push_back(x);
+  const std::vector<unsigned> ports = ports_toward(w, schedule, sink);
+  std::vector<std::uint32_t> cells_visited = {source};
+  for (std::size_t s = 0; s < ports.size(); ++s) {
+    cells_visited.push_back(
+        w.child(static_cast<int>(s), cells_visited.back(), ports[s]));
   }
   return cells_visited;
 }
@@ -251,11 +192,14 @@ std::vector<std::uint32_t> route_with_digit_schedule(
 bool verify_digit_schedule(const FlatWiring& w,
                            const DigitSchedule& schedule) {
   const std::uint32_t cells = w.cells_per_stage();
-  for (std::uint32_t src = 0; src < cells; ++src) {
-    for (std::uint32_t dst = 0; dst < cells; ++dst) {
-      if (route_with_digit_schedule(w, schedule, src, dst).back() != dst) {
-        return false;
+  for (std::uint32_t sink = 0; sink < cells; ++sink) {
+    const std::vector<unsigned> ports = ports_toward(w, schedule, sink);
+    for (std::uint32_t source = 0; source < cells; ++source) {
+      std::uint32_t x = source;
+      for (std::size_t s = 0; s < ports.size(); ++s) {
+        x = w.child(static_cast<int>(s), x, ports[s]);
       }
+      if (x != sink) return false;
     }
   }
   return true;

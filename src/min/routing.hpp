@@ -42,9 +42,13 @@ struct BitSchedule {
   std::vector<unsigned> invert; ///< stages()-1 entries
 };
 
-/// Recover a destination-bit schedule valid for *all* (source, sink)
-/// pairs, or nullopt if the network has none. Exhaustive over pairs:
-/// O(cells^2 * stages) — intended for n up to ~10 in tests/benches.
+/// Recover the destination-bit schedule valid for *all* (source, sink)
+/// pairs, or nullopt if the network has none: the r = 2 reading of
+/// find_digit_schedule over FlatWiring::from_digraph(g), with bit = digit
+/// and invert = port_of_value[s][0]. O(stages * cells). A graph with a
+/// cell whose in-degree is not 2 (!g.is_valid()) returns nullopt, even
+/// where its unique paths would follow a bit schedule: FlatWiring cannot
+/// hold it.
 [[nodiscard]] std::optional<BitSchedule> find_bit_schedule(const MIDigraph& g);
 
 /// Apply a schedule: route from \p source to \p sink by reading ports off
@@ -75,26 +79,47 @@ struct DigitSchedule {
   friend bool operator==(const DigitSchedule&, const DigitSchedule&) = default;
 };
 
-/// Recover a destination-digit schedule valid for *all* (source, sink)
-/// pairs of \p w, or nullopt if none exists (no full access, the port
-/// toward some sink depends on the current cell, or the per-stage port
-/// choice does not factor through a single destination digit). For
-/// Banyan digit-routable fabrics (k-ary Omega/Flip/Baseline) this is
-/// exact; with multiple paths the lexicographically-first port choice is
-/// fitted, which may reject exotic multipath fabrics that another choice
-/// would admit. O(cells^2 * stages * radix) — intended for simulator
-/// construction at n up to ~10.
+/// radix^digit: the divisor that extracts base-radix digit \p digit of a
+/// cell label, (label / scale) % radix. Terminal labels carry one more
+/// (low) digit, so their scale is this times the radix.
+[[nodiscard]] constexpr std::uint32_t digit_scale(unsigned radix,
+                                                  int digit) noexcept {
+  std::uint32_t scale = 1;
+  for (int i = 0; i < digit; ++i) scale *= radix;
+  return scale;
+}
+
+/// Recover the destination-digit schedule valid for *all* (source, sink)
+/// pairs of \p w, or nullopt if none exists. One backward pass over the
+/// stages, O(stages * cells * radix):
+///  - every cell carries the set of sinks it reaches as a label: the
+///    sinks agreeing with it on the digits no later stage schedules
+///    (Patel's delta-network cylinder; scheduled digits are zeroed);
+///  - at stage s, every cell's radix children must agree on all digits
+///    but one, d, and take every value there. d and its value -> port
+///    map must be the same for the whole stage; the cell's label is its
+///    children's with d zeroed.
+/// Exact: from one source, distinct sinks need distinct port sequences,
+/// and there are radix^(stages-1) of each, so a schedule that routes
+/// every pair makes the network Banyan. Its digit and value map per stage
+/// are then unique, every map is a bijection, and the pass finds them.
+/// Wirings with cells_per_stage() != radix^(stages-1) (the Benes and
+/// dilated multipath wirings among them) return nullopt, even where a
+/// schedule whose value maps are not bijections would route every pair.
 [[nodiscard]] std::optional<DigitSchedule> find_digit_schedule(
     const FlatWiring& w);
 
 /// Apply a digit schedule over the wiring: the cells visited from
 /// \p source routing toward \p sink.
+/// \throws std::invalid_argument if the schedule's radix or length does
+/// not match \p w.
 [[nodiscard]] std::vector<std::uint32_t> route_with_digit_schedule(
     const FlatWiring& w, const DigitSchedule& schedule, std::uint32_t source,
     std::uint32_t sink);
 
 /// Check a digit schedule delivers every (source, sink) pair
-/// (exhaustive).
+/// (exhaustive, O(cells^2 * stages)).
+/// \throws std::invalid_argument as route_with_digit_schedule does.
 [[nodiscard]] bool verify_digit_schedule(const FlatWiring& w,
                                          const DigitSchedule& schedule);
 

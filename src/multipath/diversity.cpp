@@ -3,6 +3,8 @@
 #include <limits>
 #include <vector>
 
+#include "min/routing.hpp"
+
 namespace mineq::multipath {
 
 namespace {
@@ -28,12 +30,6 @@ std::uint64_t min_path_diversity(const min::MultiPathWiring& fabric,
   const min::DigitSchedule& schedule = fabric.schedule();
   const std::vector<std::uint8_t>& free_stage = fabric.free_stage();
 
-  // Destination-digit scales, mirroring the engine's routing arithmetic.
-  std::vector<std::uint32_t> digit_scale(schedule.digit.size(), 1);
-  for (std::size_t s = 0; s < schedule.digit.size(); ++s) {
-    for (int i = 0; i < schedule.digit[s]; ++i) digit_scale[s] *= lr;
-  }
-
   std::uint64_t overall_min = std::numeric_limits<std::uint64_t>::max();
   std::vector<std::uint64_t> npaths(cells);
   std::vector<std::uint64_t> next(cells);
@@ -53,8 +49,8 @@ std::uint64_t min_path_diversity(const min::MultiPathWiring& fabric,
       unsigned group_base = 0;
       unsigned group_count = physical_radix;
       if (!free_stage[static_cast<std::size_t>(s)]) {
-        const unsigned value =
-            (dest_cell / digit_scale[static_cast<std::size_t>(s)]) % lr;
+        const int digit = schedule.digit[static_cast<std::size_t>(s)];
+        const unsigned value = (dest_cell / min::digit_scale(lr, digit)) % lr;
         group_base =
             schedule.port_of_value[static_cast<std::size_t>(s)][value] *
             dilation;

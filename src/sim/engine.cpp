@@ -216,20 +216,13 @@ void SimConfig::validate() const {
 
 namespace {
 
-/// Schedule recovery is O(cells^2 * stages * radix) — "intended for n up
-/// to ~10" (routing.hpp). Past this many cells per stage that stops being
-/// seconds and becomes an apparent hang, so construction rejects the
-/// geometry with advice instead of stalling (radix 2 wants stages <= 13,
-/// radix 8 stages <= 5, radix 16 stages <= 4).
-constexpr std::uint32_t kMaxRecoveryCells = 4096;
-
 /// Structural sanity of a digit schedule: the arity must match the
 /// fabric and every per-stage map must be a bijection of the ports.
-/// Deliberately O(stages * radix) — the whole point of attaching a
-/// closed-form schedule is skipping the O(cells^2 * stages * radix)
-/// recovery, so routing correctness is the construction's contract
-/// (pinned against min::verify_digit_schedule at small sizes in the
-/// tests), not re-proved per Engine.
+/// Deliberately O(stages * radix): re-proving that an attached schedule
+/// routes costs min::verify_digit_schedule's O(cells^2 * stages), so
+/// routing correctness is the construction's contract (pinned against
+/// verify_digit_schedule at small sizes in the tests), not re-proved per
+/// Engine.
 void check_schedule(const min::DigitSchedule& schedule, int stages,
                     int radix) {
   const auto hops = static_cast<std::size_t>(stages - 1);
@@ -266,16 +259,6 @@ void check_schedule(const min::DigitSchedule& schedule, int stages,
 /// The one recovery path for wirings without an attached schedule
 /// (binary MI-digraphs and bare KaryMIDigraphs alike).
 min::DigitSchedule recover_schedule(const min::FlatWiring& wiring) {
-  if (wiring.cells_per_stage() > kMaxRecoveryCells) {
-    throw std::invalid_argument(
-        "Engine: radix-" + std::to_string(wiring.radix()) + " fabric with " +
-        std::to_string(wiring.cells_per_stage()) +
-        " cells per stage exceeds the digit-schedule recovery budget (" +
-        std::to_string(kMaxRecoveryCells) +
-        " cells); reduce stages or radix, or build the fabric through "
-        "the closed-form min::build_kary_network constructors, which "
-        "attach their digit schedules and skip recovery entirely");
-  }
   auto schedule = min::find_digit_schedule(wiring);
   if (!schedule.has_value()) {
     throw std::invalid_argument(
@@ -290,14 +273,11 @@ min::DigitSchedule recover_schedule(const min::FlatWiring& wiring) {
 /// scale is at most the cell count and fits in 32 bits.
 std::vector<std::uint32_t> digit_scales(const min::DigitSchedule& schedule,
                                         int radix) {
+  const auto r = static_cast<unsigned>(radix);
   std::vector<std::uint32_t> scales;
   scales.reserve(schedule.digit.size());
   for (const int digit : schedule.digit) {
-    std::uint32_t scale = 1;
-    for (int i = 0; i <= digit; ++i) {
-      scale *= static_cast<std::uint32_t>(radix);
-    }
-    scales.push_back(scale);
+    scales.push_back(min::digit_scale(r, digit) * r);
   }
   return scales;
 }
@@ -306,8 +286,7 @@ std::vector<std::uint32_t> digit_scales(const min::DigitSchedule& schedule,
 
 void Engine::init_unipath(const std::optional<min::DigitSchedule>& attached) {
   // A closed-form schedule attached by the construction (the built-in
-  // omega/flip/baseline kinds at any radix) needs no recovery and no
-  // size cap — the budget only gates truly unknown wirings.
+  // omega/flip/baseline kinds at any radix) needs no recovery.
   schedule_ = attached.has_value() ? *attached : recover_schedule(wiring_);
   check_schedule(schedule_, wiring_.stages(), wiring_.radix());
   digit_scale_ = digit_scales(schedule_, wiring_.radix());

@@ -433,22 +433,19 @@ class Engine {
  public:
   /// A radix-2 engine over a binary MI-digraph: flattens through
   /// min::FlatWiring::from_digraph and recovers the destination-digit
-  /// schedule (the digit form of the historic destination-bit schedule).
-  /// Recovery is O(cells^2 * stages) and budgeted at 4096 cells per stage
-  /// (stages <= 13); larger omega/flip/baseline fabrics build through
-  /// min::build_kary_network, whose attached schedules skip recovery.
-  /// \throws std::invalid_argument if the network is invalid, has no
-  /// digit schedule, or exceeds the recovery budget.
+  /// schedule (the digit form of the historic destination-bit schedule)
+  /// with min::find_digit_schedule's O(stages * cells) pass, at any size.
+  /// \throws std::invalid_argument if the network is invalid or has no
+  /// digit schedule.
   explicit Engine(const min::MIDigraph& network);
 
   /// A radix-r engine over a KaryMIDigraph: flattens through
   /// min::FlatWiring::from_kary and adopts the schedule the construction
   /// attached (after a structural check), else recovers one exactly as
-  /// the MIDigraph constructor does, under the same cell budget. A
-  /// radix-2 KaryMIDigraph runs byte-identically to the MIDigraph engine
-  /// over the same tables.
+  /// the MIDigraph constructor does. A radix-2 KaryMIDigraph runs
+  /// byte-identically to the MIDigraph engine over the same tables.
   /// \throws std::invalid_argument if the network is invalid, its
-  /// attached schedule is malformed, or recovery fails or is over budget.
+  /// attached schedule is malformed, or recovery fails.
   explicit Engine(const min::KaryMIDigraph& network);
 
   /// An engine over a multipath fabric: packets carry *logical* terminal

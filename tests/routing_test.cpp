@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "min/banyan.hpp"
 #include "min/baseline.hpp"
 #include "min/networks.hpp"
@@ -100,6 +102,18 @@ TEST(RoutingTest, NonBanyanHasNoSchedule) {
       3, perm::IndexPermutation::identity(4));
   const MIDigraph g = network_from_pipids(seq);
   EXPECT_FALSE(find_bit_schedule(g).has_value());
+}
+
+TEST(RoutingTest, InvalidDegreesHaveNoSchedule) {
+  // Stage-1 cell 0 has in-degree 3 and cell 2 in-degree 1, yet every
+  // pair has one path and bits 1, 0 would route it. FlatWiring cannot
+  // hold the graph, so the schedule search returns nullopt, not a throw.
+  const MIDigraph g(3, {Connection({0, 0, 0, 2}, {1, 1, 3, 3}, 2),
+                        Connection({0, 2, 0, 2}, {1, 3, 1, 3}, 2)});
+  ASSERT_FALSE(g.is_valid());
+  std::optional<BitSchedule> schedule;
+  EXPECT_NO_THROW(schedule = find_bit_schedule(g));
+  EXPECT_FALSE(schedule.has_value());
 }
 
 TEST(RoutingTest, ScheduleArityValidated) {

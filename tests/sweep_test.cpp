@@ -194,8 +194,8 @@ TEST(SweepTest, RadixAxisExpandsTheGridAndStaysDeterministic) {
   EXPECT_EQ(sweep_json(run_sweep(grid, 1)), sweep_json(run_sweep(grid, 5)));
 
   // Closed-form kinds build through their construction at radix 2 too:
-  // an omega at 14 stages (8192 cells per stage, past the schedule-
-  // recovery budget) sets up without any recovery and runs.
+  // an omega at 14 stages (8192 cells per stage) sets up from its
+  // attached schedule, without recovery, and runs.
   SweepGrid deep = small_grid();
   deep.networks = {min::NetworkKind::kOmega};
   deep.radices = {2};

@@ -24,6 +24,21 @@ inline min::MIDigraph scrambled_copy(const min::MIDigraph& g,
   return g.relabelled(maps);
 }
 
+/// A copy of \p g with stages 0 .. stages-2 relabelled by independent
+/// random permutations and the last stage kept. Routing reads only sink
+/// labels, so the copy has a destination-tag schedule iff \p g has one,
+/// and it is the same schedule.
+inline min::MIDigraph delta_copy(const min::MIDigraph& g,
+                                 util::SplitMix64& rng) {
+  std::vector<perm::Permutation> maps;
+  maps.reserve(static_cast<std::size_t>(g.stages()));
+  for (int s = 0; s + 1 < g.stages(); ++s) {
+    maps.push_back(perm::Permutation::random(g.cells_per_stage(), rng));
+  }
+  maps.emplace_back(g.cells_per_stage());
+  return g.relabelled(maps);
+}
+
 /// A random Banyan network built from independent connections: resample
 /// until the Banyan property holds (Theorem 3 instances).
 inline min::MIDigraph random_banyan_independent(int stages,
