@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "fault/fault_mask.hpp"
@@ -643,6 +645,186 @@ TEST(GoldenSimTest, WormholeClosedLoopRecorded) {
                   0.55204687500000005, 0.28269062500000008});
   expect_closed_loop_pins(
       r, {4617, 0, 30.148328690807791, 1436, 0.19312499999999999, 3588});
+}
+
+// Guard pins for the request-mask arbitration, captured from the
+// simulator as it stood when every output port probed its candidates one
+// by one: strict priority over store-and-forward credits, weighted
+// wormhole credits on the first-idle-lane path, wormhole adaptive
+// multipath, eject arbiters wider than one 64-bit word, and wormhole
+// ports with 68 candidate lanes.
+
+/// omega n = 5, store-and-forward: strict priority over two service
+/// levels, 2-cycle credit return, probes on.
+SimResult run_saf_priority_credits() {
+  const Engine engine(min::build_network(min::NetworkKind::kOmega, 5));
+  SimConfig config;
+  config.injection_rate = 0.8;
+  config.packet_length = 2;
+  config.queue_capacity = 3;
+  config.warmup_cycles = 100;
+  config.measure_cycles = 400;
+  config.seed = 61;
+  config.credits.enabled = true;
+  config.credits.return_latency = 2;
+  config.credits.arbitration = ArbitrationPolicy::kPriority;
+  config.credits.sl_map = {0, 1};
+  config.credits.weights = {3, 1};
+  config.obs.probe_stride = 50;
+  return engine.run(Pattern::kUniform, config);
+}
+
+/// omega n = 5, wormhole, 2 lanes: weighted arbitration with no SL->VL
+/// map, so worms claim the first idle lane; 2-cycle credit return,
+/// probes on.
+SimResult run_wormhole_weighted_credits() {
+  const Engine engine(min::build_network(min::NetworkKind::kOmega, 5));
+  SimConfig config;
+  config.mode = SwitchingMode::kWormhole;
+  config.injection_rate = 0.6;
+  config.packet_length = 4;
+  config.lanes = 2;
+  config.lane_depth = 2;
+  config.warmup_cycles = 100;
+  config.measure_cycles = 400;
+  config.seed = 67;
+  config.credits.enabled = true;
+  config.credits.return_latency = 2;
+  config.credits.arbitration = ArbitrationPolicy::kWeighted;
+  config.credits.weights = {3};
+  config.obs.probe_stride = 50;
+  return engine.run(Pattern::kUniform, config);
+}
+
+/// dilated(omega, 4, 2, 2), wormhole, adaptive, plain.
+SimResult run_dilated_wormhole_adaptive() {
+  const Engine engine{
+      min::MultiPathWiring::dilated(min::NetworkKind::kOmega, 4, 2, 2)};
+  SimConfig config;
+  config.mode = SwitchingMode::kWormhole;
+  config.injection_rate = 0.7;
+  config.packet_length = 3;
+  config.lanes = 2;
+  config.lane_depth = 3;
+  config.warmup_cycles = 100;
+  config.measure_cycles = 400;
+  config.seed = 71;
+  config.path_policy = PathPolicy::kAdaptive;
+  return engine.run(Pattern::kUniform, config);
+}
+
+/// replicated(omega, 3, 2, 33), hash: each logical terminal's eject
+/// arbiter spans 66 store-and-forward buffers, or 132 lanes at 2 lanes.
+/// Store-and-forward runs plain, wormhole with probes on.
+SimResult run_replicated33(SwitchingMode mode) {
+  const Engine engine{
+      min::MultiPathWiring::replicated(min::NetworkKind::kOmega, 3, 2, 33)};
+  SimConfig config;
+  config.mode = mode;
+  config.injection_rate = 0.9;
+  config.packet_length = 2;
+  config.queue_capacity = 2;
+  config.lanes = 2;
+  config.lane_depth = 2;
+  config.warmup_cycles = 100;
+  config.measure_cycles = 400;
+  config.seed = 73;
+  config.path_policy = PathPolicy::kHash;
+  if (mode == SwitchingMode::kWormhole) config.obs.probe_stride = 50;
+  return engine.run(Pattern::kUniform, config);
+}
+
+/// Radix-4 omega n = 3, wormhole, 17 lanes: 68 candidate lanes per
+/// output port.
+SimResult run_radix4_wormhole_17_lanes(bool observed) {
+  const Engine engine(
+      min::build_kary_network(min::NetworkKind::kOmega, 3, 4));
+  SimConfig config;
+  config.mode = SwitchingMode::kWormhole;
+  config.injection_rate = 0.8;
+  config.packet_length = 4;
+  config.lanes = 17;
+  config.lane_depth = 2;
+  config.warmup_cycles = 100;
+  config.measure_cycles = 400;
+  config.seed = 79;
+  if (observed) config.obs.probe_stride = 50;
+  return engine.run(Pattern::kUniform, config);
+}
+
+TEST(GoldenSimTest, SafPriorityCredits) {
+  const SimResult r = run_saf_priority_credits();
+  expect_pins(r, {7363, 3598, 3410, 7196, 6820, 376, 21397, 0, 0, 0, 0,
+                  {17539, 0, 0, 3858, 0}, 23.724633431085103, 89, 64,
+                  0.56333984375000001, 0.41822916666666676});
+  expect_credit_pins(r, 7663, {19.607817869415786, 32.582255083179305});
+}
+
+TEST(GoldenSimTest, WormholeWeightedCreditsFirstIdleLane) {
+  const SimResult r = run_wormhole_weighted_credits();
+  expect_pins(r, {1999, 1522, 1454, 6098, 5865, 181, 22953, 0, 0, 0, 0,
+                  {11689, 0, 3475, 7789, 0}, 18.809491059147149, 76, 53,
+                  0.4790625, 0.2853046875000001});
+  expect_credit_pins(r, 13029, {18.809491059147149});
+}
+
+TEST(GoldenSimTest, DilatedOmegaWormholeAdaptive) {
+  expect_pins(run_dilated_wormhole_adaptive(),
+              {1963, 1760, 1664, 5283, 5040, 229, 27242, 0, 0, 0, 0,
+               {0, 0, 0, 0, 0}, 20.684495192307708, 90, 61,
+               0.41065104166666666, 0.26157552083333324});
+}
+
+TEST(GoldenSimTest, Replicated33PlanesEjectArbitersSpanWords) {
+  expect_pins(run_replicated33(SwitchingMode::kStoreAndForward),
+              {1509, 1509, 1442, 3018, 2884, 134, 14796, 0, 0, 0, 0,
+               {0, 0, 0, 0, 0}, 19.430651872399469, 123, 81,
+               0.028598484848484849, 0.041968118686868658});
+  expect_pins(run_replicated33(SwitchingMode::kWormhole),
+              {1515, 1515, 1444, 3027, 2933, 92, 25484, 0, 0, 0, 0,
+               {24742, 0, 742, 0, 0}, 21.893351800553976, 100, 73,
+               0.028664772727272726, 0.034273200757575749});
+}
+
+TEST(GoldenSimTest, Radix4Wormhole17Lanes) {
+  Pins pins{4438, 4438, 4211, 17750, 17155, 500, 95779, 0, 0, 0, 0,
+            {90398, 5381, 0, 0, 0}, 21.96936594633101, 79, 54,
+            0.6925, 0.077516467524509802};
+  expect_pins(run_radix4_wormhole_17_lanes(true), pins);
+  // Observers are passive: the plain run differs only in the stall
+  // split, which it does not collect.
+  pins.stall[0] = pins.stall[1] = 0;
+  expect_pins(run_radix4_wormhole_17_lanes(false), pins);
+}
+
+/// A store-and-forward FIFO can send more than one packet in a cycle:
+/// each output port reads the current head of every input FIFO, so a
+/// FIFO whose head won an earlier port offers its next fully-arrived
+/// packet to the later ports of the same cycle. The classical
+/// buffered-banyan model sends at most one packet per input per cycle;
+/// this pin records the simulator's behaviour as it stands. With every
+/// packet traced, a (cycle, source) pair with two stage-0 StageEnd
+/// events is one first-stage FIFO sending twice in one cycle.
+TEST(GoldenSimTest, SafFifoSendsTwoPacketsInOneCycle) {
+  const Engine engine(min::build_network(min::NetworkKind::kOmega, 4));
+  SimConfig config;
+  config.injection_rate = 0.9;
+  config.warmup_cycles = 100;
+  config.measure_cycles = 300;
+  config.obs.trace_sample = 1;
+  const SimResult r = engine.run(Pattern::kUniform, config);
+  std::map<std::pair<std::uint64_t, std::uint32_t>, int> sends;
+  for (const obs::TraceEvent& event : r.trace) {
+    if (event.kind == obs::TraceEventKind::kStageEnd && event.stage == 0) {
+      ++sends[{event.cycle, event.src}];
+    }
+  }
+  int twice = 0;
+  for (const auto& [key, count] : sends) {
+    EXPECT_LE(count, 2);
+    if (count == 2) ++twice;
+  }
+  EXPECT_EQ(twice, 508);
 }
 
 }  // namespace
