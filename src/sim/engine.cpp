@@ -394,11 +394,12 @@ class StoreAndForwardPolicy
       Base::service_levels_, Base::path_policy_, Base::stall_cause_,
       Base::fault_mask, Base::credit_ledger, Base::observer, Base::arbitrates,
       Base::radix, Base::multipath, Base::planes, Base::lradix, Base::lcells,
-      Base::inject_port, Base::stage_route, Base::path_group,
-      Base::arb_candidate, Base::arb_grant, Base::usable_port,
-      Base::pooled_units, Base::commit_probe_window, Base::kEjectPhase,
-      Base::eject_stall_phase, Base::drain_phase, Base::advance_phase,
-      Base::stall_phase, Base::inject_phase;
+      Base::inject_port, Base::stage_route, Base::path_group, Base::arb_pick,
+      Base::arb_grant, Base::keep_heaviest, Base::set_request,
+      Base::any_request, Base::clear_words, Base::request_scratch,
+      Base::usable_port, Base::pooled_units, Base::commit_probe_window,
+      Base::kEjectPhase, Base::eject_stall_phase, Base::drain_phase,
+      Base::advance_phase, Base::stall_phase, Base::inject_phase;
   using StageRoute = typename Base::StageRoute;
   using PathGroup = typename Base::PathGroup;
 
@@ -412,8 +413,7 @@ class StoreAndForwardPolicy
         link_busy_until_(
             static_cast<std::size_t>(core.stages() - 1) * core.ports(), 0),
         source_busy_until_(core.terminals(), 0),
-        eject_busy_until_(core.ports(), 0),
-        queue_moved_(core.ports(), 0) {
+        eject_busy_until_(core.ports(), 0) {
     if (const fault::FaultMask* const mask = fault_mask()) {
       const fault::FaultedWiring view(core.wiring(), *mask);
       dead_cells_.resize(static_cast<std::size_t>(core.stages() - 1));
@@ -533,14 +533,18 @@ class StoreAndForwardPolicy
   /// terminal's arbiter among the planes * radix last-stage buffers of its
   /// logical cell (a packet may arrive on any arc of its dilation group
   /// and in any plane; on a unipath fabric, the r input slots of the
-  /// cell). Ejection consumes no credits (terminals always sink), but
-  /// popping returns the slot's credit upstream. Order-independent
-  /// counters accumulate into \p wk's partial; the order-sensitive latency
-  /// adds and workload deliveries defer into its event buffers for worker
-  /// 0 to replay in range order. Every structure touched is owned by the
-  /// range: a logical-cell range owns one contiguous physical run per
-  /// plane (cells plane * lcells + [lx0, lx1)), and eject pacing and
-  /// arbiters index by terminal.
+  /// cell). One pass per cell sets each fully-arrived head's bit in its
+  /// terminal's request mask, planes * radix bits wide; each free terminal
+  /// then picks from its mask, and a buffer whose head ejects offers its
+  /// next packet to the cell's later terminals (see advance_stage_impl).
+  /// Ejection consumes no credits (terminals always sink), but popping
+  /// returns the slot's credit upstream. Order-independent counters
+  /// accumulate into \p wk's partial; the order-sensitive latency adds and
+  /// workload deliveries defer into its event buffers for worker 0 to
+  /// replay in range order. Every structure touched is owned by the range:
+  /// a logical-cell range owns one contiguous physical run per plane
+  /// (cells plane * lcells + [lx0, lx1)), and eject pacing and arbiters
+  /// index by terminal.
   void eject_impl(std::uint64_t cycle, bool measuring, std::uint32_t lx0,
                   std::uint32_t lx1, ShardWorker& wk) {
     ShardCounters& res = wk.partial;
@@ -552,107 +556,120 @@ class StoreAndForwardPolicy
     const int last = core_.stages() - 1;
     const unsigned r = radix();
     const unsigned lr = lradix();
-    const unsigned candidates = planes() * r;
-    for (unsigned plane = 0; plane < planes(); ++plane) {
-      const std::size_t run = static_cast<std::size_t>(plane) * lcells() * r;
-      std::fill(queue_moved_.begin() + run + static_cast<std::size_t>(lx0) * r,
-                queue_moved_.begin() + run + static_cast<std::size_t>(lx1) * r,
-                0);
-      if (obs != nullptr) {
-        // Stall causes default to lost-arbitration; the probe loops below
-        // overwrite the specific causes they detect.
+    const std::size_t words =
+        (static_cast<std::size_t>(planes()) * r + 63) / 64;
+    // Rows 0 .. lr - 1 hold each terminal's requesters, then come the
+    // cell's fully-arrived heads and the buffers that ejected.
+    const std::size_t rows = static_cast<std::size_t>(lr) + 2;
+    std::uint64_t* const requests = request_scratch(wk, rows * words);
+    std::uint64_t* const ready =
+        requests + static_cast<std::size_t>(lr) * words;
+    std::uint64_t* const moved = ready + words;
+    std::uint64_t blocked_heads = 0;
+    if (obs != nullptr) {
+      // Ejection stalls are all lost arbitration.
+      for (unsigned plane = 0; plane < planes(); ++plane) {
+        const std::size_t run = static_cast<std::size_t>(plane) * lcells() * r;
         std::fill(stall_cause_.begin() + queue_index(last, run + lx0 * r),
                   stall_cause_.begin() + queue_index(last, run + lx1 * r), 0);
       }
     }
     for (std::uint32_t lx = lx0; lx < lx1; ++lx) {
+      clear_words(requests, rows * words);
+      for (unsigned plane = 0; plane < planes(); ++plane) {
+        const std::size_t q0 = queue_index(
+            last, (static_cast<std::size_t>(plane) * lcells() + lx) * r);
+        for (unsigned slot = 0; slot < r; ++slot) {
+          const std::size_t q = q0 + slot;
+          if (queues_.empty(q) || queues_.front_arrival(q) > cycle) continue;
+          const unsigned c = plane * r + slot;
+          set_request(ready, c);
+          set_request(requests + (queues_.front_dest(q) % lr) * words, c);
+        }
+      }
       for (unsigned j = 0; j < lr; ++j) {
         const std::uint32_t term = lx * lr + j;
-        if (eject_busy_until_[term] > cycle) continue;
-        // Strict priority scans the ready candidates first: only a
-        // head of the highest ready weight class may win this cycle.
-        unsigned need_weight = 0;
+        std::uint64_t* const candidates = requests + j * words;
+        if (eject_busy_until_[term] > cycle ||
+            !any_request(candidates, words)) {
+          continue;
+        }
         if (priority) {
-          for (unsigned c = 0; c < candidates; ++c) {
-            const std::size_t q = queue_index(last, eject_port(lx, c));
-            if (queues_.empty(q) || queues_.front_arrival(q) > cycle ||
-                (queues_.front_dest(q) % lr) != j) {
-              continue;
-            }
-            need_weight = std::max(need_weight, front_weight(q));
+          keep_heaviest(candidates, words, [&](unsigned c) {
+            return front_weight(queue_index(last, eject_port(lx, c)));
+          });
+        }
+        const unsigned c = arb_pick(last, term, candidates, words, weighted);
+        const std::size_t q = queue_index(last, eject_port(lx, c));
+        unsigned vl = 0;
+        unsigned sl = 0;
+        if (credits != nullptr) {
+          sl = queues_.front_sl(q);
+          vl = credit_config_->vl_of_sl(sl);
+        }
+        const std::uint32_t dest = queues_.front_dest(q);
+        const std::uint64_t inject_cycle = queues_.front_inject(q);
+        const std::uint32_t src = queues_.front_src(q);
+        const unsigned tag = queues_.front_tag(q);
+        shard_pop(q, wk);
+        if (credits != nullptr) credits->give_back(q, cycle);
+        eject_busy_until_[term] = cycle + length_;
+        arb_grant(last, term, c, vl, weighted);
+        set_request(moved, c);
+        if (!queues_.empty(q) && queues_.front_arrival(q) <= cycle) {
+          const unsigned next = queues_.front_dest(q) % lr;
+          if (next > j) set_request(requests + next * words, c);
+        }
+        if (core_.wants_deliveries()) {
+          // Every delivery feeds the source, warmup included (see
+          // workload::Delivery); eject_cycle counts the serialization
+          // tail so reply latencies match the packet-latency clock.
+          const workload::Delivery delivery{
+              src, dest, term, inject_cycle, cycle + length_,
+              static_cast<std::uint8_t>(tag),
+              measuring && inject_cycle >= core_.config().warmup_cycles};
+          wk.wl_events.push_back(delivery);
+        }
+        if (obs != nullptr) {
+          if (measuring) {
+            wk.obs_log->hops[static_cast<std::size_t>(last)] += length_;
+          }
+          if (inject_cycle >= core_.config().warmup_cycles &&
+              obs->traced(src, inject_cycle)) {
+            trace_push(wk, cycle, inject_cycle, src, dest,
+                       obs::TraceEventKind::kStageEnd,
+                       static_cast<std::uint8_t>(last), 0, kEjectPhase);
+            trace_push(wk, cycle, inject_cycle, src, dest,
+                       obs::TraceEventKind::kPacketEnd, 0, 0, kEjectPhase);
           }
         }
-        for (unsigned probe = 0; probe < candidates; ++probe) {
-          const unsigned c = arb_candidate(last, term, probe, weighted);
-          const std::size_t port_index = eject_port(lx, c);
-          const std::size_t q = queue_index(last, port_index);
-          if (queues_.empty(q)) continue;
-          if (queues_.front_arrival(q) > cycle) continue;
-          if ((queues_.front_dest(q) % lr) != j) continue;
-          unsigned vl = 0;
-          unsigned sl = 0;
-          if (credits != nullptr) {
-            sl = queues_.front_sl(q);
-            vl = credit_config_->vl_of_sl(sl);
-            if (priority && credit_config_->weight(vl) != need_weight) {
-              continue;
-            }
+        if (measuring && inject_cycle >= core_.config().warmup_cycles) {
+          res.flits_delivered += length_;
+          const double latency =
+              static_cast<double>(cycle - inject_cycle + length_);
+          wk.saf_events.push_back(SafEjectEvent{latency, sl, src, dest});
+          // A detoured packet ejects at whatever terminal the surviving
+          // route reached; count the miss.
+          if (mask != nullptr && (dest / lr) != lx) {
+            ++res.packets_misdelivered;
           }
-          const std::uint32_t dest = queues_.front_dest(q);
-          const std::uint64_t inject_cycle = queues_.front_inject(q);
-          const std::uint32_t src = queues_.front_src(q);
-          const unsigned tag = queues_.front_tag(q);
-          shard_pop(q, wk);
-          if (credits != nullptr) credits->give_back(q, cycle);
-          eject_busy_until_[term] = cycle + length_;
-          arb_grant(last, term, c, vl, weighted);
-          queue_moved_[port_index] = 1;
-          if (core_.wants_deliveries()) {
-            // Every delivery feeds the source, warmup included (see
-            // workload::Delivery); eject_cycle counts the serialization
-            // tail so reply latencies match the packet-latency clock.
-            const workload::Delivery delivery{
-                src, dest, term, inject_cycle, cycle + length_,
-                static_cast<std::uint8_t>(tag),
-                measuring && inject_cycle >= core_.config().warmup_cycles};
-            wk.wl_events.push_back(delivery);
-          }
+        }
+      }
+      if (measuring) {
+        // Head-of-line blocking: a fully-arrived head that did not eject
+        // kept its place, so the cell's blocked heads are ready & ~moved.
+        for (std::size_t w = 0; w < words; ++w) ready[w] &= ~moved[w];
+        util::for_each_set_bit(ready, words, [&](unsigned c) {
+          ++blocked_heads;
           if (obs != nullptr) {
-            if (measuring) {
-              wk.obs_log->hops[static_cast<std::size_t>(last)] += length_;
-            }
-            if (inject_cycle >= core_.config().warmup_cycles &&
-                obs->traced(src, inject_cycle)) {
-              trace_push(wk, cycle, inject_cycle, src, dest,
-                         obs::TraceEventKind::kStageEnd,
-                         static_cast<std::uint8_t>(last), 0, kEjectPhase);
-              trace_push(wk, cycle, inject_cycle, src, dest,
-                         obs::TraceEventKind::kPacketEnd, 0, 0, kEjectPhase);
-            }
+            this->attribute_stall(last, cycle,
+                                  queue_index(last, eject_port(lx, c)), wk,
+                                  eject_stall_phase(c / r));
           }
-          if (measuring && inject_cycle >= core_.config().warmup_cycles) {
-            res.flits_delivered += length_;
-            const double latency =
-                static_cast<double>(cycle - inject_cycle + length_);
-            wk.saf_events.push_back(SafEjectEvent{latency, sl, src, dest});
-            // A detoured packet ejects at whatever terminal the surviving
-            // route reached; count the miss.
-            if (mask != nullptr && (dest / lr) != lx) {
-              ++res.packets_misdelivered;
-            }
-          }
-          break;
-        }
+        });
       }
     }
-    if (measuring) {
-      for (unsigned plane = 0; plane < planes(); ++plane) {
-        const std::size_t run = static_cast<std::size_t>(plane) * lcells() * r;
-        account_blocking(last, cycle, run + static_cast<std::size_t>(lx0) * r,
-                         run + static_cast<std::size_t>(lx1) * r, wk,
-                         eject_stall_phase(plane));
-      }
-    }
+    res.hol_blocking_cycles += blocked_heads;
   }
 
   /// The last-stage input port behind eject candidate \p c of logical
@@ -666,15 +683,24 @@ class StoreAndForwardPolicy
   /// The advance kernel over cells [\p x0, \p x1): each output port
   /// grants one of the r input slots whose head packet's route step
   /// (select_port) picked it, honoring link serialization and downstream
-  /// FIFO capacity. Safe to run on disjoint ranges concurrently: a cell
-  /// pops only its own stage-s queues and pushes only through its own
-  /// down-arcs, and the perfect matching makes each stage-(s+1) queue
-  /// reachable from exactly one upstream cell — single-writer without
-  /// locks. Credit handshakes stay range-local too (consume/available
-  /// index the pushed target, give_back the popped queue). Out of line on
-  /// purpose: inlined into the driver's cycle loop, the binary
-  /// instantiation's probe loops lose `this` to a stack slot and run the
-  /// one-worker megafabric 4-8% slower.
+  /// FIFO capacity. One pass per cell routes each fully-arrived head once
+  /// and sets its slot's bit in its out-port's r-bit request mask (radix
+  /// <= 64, so one word); each port then picks from its mask in its
+  /// arbiter's probe order. Every port serves the current head of each
+  /// FIFO, so a FIFO whose head won port p offers its next fully-arrived
+  /// packet to the ports after p in the same cycle: a FIFO can send more
+  /// than one packet per cycle, where the classical buffered-banyan model
+  /// sends at most one. Under least-occupancy path choice a grant raises
+  /// one downstream FIFO's count, so the port's other requesters route
+  /// again. Head-of-line blocking is the cell's ready & ~moved heads.
+  /// Safe to run on disjoint ranges concurrently: a cell pops only its
+  /// own stage-s queues and pushes only through its own down-arcs, and
+  /// the perfect matching makes each stage-(s+1) queue reachable from
+  /// exactly one upstream cell — single-writer without locks. Credit
+  /// handshakes stay range-local too (consume/available index the pushed
+  /// target, give_back the popped queue). Out of line on purpose: inlined
+  /// into the driver's cycle loop, the binary instantiation's loops lose
+  /// `this` to a stack slot and run the one-worker megafabric slower.
   [[gnu::noinline]] void advance_stage_impl(int s, std::uint64_t cycle,
                                             bool measuring, std::uint32_t x0,
                                             std::uint32_t x1,
@@ -685,6 +711,8 @@ class StoreAndForwardPolicy
     obs::Observer* const obs = observer();
     const bool weighted = arbitrates(ArbitrationPolicy::kWeighted);
     const bool priority = arbitrates(ArbitrationPolicy::kPriority);
+    const bool adaptive =
+        multipath() && path_policy_ == PathPolicy::kAdaptive;
     const unsigned r = radix();
     const auto down = core_.wiring().down_stage(s);
     // One index per out-arc of the stage: the link pacing slot, and the
@@ -697,150 +725,177 @@ class StoreAndForwardPolicy
     if (mask != nullptr) {
       drain_dead_switches(s, cycle, measuring, x0, x1, wk);
     }
-    std::fill(queue_moved_.begin() + static_cast<std::size_t>(x0) * r,
-              queue_moved_.begin() + static_cast<std::size_t>(x1) * r, 0);
     if (obs != nullptr) {
-      // Stall causes default to lost-arbitration; the probe loops below
-      // overwrite the specific causes they detect.
+      // Stall causes default to lost-arbitration; the port loop below
+      // overwrites the specific causes it detects.
       std::fill(stall_cause_.begin() + queue_index(s, x0 * r),
                 stall_cause_.begin() + queue_index(s, x1 * r), 0);
     }
+    // Per cell: each out-port's requesters (radix <= 64), zeroed as the
+    // port is visited, and the reroute kind of each slot's routed head.
+    std::uint64_t requests[64];
+    std::uint8_t reroute_kinds[64];
+    std::fill_n(requests, r, std::uint64_t{0});
+    std::uint64_t blocked_heads = 0;
     for (std::uint32_t x = x0; x < x1; ++x) {
+      const std::size_t q0 = queue_index(s, x * r);
+      // The route step for the fully-arrived head of slot \p slot.
+      const auto route_head = [&](unsigned slot) {
+        const std::size_t q = q0 + slot;
+        int reroute_kind = 0;
+        const int port = select_port(s, x, slot, q, route, down.data(), mask,
+                                     link_base, reroute_kind);
+        reroute_kinds[slot] = static_cast<std::uint8_t>(reroute_kind);
+        return port;
+      };
+      const auto ready_head = [&](std::size_t q) {
+        return !queues_.empty(q) && queues_.front_arrival(q) <= cycle;
+      };
+      std::uint64_t ready = 0;
+      for (unsigned slot = 0; slot < r; ++slot) {
+        if (!ready_head(q0 + slot)) continue;
+        ready |= std::uint64_t{1} << slot;
+        const int port = route_head(slot);
+        if (port >= 0) requests[port] |= std::uint64_t{1} << slot;
+      }
+      std::uint64_t moved = 0;
       for (unsigned port = 0; port < r; ++port) {
-        if (mask != nullptr && mask->faulted_index(link_base + x * r + port)) {
-          continue;  // dead link
+        const std::uint64_t requesters = requests[port];
+        requests[port] = 0;
+        if (requesters == 0 ||
+            link_busy_until_[link_base + x * r + port] > cycle) {
+          continue;  // no requester, or still serializing a packet
         }
-        if (link_busy_until_[link_base + x * r + port] > cycle) {
-          continue;  // still serializing the previous packet
-        }
-        // Strict priority scans the ready candidates first: only a
-        // head of the highest weight class routed here may win.
-        unsigned need_weight = 0;
+        std::uint64_t candidates = requesters;
         if (priority) {
-          for (unsigned slot = 0; slot < r; ++slot) {
-            const std::size_t q = queue_index(s, x * r + slot);
-            if (queues_.empty(q) || queues_.front_arrival(q) > cycle) {
-              continue;
-            }
-            int reroute_kind = 0;
-            if (select_port(s, x, slot, queues_.front_dest(q),
-                            queues_.front_inject(q), route, down.data(), mask,
-                            link_base, reroute_kind) !=
-                static_cast<int>(port)) {
-              continue;
-            }
-            need_weight = std::max(need_weight, front_weight(q));
-          }
+          keep_heaviest(&candidates, 1, [&](unsigned slot) {
+            return front_weight(q0 + slot);
+          });
         }
-        for (unsigned probe = 0; probe < r; ++probe) {
-          const unsigned slot = arb_candidate(s, x * r + port, probe, weighted);
-          const std::size_t q = queue_index(s, x * r + slot);
-          if (queues_.empty(q)) continue;
-          if (queues_.front_arrival(q) > cycle) continue;
-          const std::uint32_t dest = queues_.front_dest(q);
-          int reroute_kind = 0;
-          if (select_port(s, x, slot, dest, queues_.front_inject(q), route,
-                          down.data(), mask, link_base, reroute_kind) !=
-              static_cast<int>(port)) {
-            continue;
-          }
-          unsigned vl = 0;
-          if (credits != nullptr) {
-            vl = credit_config_->vl_of_sl(queues_.front_sl(q));
-            if (priority && credit_config_->weight(vl) != need_weight) {
-              continue;
-            }
-          }
-          // One packed read gives the child cell and its input slot —
-          // and the record value r * child + slot IS the downstream
-          // port-slot index (the identity the packing was chosen for).
-          const std::uint32_t record = down[x * r + port];
-          const std::size_t target = queue_index(s + 1, record);
-          if (credits != nullptr) {
-            // Credit handshake in place of the occupancy probe. Every
-            // candidate at this output port sends into the same
-            // downstream FIFO, so zero credits stalls the port outright
-            // (conservation guarantees credits <= free slots; the push
-            // below can never overflow).
-            if (!credits->available(target)) {
-              if (measuring) ++res.credit_stall_cycles;
-              if (obs != nullptr) {
-                stall_cause_[q] = static_cast<std::uint8_t>(
-                    obs::StallCause::kZeroCredits);
-                if (measuring) {
-                  ++wk.obs_log->credit[static_cast<std::size_t>(s)];
-                }
-              }
-              break;
-            }
-          } else if (queues_.full(target)) {
+        const unsigned slot =
+            arb_pick(s, x * r + port, &candidates, 1, weighted);
+        const std::size_t q = q0 + slot;
+        // One packed read gives the child cell and its input slot —
+        // and the record value r * child + slot IS the downstream
+        // port-slot index (the identity the packing was chosen for).
+        const std::uint32_t record = down[x * r + port];
+        const std::size_t target = queue_index(s + 1, record);
+        if (credits != nullptr) {
+          // Credit handshake in place of the occupancy probe. Every
+          // requester of this output port sends into the same
+          // downstream FIFO, so zero credits stalls the port outright
+          // (conservation guarantees credits <= free slots; the push
+          // below can never overflow).
+          if (!credits->available(target)) {
+            if (measuring) ++res.credit_stall_cycles;
             if (obs != nullptr) {
-              stall_cause_[q] = static_cast<std::uint8_t>(
-                  obs::StallCause::kDownstreamFull);
+              stall_cause_[q] =
+                  static_cast<std::uint8_t>(obs::StallCause::kZeroCredits);
+              if (measuring) {
+                ++wk.obs_log->credit[static_cast<std::size_t>(s)];
+              }
             }
             continue;
           }
-          const std::uint64_t inject_cycle = queues_.front_inject(q);
-          const std::uint32_t src = queues_.front_src(q);
-          const unsigned tag = queues_.front_tag(q);
-          shard_push(target, dest, src, inject_cycle, cycle + length_,
-                     credits != nullptr ? queues_.front_sl(q) : 0U, tag, wk);
-          shard_pop(q, wk);
-          if (credits != nullptr) {
-            credits->consume(target);
-            credits->give_back(q, cycle);
-          }
-          queue_moved_[x * r + slot] = 1;
-          link_busy_until_[link_base + x * r + port] = cycle + length_;
-          arb_grant(s, x * r + port, slot, vl, weighted);
+        } else if (queues_.full(target)) {
           if (obs != nullptr) {
-            if (measuring) {
-              wk.obs_log->hops[static_cast<std::size_t>(s)] += length_;
+            util::for_each_set_bit(&candidates, 1, [&](unsigned c) {
+              stall_cause_[q0 + c] =
+                  static_cast<std::uint8_t>(obs::StallCause::kDownstreamFull);
+            });
+          }
+          continue;
+        }
+        unsigned vl = 0;
+        if (credits != nullptr) {
+          vl = credit_config_->vl_of_sl(queues_.front_sl(q));
+        }
+        const std::uint32_t dest = queues_.front_dest(q);
+        const std::uint64_t inject_cycle = queues_.front_inject(q);
+        const std::uint32_t src = queues_.front_src(q);
+        const unsigned tag = queues_.front_tag(q);
+        const int reroute_kind = reroute_kinds[slot];
+        shard_push(target, dest, src, inject_cycle, cycle + length_,
+                   credits != nullptr ? queues_.front_sl(q) : 0U, tag, wk);
+        shard_pop(q, wk);
+        if (credits != nullptr) {
+          credits->consume(target);
+          credits->give_back(q, cycle);
+        }
+        moved |= std::uint64_t{1} << slot;
+        link_busy_until_[link_base + x * r + port] = cycle + length_;
+        arb_grant(s, x * r + port, slot, vl, weighted);
+        // The FIFO's next packet competes at the later ports, and the
+        // push may move this port's other adaptive requesters there.
+        if (ready_head(q)) {
+          const int next = route_head(slot);
+          if (next > static_cast<int>(port)) {
+            requests[next] |= std::uint64_t{1} << slot;
+          }
+        }
+        if (adaptive) {
+          const std::uint64_t losers =
+              requesters & ~(std::uint64_t{1} << slot);
+          util::for_each_set_bit(&losers, 1, [&](unsigned loser) {
+            const int next = route_head(loser);
+            if (next > static_cast<int>(port)) {
+              requests[next] |= std::uint64_t{1} << loser;
             }
-            if (inject_cycle >= core_.config().warmup_cycles &&
-                obs->traced(src, inject_cycle)) {
+          });
+        }
+        if (obs != nullptr) {
+          if (measuring) {
+            wk.obs_log->hops[static_cast<std::size_t>(s)] += length_;
+          }
+          if (inject_cycle >= core_.config().warmup_cycles &&
+              obs->traced(src, inject_cycle)) {
+            trace_push(wk, cycle, inject_cycle, src, dest,
+                       obs::TraceEventKind::kStageEnd,
+                       static_cast<std::uint8_t>(s), 0, advance_phase(s));
+            trace_push(wk, cycle, inject_cycle, src, dest,
+                       obs::TraceEventKind::kStageBegin,
+                       static_cast<std::uint8_t>(s + 1), 0,
+                       advance_phase(s));
+          }
+        }
+        if (reroute_kind != 0 && measuring &&
+            inject_cycle >= core_.config().warmup_cycles) {
+          if (reroute_kind == 1) {
+            ++res.path_reroutes;
+          } else {
+            ++res.packets_rerouted;
+          }
+          if (obs != nullptr) {
+            ++wk.obs_log->reroute[static_cast<std::size_t>(s)];
+            if (obs->traced(src, inject_cycle)) {
               trace_push(wk, cycle, inject_cycle, src, dest,
-                         obs::TraceEventKind::kStageEnd,
+                         obs::TraceEventKind::kReroute,
                          static_cast<std::uint8_t>(s), 0, advance_phase(s));
-              trace_push(wk, cycle, inject_cycle, src, dest,
-                         obs::TraceEventKind::kStageBegin,
-                         static_cast<std::uint8_t>(s + 1), 0,
-                         advance_phase(s));
             }
           }
-          if (reroute_kind != 0 && measuring &&
-              inject_cycle >= core_.config().warmup_cycles) {
-            if (reroute_kind == 1) {
-              ++res.path_reroutes;
-            } else {
-              ++res.packets_rerouted;
-            }
-            if (obs != nullptr) {
-              ++wk.obs_log->reroute[static_cast<std::size_t>(s)];
-              if (obs->traced(src, inject_cycle)) {
-                trace_push(wk, cycle, inject_cycle, src, dest,
-                           obs::TraceEventKind::kReroute,
-                           static_cast<std::uint8_t>(s), 0, advance_phase(s));
-              }
-            }
-          }
-          break;
         }
       }
-    }
-    if (measuring) {
-      if (obs != nullptr && mask != nullptr) {
-        refine_masked_arc_stalls(s, cycle, static_cast<std::size_t>(x0) * r,
-                                 static_cast<std::size_t>(x1) * r, mask,
-                                 link_base, route);
+      if (measuring) {
+        // Head-of-line blocking: a fully-arrived head that did not move
+        // kept its place, so the cell's blocked heads are ready & ~moved.
+        const std::uint64_t blocked = ready & ~moved;
+        util::for_each_set_bit(&blocked, 1, [&](unsigned slot) {
+          ++blocked_heads;
+          if (obs != nullptr) {
+            if (mask != nullptr) {
+              refine_masked_arc_stall(q0 + slot, x, mask, link_base, route);
+            }
+            this->attribute_stall(s, cycle, q0 + slot, wk, stall_phase(s));
+          }
+        });
       }
-      account_blocking(s, cycle, static_cast<std::size_t>(x0) * r,
-                       static_cast<std::size_t>(x1) * r, wk, stall_phase(s));
     }
+    res.hol_blocking_cycles += blocked_heads;
   }
 
-  /// The route step: the out-port the head packet at (cell \p x, input
-  /// slot \p slot) of stage \p s takes, or -1 at a dead switch. A
+  /// The route step: the out-port the head packet of queue \p q (cell
+  /// \p x, input slot \p slot) of stage \p s takes, or -1 at a dead
+  /// switch. A
   /// singleton group — every hop of a unipath fabric — takes its
   /// scheduled port. A wider group chooses by the configured PathPolicy;
   /// with a fault \p mask, a masked choice re-selects among the surviving
@@ -848,13 +903,13 @@ class StoreAndForwardPolicy
   /// the unipath out-of-group detour through the next surviving port
   /// (\p reroute_kind = 2).
   [[nodiscard]] int select_port(int s, std::uint32_t x, unsigned slot,
-                                std::uint32_t dest, std::uint64_t inject_cycle,
-                                const StageRoute& route,
+                                std::size_t q, const StageRoute& route,
                                 const std::uint32_t* down,
                                 const fault::FaultMask* mask,
                                 std::size_t link_base, int& reroute_kind) {
     const unsigned r = radix();
     const std::size_t arc_row = link_base + x * r;
+    const std::uint32_t dest = queues_.front_dest(q);
     const PathGroup group = path_group(dest, route);
     reroute_kind = 0;
     if (group.count > 1 && path_policy_ == PathPolicy::kAdaptive) {
@@ -881,7 +936,7 @@ class StoreAndForwardPolicy
       } else {
         desired = group.base +
                   static_cast<unsigned>(
-                      path_mix(dest, inject_cycle,
+                      path_mix(dest, queues_.front_inject(q),
                                static_cast<std::uint64_t>(s)) %
                       group.count);
       }
@@ -1025,64 +1080,31 @@ class StoreAndForwardPolicy
     }
   }
 
-  /// Head-of-line blocking: a fully-arrived head in [p0, p1) that did
-  /// not move. The port range always matches the caller's writer
-  /// partition of queue_moved_, so the workers' totals sum to the
-  /// one-worker scan.
-  /// With an observer, the same scan charges each blocked head to its
-  /// recorded StallCause, so the per-cause counters partition
-  /// hol_blocking_cycles exactly — no separate bookkeeping to drift.
-  void account_blocking(int s, std::uint64_t cycle, std::size_t p0,
-                        std::size_t p1, ShardWorker& wk, std::uint8_t phase) {
-    ShardCounters& res = wk.partial;
-    const bool observed = observer() != nullptr;
-    for (std::size_t i = p0; i < p1; ++i) {
-      const std::size_t q = queue_index(s, i);
-      if (!queues_.empty(q) && queues_.front_arrival(q) <= cycle &&
-          queue_moved_[i] == 0) {
-        ++res.hol_blocking_cycles;
-        if (observed) {
-          this->attribute_stall(s, cycle, q, wk, phase);
-        }
-      }
+  /// Observed faulted runs: re-attribute a still-unexplained blocked
+  /// head of queue \p q (cell \p x) whose every route-group member is
+  /// fault-masked — the scheduled arc on a unipath hop — as a masked-arc
+  /// stall: it waits on detour capacity, which is a fault symptom, not
+  /// plain congestion (a surviving member would have been a normal
+  /// candidate). Runs just before the head's stall is attributed, with
+  /// the stage's hoisted routing registers.
+  void refine_masked_arc_stall(std::size_t q, std::uint32_t x,
+                               const fault::FaultMask* mask,
+                               std::size_t link_base,
+                               const StageRoute& route) {
+    if (stall_cause_[q] != 0) return;
+    const PathGroup group = path_group(queues_.front_dest(q), route);
+    const std::size_t arc_row =
+        link_base + static_cast<std::size_t>(x) * radix();
+    for (unsigned k = 0; k < group.count; ++k) {
+      if (!mask->faulted_index(arc_row + group.base + k)) return;
     }
-  }
-
-  /// Observed faulted runs: re-attribute still-unexplained blocked heads
-  /// whose every route-group member is fault-masked — the scheduled arc
-  /// on a unipath hop — as masked-arc stalls: they wait on detour
-  /// capacity, which is a fault symptom, not plain congestion (a
-  /// surviving member would have been a normal candidate). Runs just
-  /// before account_blocking with the stage's hoisted routing registers.
-  void refine_masked_arc_stalls(int s, std::uint64_t cycle, std::size_t p0,
-                                std::size_t p1, const fault::FaultMask* mask,
-                                std::size_t link_base,
-                                const StageRoute& route) {
-    const unsigned r = radix();
-    for (std::size_t i = p0; i < p1; ++i) {
-      const std::size_t q = queue_index(s, i);
-      if (queue_moved_[i] != 0 || stall_cause_[q] != 0) continue;
-      if (queues_.empty(q) || queues_.front_arrival(q) > cycle) continue;
-      const PathGroup group = path_group(queues_.front_dest(q), route);
-      bool all_masked = true;
-      for (unsigned k = 0; k < group.count; ++k) {
-        if (!mask->faulted_index(link_base + (i / r) * r + group.base + k)) {
-          all_masked = false;
-          break;
-        }
-      }
-      if (all_masked) {
-        stall_cause_[q] =
-            static_cast<std::uint8_t>(obs::StallCause::kMaskedArc);
-      }
-    }
+    stall_cause_[q] = static_cast<std::uint8_t>(obs::StallCause::kMaskedArc);
   }
 
   PacketRing& queues_;
   std::vector<std::uint64_t> link_busy_until_;
   std::vector<std::uint64_t> source_busy_until_;
   std::vector<std::uint64_t> eject_busy_until_;
-  std::vector<std::uint8_t> queue_moved_;
   std::vector<std::vector<std::uint32_t>> dead_cells_;  // faulted runs only
 };
 

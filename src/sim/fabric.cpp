@@ -138,7 +138,6 @@ LanePool::LanePool(std::size_t lane_count, std::size_t depth)
       count_(lane_count, 0),
       busy_(lane_count, 0),
       tail_in_(lane_count, 0),
-      moved_(lane_count, 0),
       out_port_(lane_count, 0),
       downstream_(lane_count, -1) {
   if (depth == 0) {
@@ -156,7 +155,6 @@ void LanePool::reset(std::size_t lane_count, std::size_t depth) {
   count_.assign(lane_count, 0);
   busy_.assign(lane_count, 0);
   tail_in_.assign(lane_count, 0);
-  moved_.assign(lane_count, 0);
   out_port_.assign(lane_count, 0);
   downstream_.assign(lane_count, -1);
 }
@@ -195,7 +193,6 @@ Flit LanePool::pop(std::size_t l) {
   const Flit flit = slots_[l * depth_ + head_[l]];
   head_[l] = static_cast<std::uint32_t>(wrap(head_[l] + std::size_t{1}));
   --count_[l];
-  moved_[l] = 1;
   if (flit.is_tail()) {
     // The worm has fully left: release the lane and its allocation.
     busy_[l] = 0;

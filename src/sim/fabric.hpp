@@ -29,15 +29,17 @@
 #include "sim/engine.hpp"
 #include "sim/flit.hpp"
 #include "sim/traffic.hpp"
+#include "util/bitops.hpp"
 #include "util/rng.hpp"
 #include "workload/workload.hpp"
 
 namespace mineq::sim {
 
-/// Rotating-priority pointer over a fixed candidate ring. Callers probe
-/// candidate(0), candidate(1), ... in order and grant() the winner, which
-/// moves it to lowest priority for the next round. The shared fairness
-/// primitive of both switching disciplines.
+/// Rotating-priority pointer over a fixed candidate ring. A caller
+/// collects the candidates that request service this round as a bit mask
+/// over the ring, pick()s one and grant()s it, which moves the winner to
+/// lowest priority for the next round. The shared fairness primitive of
+/// both switching disciplines.
 class RoundRobin {
  public:
   /// \throws std::invalid_argument on an empty candidate ring — a
@@ -50,9 +52,13 @@ class RoundRobin {
     }
   }
 
-  /// The candidate to try at probe position \p probe (0-based).
-  [[nodiscard]] unsigned candidate(unsigned probe) const noexcept {
-    return (next_ + probe) % size_;
+  /// The requester to serve: the first set bit of the \p words-word
+  /// mask \p requests (bit c = candidate c; at least one set) at or after
+  /// the pointer, wrapping to the lowest — the requester a probe of
+  /// candidates pointer, pointer + 1, ... (mod size) would meet first.
+  [[nodiscard]] unsigned pick(const std::uint64_t* requests,
+                              std::size_t words = 1) const noexcept {
+    return util::first_set_from(requests, words, next_);
   }
 
   /// Record that \p winner was served; it now has lowest priority.
@@ -73,9 +79,9 @@ class RoundRobin {
 };
 
 /// Quantum-weighted round-robin pointers, one per output port, flat over
-/// the whole fabric. Probe order matches RoundRobin (rotating from the
-/// pointer); the difference is the grant rule: a winner keeps top
-/// priority until it has taken \p weight consecutive grants (its
+/// the whole fabric. pick() matches RoundRobin's (the first requester
+/// from the pointer); the difference is the grant rule: a winner keeps
+/// top priority until it has taken \p weight consecutive grants (its
 /// quantum), then the pointer rotates past it. With every weight equal
 /// to 1 the grant sequence reduces to RoundRobin's exactly.
 class WeightedRoundRobin {
@@ -84,9 +90,11 @@ class WeightedRoundRobin {
   /// reset all quanta.
   void reset(std::size_t arbiters, unsigned size);
 
-  [[nodiscard]] unsigned candidate(std::size_t a,
-                                   unsigned probe) const noexcept {
-    return (next_[a] + probe) % size_;
+  /// Pointer \p a's pick among the set bits of \p requests (see
+  /// RoundRobin::pick).
+  [[nodiscard]] unsigned pick(std::size_t a, const std::uint64_t* requests,
+                              std::size_t words = 1) const noexcept {
+    return util::first_set_from(requests, words, next_[a]);
   }
 
   /// Record that \p winner was served with quantum \p weight (>= 1).
@@ -236,8 +244,8 @@ class PacketRing {
 /// Every wormhole virtual channel of the fabric as one struct-of-arrays
 /// pool: lane l owns flit slots [l * depth, (l+1) * depth) of a
 /// contiguous ring arena, with the per-lane worm bookkeeping (busy,
-/// tail-seen, out-port, reserved downstream lane, moved-this-cycle) in
-/// parallel field arrays. A lane holds flits of at most one packet (one
+/// tail-seen, out-port, reserved downstream lane) in parallel field
+/// arrays. A lane holds flits of at most one packet (one
 /// worm) at a time: a head claims an idle lane, body/tail flits follow
 /// through it, and popping the tail returns the lane to idle. The pool
 /// keeps no pool-wide count: workers mutate disjoint lane ranges
@@ -299,13 +307,6 @@ class LanePool {
     downstream_[l] = lane;
   }
 
-  /// Did pop() run on lane \p l since the last clear_moved()? Used for
-  /// head-of-line blocking accounting.
-  [[nodiscard]] bool moved(std::size_t l) const noexcept {
-    return moved_[l] != 0;
-  }
-  void clear_moved(std::size_t l) noexcept { moved_[l] = 0; }
-
   /// First idle lane of the \p lanes-lane buffer starting at \p first
   /// (relative index), or -1 if every lane is claimed.
   [[nodiscard]] int find_idle_lane(std::size_t first,
@@ -324,7 +325,6 @@ class LanePool {
   std::vector<std::uint32_t> count_;
   std::vector<std::uint8_t> busy_;
   std::vector<std::uint8_t> tail_in_;
-  std::vector<std::uint8_t> moved_;
   std::vector<std::uint8_t> out_port_;
   std::vector<std::int32_t> downstream_;
 };

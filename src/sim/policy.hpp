@@ -37,6 +37,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -48,6 +49,7 @@
 #include "sim/fabric.hpp"
 #include "sim/shard.hpp"
 #include "sim/wormhole.hpp"
+#include "util/bitops.hpp"
 
 namespace mineq::sim {
 
@@ -270,9 +272,9 @@ class PolicyBase {
 
   // --- The run's features, null when off (always, on plain runs) -------
   // Each kernel reads these into locals at entry and hands the locals to
-  // the helpers its probe loops call: the pools' byte stores may alias
-  // the members, so a member read inside a probe loop would be reloaded
-  // on every probe.
+  // the helpers its cell loop calls: the pools' byte stores may alias the
+  // members, so a member read inside that loop would be reloaded on every
+  // head.
 
   /// The fault mask of a faulted run.
   [[nodiscard]] const fault::FaultMask* fault_mask() const noexcept {
@@ -365,7 +367,7 @@ class PolicyBase {
   /// One connection's routing registers, read once per stage by the
   /// kernels: signed/unsigned TBAA cannot prove the pool stores don't
   /// alias the Engine's schedule fields, so reading them through the
-  /// Engine inside a probe loop would reload them per probe.
+  /// Engine inside a cell loop would reload them per head.
   struct StageRoute {
     bool ejects = false;  ///< the last stage: the terminal's low digit
     bool free = false;    ///< any out-port reaches the destination
@@ -424,17 +426,22 @@ class PolicyBase {
   }
 
   // --- The arbitration seam (only credit runs vary it) -----------------
+  // Each kernel routes every ready head once per cycle and sets its bit in
+  // the request mask of the port (or eject terminal) it asks for: `words`
+  // 64-bit words over the port's candidate ring, the radix * slots input
+  // buffers of an output port (planes times that at an eject terminal).
+  // The port then picks from its mask in its arbiter's probe order.
   // Round-robin and strict priority keep the core's RoundRobin pointer
-  // state — priority filters candidates before the pointer ever moves,
-  // so uniform weights degrade to plain round-robin byte for byte —
-  // while the weighted policy swaps in the quantum WRR state. Candidates
-  // index the radix * slots input buffers of an output port. \p weighted
-  // is the kernel's hoisted arbitrates(ArbitrationPolicy::kWeighted).
+  // state — priority filters the mask before the pointer ever moves, so
+  // uniform weights degrade to plain round-robin byte for byte — while the
+  // weighted policy swaps in the quantum WRR state. \p weighted is the
+  // kernel's hoisted arbitrates(ArbitrationPolicy::kWeighted).
 
-  [[nodiscard]] unsigned arb_candidate(int s, std::size_t out, unsigned probe,
-                                       bool weighted) {
-    if (weighted) return weighted_.candidate(arb_index(s, out), probe);
-    return core_.arbiter(s, out).candidate(probe);
+  [[nodiscard]] unsigned arb_pick(int s, std::size_t out,
+                                  const std::uint64_t* requests,
+                                  std::size_t words, bool weighted) {
+    if (weighted) return weighted_.pick(arb_index(s, out), requests, words);
+    return core_.arbiter(s, out).pick(requests, words);
   }
 
   void arb_grant(int s, std::size_t out, unsigned winner, unsigned vl,
@@ -448,6 +455,55 @@ class PolicyBase {
 
   [[nodiscard]] std::size_t arb_index(int s, std::size_t out) const {
     return static_cast<std::size_t>(s) * core_.ports() + out;
+  }
+
+  /// Strict priority: clear every requester c of \p requests whose weight
+  /// class \p weight_of(c) is below the heaviest requester's.
+  template <class WeightOf>
+  static void keep_heaviest(std::uint64_t* requests, std::size_t words,
+                            WeightOf weight_of) {
+    unsigned heaviest = 0;
+    util::for_each_set_bit(requests, words, [&](unsigned c) {
+      heaviest = std::max(heaviest, weight_of(c));
+    });
+    util::for_each_set_bit(requests, words, [&](unsigned c) {
+      if (weight_of(c) != heaviest) clear_request(requests, c);
+    });
+  }
+
+  static void set_request(std::uint64_t* mask, unsigned c) noexcept {
+    mask[c / 64] |= std::uint64_t{1} << (c % 64);
+  }
+  static void clear_request(std::uint64_t* mask, unsigned c) noexcept {
+    mask[c / 64] &= ~(std::uint64_t{1} << (c % 64));
+  }
+  [[nodiscard]] static bool any_request(const std::uint64_t* mask,
+                                        std::size_t words) noexcept {
+    for (std::size_t w = 0; w < words; ++w) {
+      if (mask[w] != 0) return true;
+    }
+    return false;
+  }
+
+  /// Zero the \p n words at \p masks. A counted loop, not std::fill: GCC
+  /// turns a zero fill of run-time length into a memset call, which cost
+  /// the wormhole kernel 10-15% at a few words per cell; the empty asm
+  /// hides the induction variable from that pattern match.
+  static void clear_words(std::uint64_t* masks, std::size_t n) noexcept {
+    for (std::size_t i = 0; i < n; ++i) {
+      masks[i] = 0;
+#if defined(__GNUC__)
+      __asm__("" : "+r"(i));
+#endif
+    }
+  }
+
+  /// At least \p n words of worker \p wk's request-mask scratch (grown on
+  /// first use, so once per run). The kernels zero the rows they use.
+  [[nodiscard]] static std::uint64_t* request_scratch(ShardWorker& wk,
+                                                      std::size_t n) {
+    if (wk.requests.size() < n) wk.requests.resize(n);
+    return wk.requests.data();
   }
 
   /// The degraded-mode route step (fault::FaultedWiring::usable_port with
@@ -477,8 +533,8 @@ class PolicyBase {
 
   /// One blocked head-cycle of buffer \p b: the per-cause SimResult
   /// counter, the per-stage probe counter, and a stall instant for traced
-  /// packets. Called from the scan that counts hol_blocking_cycles, so
-  /// the per-cause counters partition it exactly.
+  /// packets. Called for each blocked head that hol_blocking_cycles
+  /// counts, so the per-cause counters partition it exactly.
   void attribute_stall(int s, std::uint64_t cycle, std::size_t b,
                        ShardWorker& wk, std::uint8_t phase) {
     ShardCounters& res = wk.partial;
@@ -577,8 +633,9 @@ class PolicyBase {
   const multipath::LoopingSettings* looping_ = nullptr;  // multipath runs
   const std::uint8_t* free_stage_ = nullptr;             // multipath runs
   obs::Observer* obs_;                                   // observed runs
-  /// Per-buffer StallCause scratch, written by the probe loops and read
-  /// by the blocking scans — same writer partition as the buffers.
+  /// Per-buffer StallCause scratch, written by the port loops and read
+  /// when the cell's blocked heads are attributed — same writer partition
+  /// as the buffers.
   std::vector<std::uint8_t> stall_cause_;  // observed runs
 };
 

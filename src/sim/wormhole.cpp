@@ -52,11 +52,13 @@ class WormholePolicy
       Base::service_levels_, Base::path_policy_, Base::stall_cause_,
       Base::fault_mask, Base::credit_ledger, Base::observer, Base::arbitrates,
       Base::radix, Base::multipath, Base::planes, Base::lradix, Base::lcells,
-      Base::inject_port, Base::stage_route, Base::path_group,
-      Base::arb_candidate, Base::arb_grant, Base::usable_port,
-      Base::pooled_units, Base::commit_probe_window, Base::kEjectPhase,
-      Base::eject_stall_phase, Base::drain_phase, Base::advance_phase,
-      Base::stall_phase, Base::inject_phase;
+      Base::inject_port, Base::stage_route, Base::path_group, Base::arb_pick,
+      Base::arb_grant, Base::keep_heaviest, Base::set_request,
+      Base::clear_request, Base::any_request, Base::clear_words,
+      Base::request_scratch, Base::usable_port, Base::pooled_units,
+      Base::commit_probe_window, Base::kEjectPhase, Base::eject_stall_phase,
+      Base::drain_phase, Base::advance_phase, Base::stall_phase,
+      Base::inject_phase;
   using StageRoute = typename Base::StageRoute;
   using PathGroup = typename Base::PathGroup;
 
@@ -262,14 +264,16 @@ class WormholePolicy
   /// terminal per cycle, granted by the terminal's arbiter among the
   /// planes * radix * lanes last-stage lanes of its logical cell (a worm
   /// may arrive on any arc of its dilation group and in any plane; on a
-  /// unipath fabric, the radix * lanes lanes of the cell). Ejection links
-  /// are terminal attachments, not wiring arcs, so they cannot fault. A
-  /// logical-cell range owns one contiguous physical run per plane, so
-  /// the workers' ranges stay single-writer. Every order-sensitive sink —
-  /// the observer call, the Welford latency adds, the per-SL latency, the
-  /// workload delivery — defers into the worker's event buffers for
-  /// worker 0's replay; order-independent counters accumulate into the
-  /// worker's partial.
+  /// unipath fabric, the radix * lanes lanes of the cell). One pass per
+  /// cell sets each occupied lane's bit in its worm's terminal mask; each
+  /// terminal then picks from its mask. Ejection links are terminal
+  /// attachments, not wiring arcs, so they cannot fault. A logical-cell
+  /// range owns one contiguous physical run per plane, so the workers'
+  /// ranges stay single-writer. Every order-sensitive sink — the observer
+  /// call, the Welford latency adds, the per-SL latency, the workload
+  /// delivery — defers into the worker's event buffers for worker 0's
+  /// replay; order-independent counters accumulate into the worker's
+  /// partial.
   void eject_impl(std::uint64_t cycle, bool measuring, std::uint32_t lx0,
                   std::uint32_t lx1, ShardWorker& wk) {
     const fault::FaultMask* const mask = fault_mask();
@@ -283,122 +287,127 @@ class WormholePolicy
     ShardCounters& res = wk.partial;
     const auto per_cell =
         static_cast<unsigned>(static_cast<std::size_t>(r) * lanes_);
-    const unsigned candidates = planes() * per_cell;
-    // The lane behind eject candidate c of logical cell lx: lane c % lanes
-    // of slot (c % per_cell) / lanes of the cell's copy in plane
-    // c / per_cell.
-    const auto eject_lane = [&](std::uint32_t lx, unsigned c) {
-      unsigned plane = 0;
-      unsigned within = c;
-      if (planes() > 1) {
-        plane = c / per_cell;
-        within = c % per_cell;
-      }
+    const std::size_t words =
+        (static_cast<std::size_t>(planes()) * per_cell + 63) / 64;
+    // Rows 0 .. lr - 1 hold each terminal's requesters, then come the
+    // cell's occupied lanes and the lanes that ejected.
+    const std::size_t rows = static_cast<std::size_t>(lr) + 2;
+    std::uint64_t* const requests = request_scratch(wk, rows * words);
+    std::uint64_t* const occupied =
+        requests + static_cast<std::size_t>(lr) * words;
+    std::uint64_t* const moved = occupied + words;
+    // The first lane of logical cell lx's copy in plane \p plane; eject
+    // candidate c is lane c % per_cell of plane c / per_cell.
+    const auto plane_lanes = [&](std::uint32_t lx, unsigned plane) {
       return lane_index(
-          last,
-          (static_cast<std::size_t>(plane) * lcells() + lx) * r +
-              within / lanes_,
-          c % lanes_);
+          last, (static_cast<std::size_t>(plane) * lcells() + lx) * r, 0);
+    };
+    const auto eject_lane = [&](std::uint32_t lx, unsigned c) {
+      if (planes() == 1) return plane_lanes(lx, 0) + c;
+      return plane_lanes(lx, c / per_cell) + c % per_cell;
     };
     for (std::uint32_t lx = lx0; lx < lx1; ++lx) {
-      for (unsigned j = 0; j < lr; ++j) {
-        const std::uint32_t term = lx * lr + j;
-        // Strict priority scans the ready candidates first: only a worm
-        // of the highest ready weight class may win this cycle.
-        unsigned need_weight = 0;
-        if (priority) {
-          for (unsigned c = 0; c < candidates; ++c) {
-            const std::size_t l = eject_lane(lx, c);
-            if (pool_.empty(l) || pool_.out_port(l) != j) continue;
-            need_weight = std::max(need_weight, flit_weight(l));
-          }
-        }
-        for (unsigned probe = 0; probe < candidates; ++probe) {
-          const unsigned c = arb_candidate(last, term, probe, weighted);
-          const std::size_t l = eject_lane(lx, c);
-          if (pool_.empty(l) || pool_.out_port(l) != j) continue;
-          unsigned vl = 0;
-          if (credits != nullptr) {
-            vl = credit_config_->vl_of_sl(
-                static_cast<unsigned>(pool_.front(l).sl));
-            if (priority && credit_config_->weight(vl) != need_weight) {
-              continue;
-            }
-          }
-          const Flit flit = shard_pop(l, wk);
-          if (credits != nullptr) credits->give_back(l, cycle);
-          arb_grant(last, term, c, vl, weighted);
-          const bool counted =
-              measuring && flit.inject_cycle >= core_.config().warmup_cycles;
-          if (counted) ++res.flits_delivered;
-          if (obs != nullptr) {
-            if (measuring) {
-              ++wk.obs_log->hops[static_cast<std::size_t>(last)];
-            }
-            if (flit.inject_cycle >= core_.config().warmup_cycles &&
-                obs->traced(static_cast<std::uint32_t>(flit.src),
-                            flit.inject_cycle)) {
-              // Follow the head: its eject closes the last stage slice;
-              // the tail's eject completes the packet.
-              if (flit.is_head()) {
-                trace_push(wk, cycle, flit.inject_cycle,
-                           static_cast<std::uint32_t>(flit.src),
-                           flit.dest_terminal, obs::TraceEventKind::kStageEnd,
-                           static_cast<std::uint8_t>(last), 0, kEjectPhase);
-              }
-              if (flit.is_tail()) {
-                trace_push(wk, cycle, flit.inject_cycle,
-                           static_cast<std::uint32_t>(flit.src),
-                           flit.dest_terminal, obs::TraceEventKind::kPacketEnd,
-                           0, 0, kEjectPhase);
-              }
-            }
-          }
-          // A detoured worm ejects at whatever terminal the surviving
-          // route reached; count the miss.
-          if (mask != nullptr && counted && flit.is_tail() &&
-              (flit.dest_terminal / lr) != lx) {
-            ++res.packets_misdelivered;
-          }
-          if (flit.is_tail() && core_.wants_deliveries()) {
-            // Tail ejection completes the packet: feed the workload
-            // source, warmup included (see workload::Delivery). Built
-            // here because the ejection terminal is not derivable from
-            // the flit alone on faulted detours.
-            const workload::Delivery delivery{
-                static_cast<std::uint32_t>(flit.src), flit.dest_terminal,
-                term, flit.inject_cycle, cycle + 1,
-                static_cast<std::uint8_t>(flit.tag), counted};
-            wk.wl_events.push_back(delivery);
-          }
-          // Defer for the replay: every flit if an observer watches, else
-          // just the tails that complete a measured delivery.
-          if (observer_ || (counted && flit.is_tail())) {
-            wk.wh_events.push_back(flit);
-          }
-          break;
+      clear_words(requests, rows * words);
+      for (unsigned plane = 0; plane < planes(); ++plane) {
+        const std::size_t first = plane_lanes(lx, plane);
+        for (unsigned k = 0; k < per_cell; ++k) {
+          if (pool_.empty(first + k)) continue;
+          const unsigned c = plane * per_cell + k;
+          set_request(occupied, c);
+          set_request(requests + pool_.out_port(first + k) * words, c);
         }
       }
-    }
-    const std::size_t first = lane_index(last, 0, 0);
-    for (unsigned plane = 0; plane < planes(); ++plane) {
-      const std::size_t run =
-          static_cast<std::size_t>(plane) * lcells() * r * lanes_;
-      account_stage(cycle, measuring,
-                    first + run + static_cast<std::size_t>(lx0) * r * lanes_,
-                    first + run + static_cast<std::size_t>(lx1) * r * lanes_,
-                    wk, last, eject_stall_phase(plane));
+      for (unsigned j = 0; j < lr; ++j) {
+        const std::uint32_t term = lx * lr + j;
+        std::uint64_t* const candidates = requests + j * words;
+        if (!any_request(candidates, words)) continue;
+        if (priority) {
+          keep_heaviest(candidates, words, [&](unsigned c) {
+            return flit_weight(eject_lane(lx, c));
+          });
+        }
+        const unsigned c = arb_pick(last, term, candidates, words, weighted);
+        const std::size_t l = eject_lane(lx, c);
+        unsigned vl = 0;
+        if (credits != nullptr) {
+          vl = credit_config_->vl_of_sl(
+              static_cast<unsigned>(pool_.front(l).sl));
+        }
+        const Flit flit = shard_pop(l, wk);
+        if (credits != nullptr) credits->give_back(l, cycle);
+        arb_grant(last, term, c, vl, weighted);
+        set_request(moved, c);
+        const bool counted =
+            measuring && flit.inject_cycle >= core_.config().warmup_cycles;
+        if (counted) ++res.flits_delivered;
+        if (obs != nullptr) {
+          if (measuring) {
+            ++wk.obs_log->hops[static_cast<std::size_t>(last)];
+          }
+          if (flit.inject_cycle >= core_.config().warmup_cycles &&
+              obs->traced(static_cast<std::uint32_t>(flit.src),
+                          flit.inject_cycle)) {
+            // Follow the head: its eject closes the last stage slice;
+            // the tail's eject completes the packet.
+            if (flit.is_head()) {
+              trace_push(wk, cycle, flit.inject_cycle,
+                         static_cast<std::uint32_t>(flit.src),
+                         flit.dest_terminal, obs::TraceEventKind::kStageEnd,
+                         static_cast<std::uint8_t>(last), 0, kEjectPhase);
+            }
+            if (flit.is_tail()) {
+              trace_push(wk, cycle, flit.inject_cycle,
+                         static_cast<std::uint32_t>(flit.src),
+                         flit.dest_terminal, obs::TraceEventKind::kPacketEnd,
+                         0, 0, kEjectPhase);
+            }
+          }
+        }
+        // A detoured worm ejects at whatever terminal the surviving
+        // route reached; count the miss.
+        if (mask != nullptr && counted && flit.is_tail() &&
+            (flit.dest_terminal / lr) != lx) {
+          ++res.packets_misdelivered;
+        }
+        if (flit.is_tail() && core_.wants_deliveries()) {
+          // Tail ejection completes the packet: feed the workload
+          // source, warmup included (see workload::Delivery). Built
+          // here because the ejection terminal is not derivable from
+          // the flit alone on faulted detours.
+          const workload::Delivery delivery{
+              static_cast<std::uint32_t>(flit.src), flit.dest_terminal,
+              term, flit.inject_cycle, cycle + 1,
+              static_cast<std::uint8_t>(flit.tag), counted};
+          wk.wl_events.push_back(delivery);
+        }
+        // Defer for the replay: every flit if an observer watches, else
+        // just the tails that complete a measured delivery.
+        if (observer_ || (counted && flit.is_tail())) {
+          wk.wh_events.push_back(flit);
+        }
+      }
+      if (measuring) {
+        count_blocked(occupied, moved, words, wk, [&](unsigned c) {
+          this->attribute_stall(last, cycle, eject_lane(lx, c), wk,
+                                eject_stall_phase(c / per_cell));
+        });
+      }
     }
   }
 
   /// The advance kernel over cells [x0, x1) of stage \p s: one flit per
   /// output link per cycle; heads claim an idle downstream lane and
   /// resolve their stage-(s+1) out-port by the route step
-  /// (select_next_port), body/tail flits follow the reservation. Safe to
-  /// shard by cell ranges: a worker pushes only into stage-(s+1) lanes
-  /// reached through its own cells' arcs, and the perfect-matching
-  /// property makes each of those lanes single-writer for the whole
-  /// phase.
+  /// (select_next_port), body/tail flits follow the reservation. One pass
+  /// per cell sets each occupied lane's bit in its worm's out-port mask,
+  /// radix * lanes bits wide; each port then tries its requesters in its
+  /// arbiter's probe order until one can move. A worm keeps one out-port,
+  /// so a port's requesters never change within the phase, but two lanes
+  /// of one input port can each send a flit in the same cycle through
+  /// different out-ports. Safe to shard by cell ranges: a worker pushes
+  /// only into stage-(s+1) lanes reached through its own cells' arcs, and
+  /// the perfect-matching property makes each of those lanes
+  /// single-writer for the whole phase.
   void advance_stage_impl(int s, std::uint64_t cycle, bool measuring,
                           std::uint32_t x0, std::uint32_t x1,
                           ShardWorker& wk) {
@@ -419,14 +428,11 @@ class WormholePolicy
     const StageRoute route = stage_route(s + 1);
     const std::uint32_t* down_next =
         route.ejects ? nullptr : core_.wiring().down_stage(s + 1).data();
-    // The mask bit of this stage's out-arc x * r + port (FaultMask::
-    // arc_index's layout, with the policy's folded radix).
-    const std::size_t arc_base = static_cast<std::size_t>(s) * core_.ports();
     if (mask != nullptr) {
       drain_dropping(s, cycle, measuring, x0, x1, wk);
     }
     if (obs != nullptr) {
-      // Stall causes default to lost-arbitration; the probe loop below
+      // Stall causes default to lost-arbitration; the port loop below
       // overwrites the specific causes it detects.
       const std::size_t sfirst = lane_index(s, 0, 0);
       std::fill(
@@ -436,43 +442,47 @@ class WormholePolicy
                                               lanes_,
           0);
     }
-    const unsigned candidates =
+    const auto per_cell =
         static_cast<unsigned>(static_cast<std::size_t>(r) * lanes_);
+    const std::size_t words = (static_cast<std::size_t>(per_cell) + 63) / 64;
+    // Rows 0 .. r - 1 hold each out-port's requesters, then come the
+    // cell's occupied lanes and the lanes that moved.
+    const std::size_t rows = static_cast<std::size_t>(r) + 2;
+    std::uint64_t* const requests = request_scratch(wk, rows * words);
+    std::uint64_t* const occupied =
+        requests + static_cast<std::size_t>(r) * words;
+    std::uint64_t* const moved = occupied + words;
     for (std::uint32_t x = x0; x < x1; ++x) {
+      // Candidate c of the cell's ports is lane c of its lane run.
+      const std::size_t l0 = lane_index(s, x * r, 0);
+      clear_words(requests, rows * words);
+      for (unsigned c = 0; c < per_cell; ++c) {
+        if (pool_.empty(l0 + c)) continue;
+        set_request(occupied, c);
+        set_request(requests + pool_.out_port(l0 + c) * words, c);
+      }
       for (unsigned port = 0; port < r; ++port) {
-        // A dead link transmits nothing (no worm ever resolves its
-        // out-port onto a masked arc, so this is just a fast skip).
-        if (mask != nullptr && mask->faulted_index(arc_base + x * r + port)) {
-          continue;
-        }
-        // Strict priority scans the ready candidates first: only a worm
-        // of the highest ready weight class may win this cycle.
-        unsigned need_weight = 0;
+        std::uint64_t* const candidates = requests + port * words;
+        if (!any_request(candidates, words)) continue;
         if (priority) {
-          for (unsigned c = 0; c < candidates; ++c) {
-            const std::size_t l =
-                lane_index(s, x * r + c / lanes_, c % lanes_);
-            if (pool_.empty(l) || pool_.out_port(l) != port) continue;
-            need_weight = std::max(need_weight, flit_weight(l));
-          }
+          keep_heaviest(candidates, words,
+                        [&](unsigned c) { return flit_weight(l0 + c); });
         }
-        for (unsigned probe = 0; probe < candidates; ++probe) {
-          const unsigned c = arb_candidate(s, x * r + port, probe, weighted);
-          const std::size_t l = lane_index(s, x * r + c / lanes_, c % lanes_);
-          if (pool_.empty(l) || pool_.out_port(l) != port) continue;
+        // One packed read gives the child cell and its input slot —
+        // the record value r * child + slot IS the downstream
+        // port-slot index.
+        const std::uint32_t record = down[x * r + port];
+        const std::size_t target_first = lane_index(s + 1, record, 0);
+        while (any_request(candidates, words)) {
+          const unsigned c =
+              arb_pick(s, x * r + port, candidates, words, weighted);
+          clear_request(candidates, c);
+          const std::size_t l = l0 + c;
           unsigned vl = 0;
           if (credits != nullptr) {
             vl = credit_config_->vl_of_sl(
                 static_cast<unsigned>(pool_.front(l).sl));
-            if (priority && credit_config_->weight(vl) != need_weight) {
-              continue;
-            }
           }
-          // One packed read gives the child cell and its input slot —
-          // the record value r * child + slot IS the downstream
-          // port-slot index.
-          const std::uint32_t record = down[x * r + port];
-          const std::size_t target_first = lane_index(s + 1, record, 0);
           if (pool_.front(l).is_head()) {
             // The head claims a downstream lane: its fixed virtual lane
             // when an SL->VL map is configured, the first idle lane
@@ -568,6 +578,7 @@ class WormholePolicy
             }
           }
           arb_grant(s, x * r + port, c, vl, weighted);
+          set_request(moved, c);
           if (measuring) {
             ++wk.link_counter;
             if (obs != nullptr) {
@@ -577,12 +588,12 @@ class WormholePolicy
           break;
         }
       }
+      if (measuring) {
+        count_blocked(occupied, moved, words, wk, [&](unsigned c) {
+          this->attribute_stall(s, cycle, l0 + c, wk, stall_phase(s));
+        });
+      }
     }
-    const std::size_t first = lane_index(s, 0, 0);
-    account_stage(cycle, measuring,
-                  first + static_cast<std::size_t>(x0) * r * lanes_,
-                  first + static_cast<std::size_t>(x1) * r * lanes_, wk, s,
-                  stall_phase(s));
   }
 
   /// A candidate of stage \p s whose downstream lane \p l's sender is out
@@ -868,27 +879,25 @@ class WormholePolicy
     }
   }
 
-  /// Count stalled worms over the lane range [lo, hi) and reset its
-  /// per-cycle movement flags. Called right after the stage had its
-  /// switching (or ejection) opportunity, before upstream pushes refill
-  /// it; callers pass exactly their writer partition.
-  /// With an observer, the same scan charges each stalled lane-cycle to
-  /// its recorded StallCause, so the per-cause counters partition
-  /// hol_blocking_cycles exactly — no separate bookkeeping to drift.
-  void account_stage(std::uint64_t cycle, bool measuring, std::size_t lo,
-                     std::size_t hi, ShardWorker& wk, int stage,
-                     std::uint8_t phase) {
-    ShardCounters& res = wk.partial;
+  /// Head-of-line blocking over one cell's candidate lanes (measured
+  /// cycles only): an occupied lane that did not move keeps its flits, so
+  /// the blocked lanes are \p occupied & ~\p moved (\p occupied is
+  /// overwritten with them). With an observer, \p attribute charges each
+  /// blocked lane-cycle to its recorded StallCause in ascending lane
+  /// order, so the per-cause counters partition hol_blocking_cycles
+  /// exactly — no separate bookkeeping to drift.
+  template <class Attribute>
+  void count_blocked(std::uint64_t* occupied, const std::uint64_t* moved,
+                     std::size_t words, ShardWorker& wk,
+                     Attribute attribute) {
+    for (std::size_t w = 0; w < words; ++w) occupied[w] &= ~moved[w];
+    std::uint64_t blocked = 0;
     const bool observed = observer() != nullptr;
-    for (std::size_t l = lo; l < hi; ++l) {
-      if (measuring && !pool_.empty(l) && !pool_.moved(l)) {
-        ++res.hol_blocking_cycles;
-        if (observed) {
-          this->attribute_stall(stage, cycle, l, wk, phase);
-        }
-      }
-      pool_.clear_moved(l);
-    }
+    util::for_each_set_bit(occupied, words, [&](unsigned c) {
+      ++blocked;
+      if (observed) attribute(c);
+    });
+    wk.partial.hol_blocking_cycles += blocked;
   }
 
   const EjectObserver& observer_;

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 
@@ -98,6 +99,37 @@ inline constexpr int kMaxBits = 26;
     out = (out << 1) | ((value >> i) & 1U);
   }
   return out;
+}
+
+/// The first set bit of the \p words-word mask \p mask (bit i of word w
+/// is index 64 * w + i) at or after index \p from, wrapping around to the
+/// lowest set bit: the first index a cyclic scan from \p from meets. The
+/// mask must have a bit set, and \p from must be below 64 * \p words.
+[[nodiscard]] constexpr unsigned first_set_from(const std::uint64_t* mask,
+                                                std::size_t words,
+                                                unsigned from) noexcept {
+  std::size_t w = from / 64;
+  std::uint64_t bits = mask[w] & (~std::uint64_t{0} << (from % 64));
+  while (bits == 0) {
+    w = w + 1 == words ? 0 : w + 1;
+    bits = mask[w];
+  }
+  return static_cast<unsigned>(w * 64 +
+                               static_cast<unsigned>(std::countr_zero(bits)));
+}
+
+/// Call \p f(i) for every set bit index i of the \p words-word mask
+/// \p mask, in ascending order. Each word is read once, before its bits
+/// are visited, so \p f may clear bits of the mask.
+template <class F>
+constexpr void for_each_set_bit(const std::uint64_t* mask, std::size_t words,
+                                F&& f) {
+  for (std::size_t w = 0; w < words; ++w) {
+    for (std::uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
+      f(static_cast<unsigned>(w * 64 +
+                              static_cast<unsigned>(std::countr_zero(bits))));
+    }
+  }
 }
 
 }  // namespace mineq::util

@@ -51,27 +51,11 @@ class SpinBarrier {
   SpinBarrier(const SpinBarrier&) = delete;
   SpinBarrier& operator=(const SpinBarrier&) = delete;
 
-  void arrive_and_wait() noexcept {
-    const std::uint64_t generation =
-        generation_.load(std::memory_order_acquire);
-    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
-      // Last arriver: reset the arrival count for the next round, then
-      // open the barrier. The reset must precede the bump — a fast party
-      // can re-enter arrive_and_wait the instant the generation moves.
-      arrived_.store(0, std::memory_order_relaxed);
-      generation_.fetch_add(1, std::memory_order_acq_rel);
-      generation_.notify_all();
-      return;
-    }
-    std::uint32_t spins = 0;
-    while (generation_.load(std::memory_order_acquire) == generation) {
-      if (++spins < 1024) {
-        cpu_relax();
-      } else {
-        generation_.wait(generation, std::memory_order_acquire);
-      }
-    }
-  }
+  /// Defined out of line on purpose: the one-worker cycle driver never
+  /// reaches a barrier, and an inlinable body would let every size change
+  /// of a policy translation unit move barrier copies in or out of its
+  /// hot loop.
+  void arrive_and_wait() noexcept;
 
  private:
   std::size_t parties_;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 
 #include "fault/fault_model.hpp"
@@ -393,24 +394,56 @@ TEST(RoundRobinTest, RejectsEmptyRingAndOutOfRangeWinner) {
   EXPECT_THROW(arb.grant(2), std::logic_error);
 }
 
+TEST(RoundRobinTest, PickMeetsRequestersInProbeOrder) {
+  // A 70-candidate ring spans two mask words.
+  RoundRobin arb(70);
+  std::uint64_t requests[2] = {std::uint64_t{1} << 5, std::uint64_t{1} << 3};
+  EXPECT_EQ(arb.pick(requests, 2), 5U);
+  arb.grant(5);  // pointer 6: the next requester is 64 + 3
+  EXPECT_EQ(arb.pick(requests, 2), 67U);
+  arb.grant(68);  // pointer 69: wrap to the lowest requester
+  EXPECT_EQ(arb.pick(requests, 2), 5U);
+  arb.grant(69);  // pointer 0
+  EXPECT_EQ(arb.pick(requests, 2), 5U);
+  // Every pointer position meets the requester a probe loop would.
+  requests[0] = 0x8000000000000101ULL;
+  requests[1] = 0x21;
+  for (unsigned from = 0; from < 70; ++from) {
+    RoundRobin ring(70);
+    if (from > 0) ring.grant(from - 1);
+    unsigned probe = 0;
+    unsigned c = from;
+    while (((requests[c / 64] >> (c % 64)) & 1U) == 0) {
+      ++probe;
+      c = (from + probe) % 70;
+    }
+    EXPECT_EQ(ring.pick(requests, 2), c) << "pointer " << from;
+  }
+}
+
 TEST(WeightedRoundRobinTest, QuantumSemantics) {
   WeightedRoundRobin wrr;
   EXPECT_THROW(wrr.reset(1, 0), std::invalid_argument);
   wrr.reset(1, 3);
   EXPECT_THROW(wrr.grant(0, 3, 1), std::logic_error);
+  // With every candidate requesting, the pick is the pointer.
+  const std::uint64_t all = 0b111;
   // Weight 1 behaves exactly like round-robin: pointer advances on every
   // grant.
-  EXPECT_EQ(wrr.candidate(0, 0), 0U);
+  EXPECT_EQ(wrr.pick(0, &all), 0U);
   wrr.grant(0, 0, 1);
-  EXPECT_EQ(wrr.candidate(0, 0), 1U);
+  EXPECT_EQ(wrr.pick(0, &all), 1U);
   // Weight 2 holds top priority for one more grant, then advances.
   wrr.grant(0, 1, 2);
-  EXPECT_EQ(wrr.candidate(0, 0), 1U);
+  EXPECT_EQ(wrr.pick(0, &all), 1U);
   wrr.grant(0, 1, 2);
-  EXPECT_EQ(wrr.candidate(0, 0), 2U);
+  EXPECT_EQ(wrr.pick(0, &all), 2U);
+  // A pick skips idle candidates from the pointer and wraps around.
+  const std::uint64_t low = 0b011;
+  EXPECT_EQ(wrr.pick(0, &low), 0U);
   // A different winner (the holder was not ready) restarts its quantum.
   wrr.grant(0, 0, 2);
-  EXPECT_EQ(wrr.candidate(0, 0), 0U);
+  EXPECT_EQ(wrr.pick(0, &all), 0U);
 }
 
 TEST(CreditLedgerTest, RingDeliversAtTheConfiguredLatency) {
