@@ -397,9 +397,10 @@ class StoreAndForwardPolicy
       Base::inject_port, Base::stage_route, Base::path_group, Base::arb_pick,
       Base::arb_grant, Base::keep_heaviest, Base::set_request,
       Base::any_request, Base::clear_words, Base::request_scratch,
-      Base::usable_port, Base::pooled_units, Base::commit_probe_window,
-      Base::kEjectPhase, Base::eject_stall_phase, Base::drain_phase,
-      Base::advance_phase, Base::stall_phase, Base::inject_phase;
+      Base::count_blocked, Base::usable_port, Base::pooled_units,
+      Base::commit_probe_window, Base::kEjectPhase, Base::eject_stall_phase,
+      Base::drain_phase, Base::advance_phase, Base::stall_phase,
+      Base::inject_phase;
   using StageRoute = typename Base::StageRoute;
   using PathGroup = typename Base::PathGroup;
 
@@ -565,7 +566,6 @@ class StoreAndForwardPolicy
     std::uint64_t* const ready =
         requests + static_cast<std::size_t>(lr) * words;
     std::uint64_t* const moved = ready + words;
-    std::uint64_t blocked_heads = 0;
     if (obs != nullptr) {
       // Ejection stalls are all lost arbitration.
       for (unsigned plane = 0; plane < planes(); ++plane) {
@@ -656,20 +656,13 @@ class StoreAndForwardPolicy
         }
       }
       if (measuring) {
-        // Head-of-line blocking: a fully-arrived head that did not eject
-        // kept its place, so the cell's blocked heads are ready & ~moved.
-        for (std::size_t w = 0; w < words; ++w) ready[w] &= ~moved[w];
-        util::for_each_set_bit(ready, words, [&](unsigned c) {
-          ++blocked_heads;
-          if (obs != nullptr) {
-            this->attribute_stall(last, cycle,
-                                  queue_index(last, eject_port(lx, c)), wk,
-                                  eject_stall_phase(c / r));
-          }
+        count_blocked(ready, moved, words, wk, [&](unsigned c) {
+          this->attribute_stall(last, cycle,
+                                queue_index(last, eject_port(lx, c)), wk,
+                                eject_stall_phase(c / r));
         });
       }
     }
-    res.hol_blocking_cycles += blocked_heads;
   }
 
   /// The last-stage input port behind eject candidate \p c of logical
@@ -736,7 +729,6 @@ class StoreAndForwardPolicy
     std::uint64_t requests[64];
     std::uint8_t reroute_kinds[64];
     std::fill_n(requests, r, std::uint64_t{0});
-    std::uint64_t blocked_heads = 0;
     for (std::uint32_t x = x0; x < x1; ++x) {
       const std::size_t q0 = queue_index(s, x * r);
       // The route step for the fully-arrived head of slot \p slot.
@@ -876,21 +868,14 @@ class StoreAndForwardPolicy
         }
       }
       if (measuring) {
-        // Head-of-line blocking: a fully-arrived head that did not move
-        // kept its place, so the cell's blocked heads are ready & ~moved.
-        const std::uint64_t blocked = ready & ~moved;
-        util::for_each_set_bit(&blocked, 1, [&](unsigned slot) {
-          ++blocked_heads;
-          if (obs != nullptr) {
-            if (mask != nullptr) {
-              refine_masked_arc_stall(q0 + slot, x, mask, link_base, route);
-            }
-            this->attribute_stall(s, cycle, q0 + slot, wk, stall_phase(s));
+        count_blocked(&ready, &moved, 1, wk, [&](unsigned slot) {
+          if (mask != nullptr) {
+            refine_masked_arc_stall(q0 + slot, x, mask, link_base, route);
           }
+          this->attribute_stall(s, cycle, q0 + slot, wk, stall_phase(s));
         });
       }
     }
-    res.hol_blocking_cycles += blocked_heads;
   }
 
   /// The route step: the out-port the head packet of queue \p q (cell

@@ -245,9 +245,9 @@ class PacketRing {
 /// pool: lane l owns flit slots [l * depth, (l+1) * depth) of a
 /// contiguous ring arena, with the per-lane worm bookkeeping (busy,
 /// tail-seen, out-port, reserved downstream lane) in parallel field
-/// arrays. A lane holds flits of at most one packet (one
-/// worm) at a time: a head claims an idle lane, body/tail flits follow
-/// through it, and popping the tail returns the lane to idle. The pool
+/// arrays. A lane holds flits of at most one packet (one worm) at a
+/// time: a head claims an idle lane, body/tail flits follow through it,
+/// and popping the tail returns the lane to idle. The pool
 /// keeps no pool-wide count: workers mutate disjoint lane ranges
 /// concurrently, so each counts its own pushes and pops. The same holds
 /// for PacketRing.

@@ -506,6 +506,27 @@ class PolicyBase {
     return wk.requests.data();
   }
 
+  /// Head-of-line blocking over one cell's candidates (measured cycles
+  /// only): a head that did not move kept its place, so the blocked heads
+  /// are \p ready & ~\p moved (\p ready is overwritten with them). With an
+  /// observer, \p attribute(c) charges each blocked candidate to its
+  /// recorded StallCause in ascending candidate order, so the per-cause
+  /// counters partition hol_blocking_cycles exactly and the stall trace
+  /// keeps the buffer order within each (cycle, phase) key.
+  template <class Attribute>
+  void count_blocked(std::uint64_t* ready, const std::uint64_t* moved,
+                     std::size_t words, ShardWorker& wk,
+                     Attribute attribute) const {
+    for (std::size_t w = 0; w < words; ++w) ready[w] &= ~moved[w];
+    std::uint64_t blocked = 0;
+    const bool observed = observer() != nullptr;
+    util::for_each_set_bit(ready, words, [&](unsigned c) {
+      ++blocked;
+      if (observed) attribute(c);
+    });
+    wk.partial.hol_blocking_cycles += blocked;
+  }
+
   /// The degraded-mode route step (fault::FaultedWiring::usable_port with
   /// the policy's folded radix): \p arc_row is the mask bit index of the
   /// switch's port-0 out-arc (FaultMask::arc_index layout). Returns the

@@ -102,8 +102,8 @@ struct alignas(64) ShardWorker {
   std::vector<workload::Delivery> wl_events;
   /// Wormhole per-VL buffered-flit partial (sample phase).
   std::vector<std::uint64_t> vl_flits;
-  /// The kernels' request-mask scratch (PolicyBase::request_rows), grown
-  /// on first use and reused for every later cycle of the run.
+  /// The kernels' request-mask scratch (PolicyBase::request_scratch),
+  /// grown on first use and reused for every later cycle of the run.
   std::vector<std::uint64_t> requests;
   /// This worker's observability sink (runs with an observer only): set
   /// by the policy's shard_eject each cycle, so the kernels never need

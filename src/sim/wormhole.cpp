@@ -55,10 +55,10 @@ class WormholePolicy
       Base::inject_port, Base::stage_route, Base::path_group, Base::arb_pick,
       Base::arb_grant, Base::keep_heaviest, Base::set_request,
       Base::clear_request, Base::any_request, Base::clear_words,
-      Base::request_scratch, Base::usable_port, Base::pooled_units,
-      Base::commit_probe_window, Base::kEjectPhase, Base::eject_stall_phase,
-      Base::drain_phase, Base::advance_phase, Base::stall_phase,
-      Base::inject_phase;
+      Base::request_scratch, Base::count_blocked, Base::usable_port,
+      Base::pooled_units, Base::commit_probe_window, Base::kEjectPhase,
+      Base::eject_stall_phase, Base::drain_phase, Base::advance_phase,
+      Base::stall_phase, Base::inject_phase;
   using StageRoute = typename Base::StageRoute;
   using PathGroup = typename Base::PathGroup;
 
@@ -877,27 +877,6 @@ class WormholePolicy
         if (flit.is_tail()) dropping_[l] = 0;
       }
     }
-  }
-
-  /// Head-of-line blocking over one cell's candidate lanes (measured
-  /// cycles only): an occupied lane that did not move keeps its flits, so
-  /// the blocked lanes are \p occupied & ~\p moved (\p occupied is
-  /// overwritten with them). With an observer, \p attribute charges each
-  /// blocked lane-cycle to its recorded StallCause in ascending lane
-  /// order, so the per-cause counters partition hol_blocking_cycles
-  /// exactly — no separate bookkeeping to drift.
-  template <class Attribute>
-  void count_blocked(std::uint64_t* occupied, const std::uint64_t* moved,
-                     std::size_t words, ShardWorker& wk,
-                     Attribute attribute) {
-    for (std::size_t w = 0; w < words; ++w) occupied[w] &= ~moved[w];
-    std::uint64_t blocked = 0;
-    const bool observed = observer() != nullptr;
-    util::for_each_set_bit(occupied, words, [&](unsigned c) {
-      ++blocked;
-      if (observed) attribute(c);
-    });
-    wk.partial.hol_blocking_cycles += blocked;
   }
 
   const EjectObserver& observer_;
