@@ -22,9 +22,9 @@
 ///    per terminal are in flight, one per stage; every inter-stage link
 ///    is busy in every measured cycle (link utilization 1); the sampled
 ///    occupancy is N * S packets over S * N * Q slots, 1 / Q.
-///  - Wormhole, L flits, any lane count. A terminal draws a new packet
-///    every L cycles (cycles 0, L, 2L, ...) and serializes one flit per
-///    cycle, so flits_injected = N * M; offered = injected = N times the
+///  - Wormhole, L flits, any lane count and depth. A terminal draws a new
+///    packet every L cycles (cycles 0, L, 2L, ...) and serializes one flit
+///    per cycle, so flits_injected = N * M; offered = injected = N times the
 ///    multiples of L in [W, W + M). Flit i of a packet injected at c
 ///    ejects at c + i + S, so latency is S + L; the packet is delivered
 ///    iff its tail ejects by W + M - 1, and flit i is counted iff it
@@ -156,7 +156,8 @@ void expect_exact(const SimResult& r, const Expected& e) {
   EXPECT_EQ(r.packets_rerouted, 0U);
 }
 
-/// Run \p permutation on \p engine at rate 1 in both disciplines, lanes
+/// Run \p permutation on \p engine at rate 1 in both disciplines, with
+/// one- and two-unit buffers, single-flit and multi-flit worms over lanes
 /// 1 and 2, sim_threads 1 and 4, observers off and on, and check every
 /// run against the closed forms.
 void check_permutation(const Engine& engine,
@@ -166,23 +167,28 @@ void check_permutation(const Engine& engine,
   struct Shape {
     SwitchingMode mode;
     std::size_t packet_length, lanes;
+    std::size_t depth;  ///< queue_capacity or lane_depth
   };
-  for (const Shape shape : {Shape{SwitchingMode::kStoreAndForward, 1, 1},
-                            Shape{SwitchingMode::kWormhole, 3, 1},
-                            Shape{SwitchingMode::kWormhole, 4, 2}}) {
+  for (const Shape shape : {Shape{SwitchingMode::kStoreAndForward, 1, 1, 2},
+                            Shape{SwitchingMode::kStoreAndForward, 1, 1, 1},
+                            Shape{SwitchingMode::kWormhole, 1, 1, 1},
+                            Shape{SwitchingMode::kWormhole, 3, 1, 2},
+                            Shape{SwitchingMode::kWormhole, 4, 2, 2},
+                            Shape{SwitchingMode::kWormhole, 5, 2, 1}}) {
     for (const std::size_t threads : {1U, 4U}) {
       for (const bool observed : {false, true}) {
         SCOPED_TRACE(testing::Message()
                      << switching_mode_name(shape.mode) << " L "
                      << shape.packet_length << " lanes " << shape.lanes
-                     << " threads " << threads << " observed " << observed);
+                     << " depth " << shape.depth << " threads " << threads
+                     << " observed " << observed);
         SimConfig config;
         config.mode = shape.mode;
         config.injection_rate = 1.0;
         config.packet_length = shape.packet_length;
         config.lanes = shape.lanes;
-        config.lane_depth = 2;
-        config.queue_capacity = 2;
+        config.lane_depth = shape.depth;
+        config.queue_capacity = shape.depth;
         config.warmup_cycles = 2 * static_cast<std::uint64_t>(stages) + 1;
         config.measure_cycles = kMeasure;
         config.sim_threads = threads;

@@ -22,6 +22,7 @@
 #include "min/networks.hpp"
 #include "multipath/multipath_wiring.hpp"
 #include "sim/engine.hpp"
+#include "sim/wormhole.hpp"
 
 namespace mineq::sim {
 namespace {
@@ -825,6 +826,103 @@ TEST(GoldenSimTest, SafFifoSendsTwoPacketsInOneCycle) {
     if (count == 2) ++twice;
   }
   EXPECT_EQ(twice, 508);
+}
+
+// Guard pins for the wormhole lane pool, captured from the simulator as
+// it stood when every lane buffered a ring of flit copies: single-flit
+// worms (every flit is head and tail at once) through one-flit lanes,
+// worms long enough to span five lanes, and the full ejected-flit stream
+// of a run whose flits carry non-zero service levels and workload tags.
+
+/// omega n = 5, wormhole, 2 lanes of \p depth flits, packets of
+/// \p length flits.
+SimResult run_wormhole_omega5_lanes(std::size_t length, std::size_t depth,
+                                   double rate, std::uint64_t seed,
+                                   bool observed) {
+  const Engine engine(min::build_network(min::NetworkKind::kOmega, 5));
+  SimConfig config;
+  config.mode = SwitchingMode::kWormhole;
+  config.injection_rate = rate;
+  config.packet_length = length;
+  config.lanes = 2;
+  config.lane_depth = depth;
+  config.warmup_cycles = 100;
+  config.measure_cycles = 400;
+  config.seed = seed;
+  if (observed) config.obs.probe_stride = 50;
+  return engine.run(Pattern::kUniform, config);
+}
+
+TEST(GoldenSimTest, WormholeSingleFlitWormsDepthOne) {
+  Pins pins{8952, 7987, 7816, 7987, 7816, 171, 28596, 0, 0, 0, 0,
+            {22998, 0, 5598, 0, 0}, 9.5582139201637304, 29, 21,
+            0.62470703125000004, 0.53568749999999954};
+  expect_pins(run_wormhole_omega5_lanes(1, 1, 0.7, 83, true), pins);
+  pins.stall[0] = pins.stall[2] = 0;
+  expect_pins(run_wormhole_omega5_lanes(1, 1, 0.7, 83, false), pins);
+}
+
+/// Nine-flit worms in two-flit lanes: a worm in full flight spans five
+/// lanes of the five-stage path.
+TEST(GoldenSimTest, WormholeNineFlitWormsSpanFiveLanes) {
+  Pins pins{683, 683, 633, 6141, 5822, 225, 28110, 0, 0, 0, 0,
+            {14150, 10038, 3922, 0, 0}, 31.279620853080569, 91, 77,
+            0.4794921875, 0.35974609374999994};
+  expect_pins(run_wormhole_omega5_lanes(9, 2, 0.5, 89, true), pins);
+  pins.stall[0] = pins.stall[1] = pins.stall[2] = 0;
+  expect_pins(run_wormhole_omega5_lanes(9, 2, 0.5, 89, false), pins);
+}
+
+/// Every field of every ejected flit, warmup included, folded into one
+/// FNV-1a hash in ejection order: credits with two service levels on
+/// their own virtual lanes and closed-loop clients, so sl and tag are
+/// non-zero.
+TEST(GoldenSimTest, WormholeEjectStreamHash) {
+  const Engine engine(min::build_network(min::NetworkKind::kOmega, 5));
+  SimConfig config;
+  config.mode = SwitchingMode::kWormhole;
+  config.injection_rate = 0.5;
+  config.packet_length = 4;
+  config.lanes = 2;
+  config.lane_depth = 2;
+  config.warmup_cycles = 50;
+  config.measure_cycles = 300;
+  config.seed = 5;
+  config.credits.enabled = true;
+  config.credits.sl_map = {0, 1};
+  config.workload.kind = workload::Kind::kClosedLoop;
+  config.workload.rr_window = 4;
+  std::uint64_t hash = 14695981039346656037ULL;
+  const auto mix = [&hash](std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (value >> (8 * byte)) & 0xFFU;
+      hash *= 1099511628211ULL;
+    }
+  };
+  std::uint64_t flits = 0, with_sl = 0, with_tag = 0;
+  const EjectObserver observer = [&](const Flit& flit, std::uint64_t cycle) {
+    ++flits;
+    if (flit.sl != 0) ++with_sl;
+    if (flit.tag != 0) ++with_tag;
+    mix(cycle);
+    mix(flit.packet_id);
+    mix(flit.dest_terminal);
+    mix(flit.src);
+    mix(flit.inject_cycle);
+    mix(flit.sl);
+    mix(flit.tag);
+    mix(flit.head);
+    mix(flit.tail);
+  };
+  const SimResult r =
+      WormholeSimulator(engine).run(Pattern::kUniform, config, observer);
+  EXPECT_EQ(flits, 5246U);
+  EXPECT_EQ(with_sl, 2668U);
+  EXPECT_EQ(with_tag, 5246U);
+  EXPECT_EQ(hash, 835339660181302176ULL);
+  expect_pins(r, {3350, 1144, 1078, 4581, 4362, 187, 15382, 0, 0, 0, 0,
+                  {0, 0, 0, 0, 0}, 17.202226345083481, 57, 39,
+                  0.47776041666666669, 0.27832812500000015});
 }
 
 }  // namespace

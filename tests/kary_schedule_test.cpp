@@ -142,7 +142,8 @@ TEST(KaryScheduleTest, AboveCapNetworksSimulateEndToEnd) {
     config.injection_rate = 0.3;
     config.packet_length = 2;
     config.warmup_cycles = 0;  // exact flit ledger
-    config.measure_cycles = 60;
+    // Enough cycles for two-flit packets to cross 14 stages and eject.
+    config.measure_cycles = 36;
     const sim::SimResult r = engine.run(sim::Pattern::kUniform, config);
     EXPECT_GT(r.delivered, 0U);
     EXPECT_EQ(r.flits_injected, r.flits_delivered + r.flits_in_flight);
