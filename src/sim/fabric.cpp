@@ -1,6 +1,7 @@
 #include "sim/fabric.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace mineq::sim {
@@ -131,84 +132,21 @@ void PacketRing::pop(std::size_t q) {
   --count_[q];
 }
 
-LanePool::LanePool(std::size_t lane_count, std::size_t depth)
-    : depth_(depth),
-      slots_(lane_count * depth),
-      head_(lane_count, 0),
-      count_(lane_count, 0),
-      busy_(lane_count, 0),
-      tail_in_(lane_count, 0),
-      out_port_(lane_count, 0),
-      downstream_(lane_count, -1) {
+void LanePool::reset(std::size_t lane_count, std::size_t depth,
+                     std::size_t length) {
   if (depth == 0) {
     throw std::invalid_argument("LanePool: depth must be positive");
   }
+  if (length == 0) {
+    throw std::invalid_argument("LanePool: length must be positive");
+  }
+  depth_ = std::min<std::size_t>(depth,
+                                 std::numeric_limits<std::uint32_t>::max());
+  length_ = length;
+  lanes_.assign(lane_count, Lane{});
 }
 
-void LanePool::reset(std::size_t lane_count, std::size_t depth) {
-  if (depth == 0) {
-    throw std::invalid_argument("LanePool: depth must be positive");
-  }
-  depth_ = depth;
-  slots_.assign(lane_count * depth, Flit{});
-  head_.assign(lane_count, 0);
-  count_.assign(lane_count, 0);
-  busy_.assign(lane_count, 0);
-  tail_in_.assign(lane_count, 0);
-  out_port_.assign(lane_count, 0);
-  downstream_.assign(lane_count, -1);
-}
-
-void LanePool::accept_head(std::size_t l, const Flit& head,
-                           unsigned out_port) {
-  if (busy_[l] != 0 || !head.is_head()) {
-    throw std::logic_error(
-        "LanePool::accept_head: lane busy or flit not a head");
-  }
-  busy_[l] = 1;
-  tail_in_[l] = head.is_tail() ? 1 : 0;
-  out_port_[l] = static_cast<std::uint8_t>(out_port);
-  downstream_[l] = -1;
-  slots_[l * depth_ + wrap(head_[l] + count_[l])] = head;
-  ++count_[l];
-}
-
-void LanePool::accept(std::size_t l, const Flit& flit) {
-  if (busy_[l] == 0 || tail_in_[l] != 0 || flit.is_head()) {
-    throw std::logic_error(
-        "LanePool::accept: flit does not continue the worm");
-  }
-  if (!has_space(l)) {
-    throw std::logic_error("LanePool::accept: lane full");
-  }
-  tail_in_[l] = flit.is_tail() ? 1 : 0;
-  slots_[l * depth_ + wrap(head_[l] + count_[l])] = flit;
-  ++count_[l];
-}
-
-Flit LanePool::pop(std::size_t l) {
-  if (count_[l] == 0) {
-    throw std::logic_error("LanePool::pop: lane empty");
-  }
-  const Flit flit = slots_[l * depth_ + head_[l]];
-  head_[l] = static_cast<std::uint32_t>(wrap(head_[l] + std::size_t{1}));
-  --count_[l];
-  if (flit.is_tail()) {
-    // The worm has fully left: release the lane and its allocation.
-    busy_[l] = 0;
-    tail_in_[l] = 0;
-    downstream_[l] = -1;
-  }
-  return flit;
-}
-
-int LanePool::find_idle_lane(std::size_t first,
-                             std::size_t lanes) const noexcept {
-  for (std::size_t i = 0; i < lanes; ++i) {
-    if (busy_[first + i] == 0) return static_cast<int>(i);
-  }
-  return -1;
-}
+void LanePool::fail(const char* what) { throw std::logic_error(what); }
 
 FabricCore::FabricCore(const Engine& engine, Pattern pattern,
                        const SimConfig& config, unsigned arbiter_candidates)

@@ -241,92 +241,181 @@ class PacketRing {
   std::vector<std::uint8_t> tag_;
 };
 
-/// Every wormhole virtual channel of the fabric as one struct-of-arrays
-/// pool: lane l owns flit slots [l * depth, (l+1) * depth) of a
-/// contiguous ring arena, with the per-lane worm bookkeeping (busy,
-/// tail-seen, out-port, reserved downstream lane) in parallel field
-/// arrays. A lane holds flits of at most one packet (one worm) at a
-/// time: a head claims an idle lane, body/tail flits follow through it,
-/// and popping the tail returns the lane to idle. The pool
-/// keeps no pool-wide count: workers mutate disjoint lane ranges
-/// concurrently, so each counts its own pushes and pops. The same holds
-/// for PacketRing.
+/// Every wormhole virtual channel of the fabric as one pool of 32-byte
+/// lane records. A lane holds flits of at most one packet (one worm) at a
+/// time, and the index-th flit of a worm is make_flit(its header, index,
+/// L), so a lane stores no flits: it keeps its worm's head flit once, the
+/// index of its front flit and the number of flits buffered, plus the
+/// worm's out-port and the downstream lane it reserved. Everything else
+/// is derived from the two counters:
+///  - the lane is idle (free for a new worm) when both are 0: before its
+///    first worm, and again once the tail has left;
+///  - the worm's tail is in when front index + count == L;
+///  - the front flit is the head when the front index is 0.
+/// A head claims an idle lane (accept_head), the next flit of a worm
+/// arrives from its source (accept_next) or hops from the upstream lane
+/// (move: two counter updates, no flit built), and popping the tail
+/// returns the lane to idle. A Flit is built only where one is read
+/// (pop). The pool keeps no pool-wide count: workers mutate
+/// disjoint lane ranges concurrently, so each counts its own pushes and
+/// pops. The same holds for PacketRing.
+///
+/// Both counters are 32-bit and exact for every packet length
+/// SimConfig::validate accepts: the front index never holds L (a tail
+/// pop resets it to 0), a lane pops at most once per cycle, and a run is
+/// at most 2^32 cycles. The count stays at or below the depth, which
+/// reset() caps at 2^32 - 1 (a lane fills by one flit per cycle, so only
+/// the last cycle of a 2^32-cycle run could tell).
 class LanePool {
  public:
-  LanePool(std::size_t lane_count, std::size_t depth);
+  LanePool(std::size_t lane_count, std::size_t depth, std::size_t length) {
+    reset(lane_count, depth, length);
+  }
 
-  /// Re-shape to (lane_count, depth) and reset every lane to idle,
-  /// retaining the underlying allocations when they are large enough.
-  void reset(std::size_t lane_count, std::size_t depth);
+  /// Re-shape to \p lane_count lanes of \p depth flits for worms of
+  /// \p length flits and reset every lane to idle, retaining the
+  /// allocation when it is large enough.
+  void reset(std::size_t lane_count, std::size_t depth, std::size_t length);
 
   [[nodiscard]] std::size_t depth() const noexcept { return depth_; }
 
-  /// Free for a new worm: no flits buffered and no tail outstanding.
+  /// Free for a new worm: no worm claimed it, or its tail has left.
   [[nodiscard]] bool idle(std::size_t l) const noexcept {
-    return busy_[l] == 0;
+    return lanes_[l].front == 0 && lanes_[l].count == 0;
   }
   [[nodiscard]] bool empty(std::size_t l) const noexcept {
-    return count_[l] == 0;
+    return lanes_[l].count == 0;
   }
   /// Room for one more flit of the current worm.
   [[nodiscard]] bool has_space(std::size_t l) const noexcept {
-    return count_[l] < depth_;
+    return lanes_[l].count < depth_;
   }
   /// Flits currently buffered in lane \p l.
   [[nodiscard]] std::uint32_t count(std::size_t l) const noexcept {
-    return count_[l];
+    return lanes_[l].count;
+  }
+
+  /// The head flit of the worm holding lane \p l: the packet fields every
+  /// flit of the worm shares (id, destination, source, injection cycle,
+  /// service level, tag).
+  [[nodiscard]] const Flit& worm(std::size_t l) const noexcept {
+    return lanes_[l].worm;
+  }
+  /// Is the front flit of non-empty lane \p l its worm's head?
+  [[nodiscard]] bool front_is_head(std::size_t l) const noexcept {
+    return lanes_[l].front == 0;
   }
 
   /// Claim idle lane \p l for a new worm whose head is \p head and which
   /// leaves this buffer through \p out_port.
-  void accept_head(std::size_t l, const Flit& head, unsigned out_port);
-
-  /// Append a body/tail flit of the worm occupying lane \p l.
-  void accept(std::size_t l, const Flit& flit);
-
-  /// The head-of-line flit; the lane must be non-empty.
-  [[nodiscard]] const Flit& front(std::size_t l) const {
-    return slots_[l * depth_ + head_[l]];
+  /// \throws std::logic_error if the lane is busy or \p head is not a
+  /// head flit.
+  void accept_head(std::size_t l, const Flit& head, unsigned out_port) {
+    Lane& lane = lanes_[l];
+    if (!idle(l) || !head.is_head()) {
+      fail("LanePool::accept_head: lane busy or flit not a head");
+    }
+    lane.worm = head;
+    lane.count = 1;
+    lane.port = static_cast<std::uint8_t>(out_port);
   }
 
-  /// Remove and return the head-of-line flit. Popping the tail resets the
-  /// lane to idle (the worm has fully left).
-  Flit pop(std::size_t l);
+  /// Append the next flit of the worm holding lane \p l (its source
+  /// serializing the packet).
+  /// \throws std::logic_error if the lane holds no worm or already holds
+  /// its tail, or is full.
+  void accept_next(std::size_t l) {
+    Lane& lane = lanes_[l];
+    if (idle(l) || std::uint64_t{lane.front} + lane.count >= length_) {
+      fail("LanePool::accept_next: flit does not continue the worm");
+    }
+    if (lane.count >= depth_) fail("LanePool::accept_next: lane full");
+    ++lane.count;
+  }
+
+  /// One body or tail hop: pop the front flit of lane \p from and append
+  /// it to lane \p to, which the worm reserved downstream. Counter
+  /// updates only; no flit is built.
+  /// \throws std::logic_error if \p from is empty, the front flit is a
+  /// head or is not the next flit \p to expects, or \p to is full.
+  void move(std::size_t from, std::size_t to) {
+    Lane& src = lanes_[from];
+    Lane& dst = lanes_[to];
+    if (src.count == 0) fail("LanePool::move: lane empty");
+    if (src.front == 0 ||
+        std::uint64_t{dst.front} + dst.count != src.front) {
+      fail("LanePool::move: flit does not continue the worm");
+    }
+    if (dst.count >= depth_) fail("LanePool::move: lane full");
+    ++dst.count;
+    drop_front(src);
+  }
+
+  /// Remove and return the front flit. Popping the tail returns the lane
+  /// to idle (the worm has fully left).
+  /// \throws std::logic_error if the lane is empty.
+  Flit pop(std::size_t l) {
+    Lane& lane = lanes_[l];
+    if (lane.count == 0) fail("LanePool::pop: lane empty");
+    // make_flit(..., front index, L): the head flit with its flags reset.
+    Flit flit = lane.worm;
+    flit.head = lane.front == 0 ? 1 : 0;
+    flit.tail = std::uint64_t{lane.front} + 1 == length_ ? 1 : 0;
+    drop_front(lane);
+    return flit;
+  }
 
   /// Out-port of the worm currently occupying lane \p l.
   [[nodiscard]] unsigned out_port(std::size_t l) const noexcept {
-    return out_port_[l];
+    return lanes_[l].port;
   }
 
   /// Downstream lane (relative index inside the next buffer) reserved by
   /// the worm, -1 until its head advances.
   [[nodiscard]] int downstream(std::size_t l) const noexcept {
-    return downstream_[l];
+    return lanes_[l].down;
   }
   void set_downstream(std::size_t l, int lane) noexcept {
-    downstream_[l] = lane;
+    lanes_[l].down = lane;
   }
 
   /// First idle lane of the \p lanes-lane buffer starting at \p first
   /// (relative index), or -1 if every lane is claimed.
   [[nodiscard]] int find_idle_lane(std::size_t first,
-                                   std::size_t lanes) const noexcept;
-
- private:
-  // head_[l] stays < depth_; wrap-around is compare-and-subtract, not a
-  // hardware-division modulo (once per flit move in the hot loop).
-  [[nodiscard]] std::size_t wrap(std::size_t i) const {
-    return i >= depth_ ? i - depth_ : i;
+                                   std::size_t lanes) const noexcept {
+    for (std::size_t i = 0; i < lanes; ++i) {
+      if (idle(first + i)) return static_cast<int>(i);
+    }
+    return -1;
   }
 
-  std::size_t depth_;
-  std::vector<Flit> slots_;
-  std::vector<std::uint32_t> head_;
-  std::vector<std::uint32_t> count_;
-  std::vector<std::uint8_t> busy_;
-  std::vector<std::uint8_t> tail_in_;
-  std::vector<std::uint8_t> out_port_;
-  std::vector<std::int32_t> downstream_;
+ private:
+  struct Lane {
+    Flit worm;                ///< the worm's head flit
+    std::uint32_t front = 0;  ///< index of the front flit in the worm
+    std::uint32_t count = 0;  ///< flits buffered
+    std::int32_t down = -1;   ///< reserved downstream lane
+    std::uint8_t port = 0;    ///< out-port
+  };
+  static_assert(sizeof(Lane) == 32);
+
+  /// Throw std::logic_error(\p what); kept out of line so the inlined
+  /// pool operations stay small in the kernels' cell loops.
+  [[noreturn, gnu::cold, gnu::noinline]] static void fail(const char* what);
+
+  /// Advance \p lane's front past one flit; past the tail the lane is
+  /// idle again.
+  void drop_front(Lane& lane) noexcept {
+    --lane.count;
+    if (std::uint64_t{++lane.front} == length_) {
+      lane.front = 0;
+      lane.down = -1;
+    }
+  }
+
+  std::size_t depth_ = 1;
+  std::uint64_t length_ = 1;
+  std::vector<Lane> lanes_;
 };
 
 /// Reusable cross-run allocation arena for the payload pools. A sweep
@@ -344,10 +433,11 @@ class SimWorkspace {
     return ring_;
   }
 
-  /// The wormhole virtual-channel pool, reset to (lane_count, depth).
+  /// The wormhole virtual-channel pool, reset to (lane_count, depth,
+  /// length).
   [[nodiscard]] LanePool& lane_pool(std::size_t lane_count,
-                                    std::size_t depth) {
-    pool_.reset(lane_count, depth);
+                                    std::size_t depth, std::size_t length) {
+    pool_.reset(lane_count, depth, length);
     return pool_;
   }
 
@@ -362,7 +452,7 @@ class SimWorkspace {
 
  private:
   PacketRing ring_{0, 1};
-  LanePool pool_{0, 1};
+  LanePool pool_{0, 1, 1};
   CreditLedger ledger_;
 };
 

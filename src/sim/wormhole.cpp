@@ -15,9 +15,11 @@ namespace {
 /// The wormhole discipline as a policy over FabricCore: packets decompose
 /// into flits that pipeline through the per-port virtual-channel lanes of
 /// a LanePool. The head flit claims an idle downstream lane and advances
-/// as soon as it wins output-port arbitration; body and tail flits follow
-/// through the reserved lane; the tail releases each lane as it passes.
-/// One flit crosses each link per cycle. The template switches and the
+/// as soon as it wins output-port arbitration, copying the worm's record
+/// into that lane; body and tail flits follow through the reserved lane
+/// as counter updates (LanePool::move); the tail releases each lane as it
+/// passes. One flit crosses each link per cycle. Flits are built only
+/// where one is read: at ejection and in the dead-switch drain. The template switches and the
 /// shared plumbing are PolicyBase's (policy.hpp); what the run's features
 /// mean here, each tested at run time on the featured instantiation:
 ///  - a fault mask: every worm's out-port resolves through the degraded
@@ -70,7 +72,7 @@ class WormholePolicy
         lanes_(core.config().lanes),
         pool_(workspace.lane_pool(
             static_cast<std::size_t>(core.stages()) * core.ports() * lanes_,
-            core.config().lane_depth)),
+            core.config().lane_depth, core.config().packet_length)),
         sources_(core.terminals()) {
     if (fault_mask() != nullptr) {
       dropping_.assign(
@@ -141,14 +143,9 @@ class WormholePolicy
           room = pool_.has_space(l);
         }
         if (room) {
-          shard_accept(l,
-                       make_flit(src.id, src.dest,
-                                 static_cast<std::uint32_t>(t),
-                                 src.inject_cycle, src.next_index, length_,
-                                 src.sl, src.tag),
-                       wk);
+          ++wk.pool_delta;
+          pool_.accept_next(l);
           if (credits != nullptr) credits->consume(l);
-          ++src.next_index;
           --src.remaining;
           if (measuring) ++core_.result.flits_injected;
         }
@@ -237,15 +234,9 @@ class WormholePolicy
       }
       if (credits != nullptr) credits->consume(l);
       core_.commit(cycle, static_cast<std::uint32_t>(t), packet);
-      src.dest = dest;
-      src.id = id;
-      src.inject_cycle = cycle;
-      src.next_index = 1;
       src.remaining = length_ - 1;
       src.lane = lane;
       src.port = port;
-      src.sl = sl;
-      src.tag = packet.tag;
       if (measuring) {
         ++core_.result.injected;
         ++core_.result.flits_injected;
@@ -331,7 +322,7 @@ class WormholePolicy
         unsigned vl = 0;
         if (credits != nullptr) {
           vl = credit_config_->vl_of_sl(
-              static_cast<unsigned>(pool_.front(l).sl));
+              static_cast<unsigned>(pool_.worm(l).sl));
         }
         const Flit flit = shard_pop(l, wk);
         if (credits != nullptr) credits->give_back(l, cycle);
@@ -481,9 +472,9 @@ class WormholePolicy
           unsigned vl = 0;
           if (credits != nullptr) {
             vl = credit_config_->vl_of_sl(
-                static_cast<unsigned>(pool_.front(l).sl));
+                static_cast<unsigned>(pool_.worm(l).sl));
           }
-          if (pool_.front(l).is_head()) {
+          if (pool_.front_is_head(l)) {
             // The head claims a downstream lane: its fixed virtual lane
             // when an SL->VL map is configured, the first idle lane
             // otherwise.
@@ -556,7 +547,8 @@ class WormholePolicy
                                static_cast<std::size_t>(down_lane));
             }
           } else {
-            // Body/tail flits follow through the reserved lane.
+            // Body/tail flits follow through the reserved lane: counter
+            // updates on the two lanes, no flit built.
             const std::size_t down_l =
                 target_first + static_cast<std::size_t>(pool_.downstream(l));
             if (credits != nullptr) {
@@ -571,7 +563,7 @@ class WormholePolicy
               }
               continue;  // blocked: full
             }
-            shard_accept(down_l, shard_pop(l, wk), wk);
+            pool_.move(l, down_l);
             if (credits != nullptr) {
               credits->give_back(l, cycle);
               credits->consume(down_l);
@@ -732,23 +724,19 @@ class WormholePolicy
   }
 
   [[nodiscard]] BufferHead head(std::size_t l) const {
-    const Flit& flit = pool_.front(l);
-    return {static_cast<std::uint64_t>(flit.inject_cycle),
-            static_cast<std::uint32_t>(flit.src), flit.dest_terminal};
+    const Flit& worm = pool_.worm(l);
+    return {static_cast<std::uint64_t>(worm.inject_cycle),
+            static_cast<std::uint32_t>(worm.src), worm.dest_terminal};
   }
   [[nodiscard]] std::uint32_t buffer_count(std::size_t l) const {
     return pool_.count(l);
   }
 
-  /// Pool mutations that count into worker \p wk's pool delta.
+  /// Pool mutations that count into worker \p wk's pool delta (a body
+  /// hop, LanePool::move, leaves the delta as it is).
   Flit shard_pop(std::size_t l, ShardWorker& wk) {
     --wk.pool_delta;
     return pool_.pop(l);
-  }
-
-  void shard_accept(std::size_t l, const Flit& flit, ShardWorker& wk) {
-    ++wk.pool_delta;
-    pool_.accept(l, flit);
   }
 
   void shard_accept_head(std::size_t l, const Flit& head, unsigned out_port,
@@ -757,19 +745,13 @@ class WormholePolicy
     pool_.accept_head(l, head, out_port);
   }
 
-  /// Per-terminal injection state: the packet currently serializing into
-  /// the first stage (flits are materialized on the fly) and the input
-  /// port and lane that worm claimed.
+  /// Per-terminal injection state: the flits of the current packet still
+  /// to serialize, and the first-stage input port and lane its worm
+  /// claimed (the lane holds the packet's fields).
   struct SourceState {
-    std::uint32_t dest = 0;
-    std::uint32_t id = 0;
-    std::uint64_t inject_cycle = 0;
-    std::size_t next_index = 0;
-    std::size_t remaining = 0;
+    std::uint64_t remaining = 0;
     int lane = -1;
-    unsigned sl = 0;  // service level of the serializing packet
-    unsigned tag = 0;  // workload tag carried by every flit of the packet
-    std::size_t port = 0;  // claimed first-stage input port
+    std::size_t port = 0;
   };
 
   [[nodiscard]] std::size_t lane_index(int s, std::size_t port_index,
@@ -782,7 +764,7 @@ class WormholePolicy
   /// Weight class of the worm at the head of lane \p l (credit runs only).
   [[nodiscard]] unsigned flit_weight(std::size_t l) const {
     return credit_config_->weight(credit_config_->vl_of_sl(
-        static_cast<unsigned>(pool_.front(l).sl)));
+        static_cast<unsigned>(pool_.worm(l).sl)));
   }
 
   /// Accept \p head into lane \p l of cell \p y at stage \p s with the

@@ -6,7 +6,9 @@
 /// an idle lane at the next switch and advances as soon as it wins
 /// output-port arbitration; body and tail flits follow through the
 /// reserved lanes; the tail releases each lane as it passes. One flit
-/// crosses each link per cycle. Deterministic given the seed, like the
+/// crosses each link per cycle. A lane stores its worm once (head flit,
+/// front index, count), so a body or tail hop moves counters, not
+/// flits; flits are built where they are read, as at ejection. Deterministic given the seed, like the
 /// store-and-forward path. WormholeSimulator::run and Engine::run with
 /// SimConfig::mode kWormhole go through the same dispatcher
 /// (run_fabric, policy.hpp); both disciplines are policies over the
