@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
+#include <new>
 #include <stdexcept>
 
 namespace mineq::sim {
@@ -77,34 +79,55 @@ void CreditLedger::deliver_range(std::uint64_t cycle, std::size_t lo,
   }
 }
 
-PacketRing::PacketRing(std::size_t queues, std::size_t capacity)
-    : capacity_(capacity),
-      head_(queues, 0),
-      count_(queues, 0),
-      dest_(queues * capacity, 0),
-      src_(queues * capacity, 0),
-      inject_(queues * capacity, 0),
-      arrival_(queues * capacity, 0),
-      sl_(queues * capacity, 0),
-      tag_(queues * capacity, 0) {
-  if (capacity == 0) {
-    throw std::invalid_argument("PacketRing: capacity must be positive");
-  }
+namespace {
+
+/// Begin the lifetimes of \p n zeroed Ts at byte \p offset of \p block.
+template <class T>
+T* zeroed_array(std::byte* block, std::size_t offset, std::size_t n) {
+  T* const first = reinterpret_cast<T*>(block + offset);
+  std::uninitialized_value_construct_n(first, n);
+  return std::launder(first);
 }
+
+}  // namespace
 
 void PacketRing::reset(std::size_t queues, std::size_t capacity) {
   if (capacity == 0) {
     throw std::invalid_argument("PacketRing: capacity must be positive");
   }
   capacity_ = capacity;
-  head_.assign(queues, 0);
-  count_.assign(queues, 0);
-  dest_.assign(queues * capacity, 0);
-  src_.assign(queues * capacity, 0);
-  inject_.assign(queues * capacity, 0);
-  arrival_.assign(queues * capacity, 0);
-  sl_.assign(queues * capacity, 0);
-  tag_.assign(queues * capacity, 0);
+  const std::size_t slots = queues * capacity;
+  // Byte offset of each field array in the block, each on its own line.
+  std::size_t size = 0;
+  const auto carve = [&size](std::size_t bytes) {
+    const std::size_t at = size;
+    size += (bytes + 63) & ~std::size_t{63};
+    return at;
+  };
+  const std::size_t head = carve(queues * sizeof(std::uint32_t));
+  const std::size_t count = carve(queues * sizeof(std::uint32_t));
+  const std::size_t dest = carve(slots * sizeof(std::uint32_t));
+  const std::size_t src = carve(slots * sizeof(std::uint32_t));
+  const std::size_t inject = carve(slots * sizeof(std::uint64_t));
+  const std::size_t arrival = carve(slots * sizeof(std::uint64_t));
+  const std::size_t sl = carve(slots);
+  const std::size_t tag = carve(slots);
+  if (size + 63 > block_bytes_) {
+    block_.reset();
+    block_bytes_ = 0;
+    block_ = std::make_unique_for_overwrite<std::byte[]>(size + 63);
+    block_bytes_ = size + 63;
+  }
+  const auto address = reinterpret_cast<std::uintptr_t>(block_.get());
+  std::byte* const base = block_.get() + (64 - address % 64) % 64;
+  head_ = zeroed_array<std::uint32_t>(base, head, queues);
+  count_ = zeroed_array<std::uint32_t>(base, count, queues);
+  dest_ = zeroed_array<std::uint32_t>(base, dest, slots);
+  src_ = zeroed_array<std::uint32_t>(base, src, slots);
+  inject_ = zeroed_array<std::uint64_t>(base, inject, slots);
+  arrival_ = zeroed_array<std::uint64_t>(base, arrival, slots);
+  sl_ = zeroed_array<std::uint8_t>(base, sl, slots);
+  tag_ = zeroed_array<std::uint8_t>(base, tag, slots);
 }
 
 void PacketRing::push(std::size_t q, std::uint32_t dest, std::uint32_t src,

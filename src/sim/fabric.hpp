@@ -14,14 +14,18 @@
 ///
 ///   eject -> advance stages (last-1 .. 0) -> inject -> sample
 ///
-/// Payload lives in struct-of-arrays pools (PacketRing for whole-packet
-/// FIFOs, LanePool for virtual-channel flit buffers): fixed-capacity
-/// rings over a few contiguous arrays instead of a deque per queue, so a
-/// run allocates O(1) blocks and the hot loops stream over flat memory.
+/// Payload lives in two pools of one allocation each, not a deque per
+/// queue, so a run allocates O(1) blocks and the hot loops stream over
+/// flat memory. PacketRing holds the whole-packet FIFOs as fixed-capacity
+/// rings over struct-of-arrays fields. LanePool holds one record per
+/// virtual-channel lane: a worm's flits differ only in their index, so a
+/// lane keeps the worm's head flit and two counters, never flit copies.
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <vector>
@@ -166,10 +170,17 @@ class CreditLedger {
 
 /// Every store-and-forward input FIFO of the fabric as one
 /// struct-of-arrays ring pool: queue q occupies slots [q * capacity,
-/// (q+1) * capacity) of three parallel field arrays.
+/// (q+1) * capacity) of the parallel field arrays. The per-queue and
+/// per-slot arrays are carved out of one allocation (see SimWorkspace),
+/// each starting on a 64-byte line.
 class PacketRing {
  public:
-  PacketRing(std::size_t queues, std::size_t capacity);
+  PacketRing(std::size_t queues, std::size_t capacity) {
+    reset(queues, capacity);
+  }
+  // The field pointers point into block_.
+  PacketRing(const PacketRing&) = delete;
+  PacketRing& operator=(const PacketRing&) = delete;
 
   /// Re-shape to (queues, capacity) and clear every queue, retaining the
   /// underlying allocations when they are large enough — the
@@ -230,15 +241,19 @@ class PacketRing {
     return i >= capacity_ ? i - capacity_ : i;
   }
 
-  std::size_t capacity_;
-  std::vector<std::uint32_t> head_;
-  std::vector<std::uint32_t> count_;
-  std::vector<std::uint32_t> dest_;
-  std::vector<std::uint32_t> src_;
-  std::vector<std::uint64_t> inject_;
-  std::vector<std::uint64_t> arrival_;
-  std::vector<std::uint8_t> sl_;
-  std::vector<std::uint8_t> tag_;
+  std::size_t capacity_ = 1;
+  /// Storage for the field arrays below, which reset() begins in it; one
+  /// line longer than they need, so the first can start on a line.
+  std::unique_ptr<std::byte[]> block_;
+  std::size_t block_bytes_ = 0;
+  std::uint32_t* head_ = nullptr;
+  std::uint32_t* count_ = nullptr;
+  std::uint32_t* dest_ = nullptr;
+  std::uint32_t* src_ = nullptr;
+  std::uint64_t* inject_ = nullptr;
+  std::uint64_t* arrival_ = nullptr;
+  std::uint8_t* sl_ = nullptr;
+  std::uint8_t* tag_ = nullptr;
 };
 
 /// Every wormhole virtual channel of the fabric as one pool of 32-byte
@@ -422,8 +437,12 @@ class LanePool {
 /// worker owns one workspace and passes it to every Engine::run it
 /// executes, so million-packet grids re-shape (and usually just clear)
 /// the same pool allocations instead of re-allocating them per grid
-/// point. Pools are fully re-initialized per run, so results are
-/// byte-identical with or without a workspace.
+/// point. Each pool is one block: glibc raises its mmap threshold to the
+/// largest block freed and trims its heap only above twice that, so a
+/// pool freed as one block stays on the heap for the next workspace to
+/// take over, where the same bytes in several blocks would go back to
+/// the kernel and fault in again. Pools are fully re-initialized per
+/// run, so results are byte-identical with or without a workspace.
 class SimWorkspace {
  public:
   /// The store-and-forward FIFO pool, reset to (queues, capacity).
