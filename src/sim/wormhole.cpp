@@ -302,10 +302,11 @@ class WormholePolicy
       for (unsigned plane = 0; plane < planes(); ++plane) {
         const std::size_t first = plane_lanes(lx, plane);
         for (unsigned k = 0; k < per_cell; ++k) {
-          if (pool_.empty(first + k)) continue;
           const unsigned c = plane * per_cell + k;
-          set_request(occupied, c);
-          set_request(requests + pool_.out_port(first + k) * words, c);
+          const std::uint64_t bit = std::uint64_t{!pool_.empty(first + k)}
+                                    << (c % 64);
+          occupied[c / 64] |= bit;
+          requests[pool_.out_port(first + k) * words + c / 64] |= bit;
         }
       }
       for (unsigned j = 0; j < lr; ++j) {
@@ -448,9 +449,12 @@ class WormholePolicy
       const std::size_t l0 = lane_index(s, x * r, 0);
       clear_words(requests, rows * words);
       for (unsigned c = 0; c < per_cell; ++c) {
-        if (pool_.empty(l0 + c)) continue;
-        set_request(occupied, c);
-        set_request(requests + pool_.out_port(l0 + c) * words, c);
+        // Branch-free: an empty lane ORs a zero bit into the row of its
+        // last worm's out-port (an idle lane keeps a valid row index).
+        const std::uint64_t bit =
+            std::uint64_t{!pool_.empty(l0 + c)} << (c % 64);
+        occupied[c / 64] |= bit;
+        requests[pool_.out_port(l0 + c) * words + c / 64] |= bit;
       }
       for (unsigned port = 0; port < r; ++port) {
         std::uint64_t* const candidates = requests + port * words;
