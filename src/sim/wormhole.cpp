@@ -19,9 +19,10 @@ namespace {
 /// into that lane; body and tail flits follow through the reserved lane
 /// as counter updates (LanePool::move); the tail releases each lane as it
 /// passes. One flit crosses each link per cycle. Flits are built only
-/// where one is read: at ejection and in the dead-switch drain. The template switches and the
-/// shared plumbing are PolicyBase's (policy.hpp); what the run's features
-/// mean here, each tested at run time on the featured instantiation:
+/// where one is read: at ejection and in the dead-switch drain. The
+/// template switches and the shared plumbing are PolicyBase's
+/// (policy.hpp); what the run's features mean here, each tested at run
+/// time on the featured instantiation:
 ///  - a fault mask: every worm's out-port resolves through the degraded
 ///    route step (PolicyBase::usable_port) when its head is accepted —
 ///    following the schedule while its arc survives, detouring through

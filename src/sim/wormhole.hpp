@@ -8,11 +8,11 @@
 /// reserved lanes; the tail releases each lane as it passes. One flit
 /// crosses each link per cycle. A lane stores its worm once (head flit,
 /// front index, count), so a body or tail hop moves counters, not
-/// flits; flits are built where they are read, as at ejection. Deterministic given the seed, like the
-/// store-and-forward path. WormholeSimulator::run and Engine::run with
-/// SimConfig::mode kWormhole go through the same dispatcher
-/// (run_fabric, policy.hpp); both disciplines are policies over the
-/// shared FabricCore (fabric.hpp).
+/// flits; flits are built where they are read, as at ejection.
+/// Deterministic given the seed, like the store-and-forward path.
+/// WormholeSimulator::run and Engine::run with SimConfig::mode kWormhole
+/// go through the same dispatcher (run_fabric, policy.hpp); both
+/// disciplines are policies over the shared FabricCore (fabric.hpp).
 
 #pragma once
 
